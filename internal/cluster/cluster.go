@@ -141,6 +141,34 @@ func FromSpec(m *matrix.Matrix, rows, cols []int) *Cluster {
 	return c
 }
 
+// Reset returns c to the state New builds — no members, zero
+// aggregates, evaluation pack and residue-mass tier off — reusing its
+// matrix-sized slices (deltavet:writer). It costs O(members): the
+// per-row and per-column aggregates of non-members are zero by
+// invariant, so only the members' entries need clearing. A Reset
+// cluster repopulated like FromSpec carries the bits a fresh FromSpec
+// cluster would, so one cluster can score many candidate memberships
+// in turn, as anchored seeding does.
+func (c *Cluster) Reset() {
+	for _, i := range c.memberRows {
+		c.rowPos[i] = -1
+		c.rowSum[i] = 0
+		c.rowCnt[i] = 0
+	}
+	for _, j := range c.memberCols {
+		c.colPos[j] = -1
+		c.colSum[j] = 0
+		c.colCnt[j] = 0
+	}
+	c.memberRows = c.memberRows[:0]
+	c.memberCols = c.memberCols[:0]
+	c.total = 0
+	c.volume = 0
+	c.pack, c.packBases, c.packStride = nil, nil, 0
+	c.absTracked, c.specPaused, c.absMean = false, false, ArithmeticMean
+	c.rowAbs, c.colAbs, c.absSum = nil, nil, 0
+}
+
 // FromOrdered returns a cluster over m whose internal member order is
 // exactly the given row and column sequences, with aggregates built by
 // a wholesale Recompute (deltavet:writer). It is the checkpoint-resume

@@ -3,6 +3,11 @@ package floc
 import (
 	"fmt"
 	"testing"
+
+	"deltacluster/internal/cluster"
+	"deltacluster/internal/matrix"
+	"deltacluster/internal/stats"
+	"deltacluster/internal/synth"
 )
 
 // benchEngine builds a phase-1-seeded engine over a 500×60 planted
@@ -79,6 +84,54 @@ func BenchmarkDecideAllIncremental(b *testing.B) {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				_ = e.decideAll()
+			}
+		})
+	}
+}
+
+// seedSink keeps BenchmarkSeedAnchored's result observable.
+var seedSink []*cluster.Cluster
+
+// BenchmarkSeedAnchored measures phase 1 under anchored seeding — the
+// default for VolumeGain — on the two realistic stand-ins: the
+// complete 2884×17 yeast microarray at the Section 6.1.2 setting
+// (k = 60, δ = 20), where seeding is nearly all of a FLOC job, and the
+// sparse 943×1682 ratings matrix at the MovieLens setting (k = 10,
+// δ = 1, α = 0.6), where the carve takes the row-wise path. One op is
+// one anchoredSeeds call of the default 100·K attempts with the
+// engine's cost function; -benchmem records the scratch and the
+// survivors' clusters, the only per-run allocations.
+func BenchmarkSeedAnchored(b *testing.B) {
+	yeast, err := synth.Yeast(synth.DefaultYeastConfig(), 1)
+	if err != nil {
+		b.Fatal(err)
+	}
+	ratings, err := synth.MovieLens(synth.DefaultMovieLensConfig(), 1)
+	if err != nil {
+		b.Fatal(err)
+	}
+	ratingsCfg := DefaultConfig(10, 1)
+	ratingsCfg.Constraints.Occupancy = 0.6
+	for _, bc := range []struct {
+		name string
+		m    *matrix.Matrix
+		cfg  Config
+	}{
+		{"yeast", yeast.Matrix, DefaultConfig(60, 20)},
+		{"ratings", ratings.Matrix, ratingsCfg},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			cfg := bc.cfg
+			cfg.Seed = 1
+			if err := cfg.validate(bc.m.Rows(), bc.m.Cols()); err != nil {
+				b.Fatal(err)
+			}
+			bc.m.EnsureDerived()
+			e := &engine{m: bc.m, cfg: &cfg, w: float64(bc.m.SpecifiedCount())}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				seedSink = anchoredSeeds(bc.m, &cfg, stats.NewRNG(cfg.Seed), e.seedCost)
 			}
 		})
 	}

@@ -249,9 +249,12 @@ type Config struct {
 	SeedMode SeedMode
 
 	// SeedAttempts bounds how many anchor pairs SeedAnchored tries;
-	// 0 means 100·K. Attempts are cheap (O(M log M) each until a pair
-	// shows a coherent clump), so generous defaults pay for
-	// themselves in seed coverage.
+	// 0 means 100·K. A pair without a difference clump costs
+	// O(M log M); one with a clump scans all N rows on the carved
+	// columns, and a candidate that survives the carve is refined in
+	// O(N·M). Seeding time grows linearly with the attempts, and on a
+	// complete matrix like the yeast stand-in it is most of a run;
+	// the default buys seed coverage with it.
 	SeedAttempts int
 
 	// SeedProbability is the p of phase 1: the probability that any

@@ -134,6 +134,12 @@ func (e *engine) cost(residue float64, volume, nRows, nCols int) float64 {
 	return float64(volume)*residue/e.cfg.MaxResidue - reward
 }
 
+// seedCost prices a candidate seed cluster with the run's cost
+// function, the ranking anchored seeding keeps its best K by.
+func (e *engine) seedCost(cl *cluster.Cluster) float64 {
+	return e.cost(cl.ResidueWith(e.cfg.ResidueMean), cl.Volume(), cl.NumRows(), cl.NumCols())
+}
+
 // appliedAction records one performed (or skipped) toggle so an
 // iteration prefix can be replayed exactly onto a checkpoint.
 type appliedAction struct {
@@ -172,10 +178,7 @@ func newEngine(m *matrix.Matrix, cfg *Config) *engine {
 		}
 	}
 	if mode == SeedAnchored {
-		costOf := func(cl *cluster.Cluster) float64 {
-			return e.cost(cl.ResidueWith(cfg.ResidueMean), cl.Volume(), cl.NumRows(), cl.NumCols())
-		}
-		e.clusters = anchoredSeeds(m, cfg, e.rng, costOf)
+		e.clusters = anchoredSeeds(m, cfg, e.rng, e.seedCost)
 		repairAll(e.clusters, m, cfg, e.rng)
 	} else {
 		e.clusters = seedClusters(m, cfg, e.rng)

@@ -14,6 +14,13 @@ import (
 // constant-difference property of shifting coherence, scores them with
 // the run's cost function, and returns the best k mutually distinct
 // candidates, topping up with random seeds if fewer qualify.
+//
+// Candidates are scored in one scratch cluster and kept as bare
+// row/column lists with their cost; only the at most k survivors of
+// the duplicate filter are built as clusters. A cluster carries
+// matrix-sized aggregate slices, and thousands of candidates survive
+// refinement on a microarray run, so building each one would hold
+// every candidate's slices alive until the sort.
 func anchoredSeeds(m *matrix.Matrix, cfg *Config, rng *stats.RNG, costOf func(cl *cluster.Cluster) float64) []*cluster.Cluster {
 	attempts := cfg.SeedAttempts
 	if attempts <= 0 {
@@ -29,15 +36,6 @@ func anchoredSeeds(m *matrix.Matrix, cfg *Config, rng *stats.RNG, costOf func(cl
 	minRows := maxInt(3, cfg.Constraints.MinRows)
 	minCols := maxInt(3, cfg.Constraints.MinCols)
 
-	type candidate struct {
-		cl   *cluster.Cluster
-		cost float64
-	}
-	var cands []candidate
-	diffs := make([]float64, 0, m.Cols())
-	offsets := make([]float64, 0, m.Cols())
-	carveCols := make([]int, 0, m.Cols())
-	carveRows := make([]int, 0, m.Rows())
 	scr := newSeedScratch(m)
 	for a := 0; a < attempts; a++ {
 		i1 := rng.Intn(m.Rows())
@@ -45,61 +43,11 @@ func anchoredSeeds(m *matrix.Matrix, cfg *Config, rng *stats.RNG, costOf func(cl
 		if i1 == i2 {
 			continue
 		}
-		row1 := m.RowView(i1)
-		row2 := m.RowView(i2)
-
-		// Columns where the pair's difference is near-constant: the
-		// coherent attribute set of the pair. If the rows share a
-		// δ-cluster, its columns form a tight clump in the sorted
-		// difference values — anywhere in the range, so the clump is
-		// located with a densest-window scan, not a median.
-		diffs = diffs[:0]
-		for j := 0; j < m.Cols(); j++ {
-			if !math.IsNaN(row1[j]) && !math.IsNaN(row2[j]) {
-				diffs = append(diffs, row1[j]-row2[j])
-			}
-		}
-		if len(diffs) < minCols {
-			continue
-		}
-		center, count := densestWindow(diffs, 2*delta)
-		if count < minCols {
-			continue
-		}
-		cols := carveCols[:0]
-		for j := 0; j < m.Cols(); j++ {
-			if math.IsNaN(row1[j]) || math.IsNaN(row2[j]) {
-				continue
-			}
-			if math.Abs(row1[j]-row2[j]-center) <= 1.5*delta {
-				cols = append(cols, j)
-			}
-		}
+		cols := scr.carveCols(m, i1, i2, delta, minCols)
 		if len(cols) < minCols {
 			continue
 		}
-
-		// Rows coherent with the anchor on those columns: a row
-		// qualifies when most of its offsets against the anchor clump
-		// within 2δ of their densest window (a trimmed criterion, so a
-		// few accidental columns in the carve cannot veto true rows).
-		rows := carveRows[:0]
-		need := maxInt(minCols, (2*len(cols)+2)/3)
-		for r := 0; r < m.Rows(); r++ {
-			rowR := m.RowView(r)
-			offsets = offsets[:0]
-			for _, j := range cols {
-				if !math.IsNaN(rowR[j]) && !math.IsNaN(row1[j]) {
-					offsets = append(offsets, rowR[j]-row1[j])
-				}
-			}
-			if len(offsets) < need {
-				continue
-			}
-			if _, c := densestWindow(offsets, 2*delta); c >= need {
-				rows = append(rows, r)
-			}
-		}
+		rows := scr.carveRows(m, i1, cols, delta, maxInt(minCols, (2*len(cols)+2)/3))
 		if len(rows) < minRows {
 			continue
 		}
@@ -107,10 +55,10 @@ func anchoredSeeds(m *matrix.Matrix, cfg *Config, rng *stats.RNG, costOf func(cl
 		if len(rows) < minRows || len(cols) < minCols {
 			continue
 		}
-		cl := cluster.FromSpec(m, rows, cols)
-		cands = append(cands, candidate{cl: cl, cost: costOf(cl)})
+		scr.score(rows, cols, costOf)
 	}
 
+	cands := scr.cands
 	sort.Slice(cands, func(a, b int) bool { return cands[a].cost < cands[b].cost })
 
 	// Greedily keep the best candidates that are not near-duplicates
@@ -123,15 +71,16 @@ func anchoredSeeds(m *matrix.Matrix, cfg *Config, rng *stats.RNG, costOf func(cl
 		if len(clusters) == cfg.K {
 			break
 		}
+		rows := scr.candRows[cand.rows[0]:cand.rows[1]]
 		dup := false
 		for _, kept := range clusters {
-			if rowOverlap(cand.cl, kept)*3 >= 2*minInt(cand.cl.NumRows(), kept.NumRows()) {
+			if rowOverlap(rows, kept)*3 >= 2*minInt(len(rows), kept.NumRows()) {
 				dup = true
 				break
 			}
 		}
 		if !dup {
-			clusters = append(clusters, cand.cl)
+			clusters = append(clusters, cluster.FromSpec(m, rows, scr.candCols[cand.cols[0]:cand.cols[1]]))
 		}
 	}
 
@@ -156,31 +105,290 @@ func anchoredSeeds(m *matrix.Matrix, cfg *Config, rng *stats.RNG, costOf func(cl
 	return clusters
 }
 
-// seedScratch holds the buffers candidate refinement reuses across the
-// seeding loop's attempts. Refinement runs once per surviving attempt
-// — hundreds of times per engine run — and its temporaries dominated
-// the engine's allocation profile when allocated per call, so they are
-// hoisted here and sized to the matrix once. Row offsets live in a
+// seedCandidate is a refined candidate seed: its rows and columns as
+// [start, end) spans of the scratch arenas, and its cost.
+type seedCandidate struct {
+	rows, cols [2]int
+	cost       float64
+}
+
+// seedScratch holds the buffers the seeding loop reuses across its
+// attempts, sized to the matrix once per run. The carve and refinement
+// run once per attempt that gets that far — up to 100·K times per
+// engine run, thousands of times on the yeast stand-in — and
+// per-attempt temporaries dominated the engine's allocation profile,
+// so every per-attempt buffer lives here. Row offsets live in a
 // matrix-row-indexed slice rather than the map a fresh-per-call
 // implementation would use; entries for the current row set are zeroed
 // before each fill, reproducing the map's zero-for-absent reads.
 type seedScratch struct {
-	colAdj []float64 // per-column mean adjustment for the current rows
-	colCnt []int     // per-column member count behind colAdj
-	rowOff []float64 // per-row robust offset, valid for the current rows
-	devBuf []float64 // per-row deviation sort buffer
-	cols   []int     // refined column set, reused across rounds and calls
-	rows   []int     // refined row set, reused across rounds and calls
+	// complete records that m has no missing entries, which lets the
+	// row carve run column by column (carveRows).
+	complete bool
+
+	diffs     []float64 // the anchor pair's per-column differences
+	carvedCol []int     // the pair carve's column set
+	carvedRow []int     // the anchor carve's row set
+	offsets   []float64 // one row's offsets against the anchor (row-wise carve)
+	lo, lo2   []float64 // per alive row of the column-major carve: smallest and second-smallest offset
+	hi, hi2   []float64 // per alive row of the column-major carve: largest and second-largest offset
+
+	colAdj  []float64 // per-column mean adjustment for the current rows
+	colCnt  []int     // per-column specified entries over the current rows
+	rowOff  []float64 // per-row offset: the median for the current rows, then the row re-selection's means
+	colMean []float64 // per-column mean of the offset-corrected entries
+	colDev  []float64 // per-column absolute deviation sum from colMean
+	devBuf  []float64 // per-row deviation sort buffer
+	rowSum  []float64 // per matrix row: offset, then deviation sum, of the row re-selection
+	rowCnt  []int     // per matrix row: specified entries behind rowSum
+	cols    []int     // refined column set, reused across rounds and calls
+	rows    []int     // refined row set, reused across rounds and calls
+
+	cl       *cluster.Cluster // the one cluster every candidate is scored in
+	cands    []seedCandidate
+	candRows []int // arena of the candidates' row lists
+	candCols []int // arena of the candidates' column lists
 }
 
 func newSeedScratch(m *matrix.Matrix) *seedScratch {
-	return &seedScratch{
-		colAdj: make([]float64, m.Cols()),
-		colCnt: make([]int, m.Cols()),
-		rowOff: make([]float64, m.Rows()),
-		devBuf: make([]float64, 0, m.Cols()),
-		cols:   make([]int, 0, m.Cols()),
-		rows:   make([]int, 0, m.Rows()),
+	scr := &seedScratch{
+		complete:  m.SpecifiedCount() == m.Rows()*m.Cols(),
+		diffs:     make([]float64, 0, m.Cols()),
+		carvedCol: make([]int, 0, m.Cols()),
+		carvedRow: make([]int, 0, m.Rows()),
+		offsets:   make([]float64, 0, m.Cols()),
+		colAdj:    make([]float64, m.Cols()),
+		colCnt:    make([]int, m.Cols()),
+		rowOff:    make([]float64, m.Rows()),
+		colMean:   make([]float64, m.Cols()),
+		colDev:    make([]float64, m.Cols()),
+		devBuf:    make([]float64, 0, m.Cols()),
+		rowSum:    make([]float64, m.Rows()),
+		rowCnt:    make([]int, m.Rows()),
+		cols:      make([]int, 0, m.Cols()),
+		rows:      make([]int, 0, m.Rows()),
+		cl:        cluster.New(m),
+	}
+	if scr.complete {
+		scr.lo = make([]float64, m.Rows())
+		scr.lo2 = make([]float64, m.Rows())
+		scr.hi = make([]float64, m.Rows())
+		scr.hi2 = make([]float64, m.Rows())
+	}
+	return scr
+}
+
+// carveCols returns the columns on which anchor rows i1 and i2 differ
+// by a near-constant: the pair's coherent attribute set. If the rows
+// share a δ-cluster, its columns form a tight clump in the sorted
+// difference values — anywhere in the range, so the clump is located
+// with a densest-window scan, not a median. A result shorter than
+// minCols means the pair shows no clump. The slice is backed by the
+// scratch and valid until the next call.
+//
+// deltavet:hotpath — once per seeding attempt, 100·K attempts a run.
+func (scr *seedScratch) carveCols(m *matrix.Matrix, i1, i2 int, delta float64, minCols int) []int {
+	row1 := m.RowView(i1)
+	row2 := m.RowView(i2)
+	diffs := scr.diffs[:0]
+	for j := 0; j < m.Cols(); j++ {
+		if !math.IsNaN(row1[j]) && !math.IsNaN(row2[j]) {
+			diffs = append(diffs, row1[j]-row2[j])
+		}
+	}
+	if len(diffs) < minCols {
+		return nil
+	}
+	center, count := densestWindow(diffs, 2*delta)
+	if count < minCols {
+		return nil
+	}
+	cols := scr.carvedCol[:0]
+	for j := 0; j < m.Cols(); j++ {
+		if math.IsNaN(row1[j]) || math.IsNaN(row2[j]) {
+			continue
+		}
+		if math.Abs(row1[j]-row2[j]-center) <= 1.5*delta {
+			cols = append(cols, j)
+		}
+	}
+	return cols
+}
+
+// carveRows returns, in ascending order, the rows coherent with anchor
+// row i1 on cols: a row qualifies when at least need of its offsets
+// against the anchor clump within 2δ (a trimmed criterion, so a few
+// accidental columns in the carve cannot veto true rows). cols must
+// be specified in the anchor row, as carveCols guarantees. The slice
+// is backed by the scratch and valid until the next call.
+//
+// The test is clumps, densestWindow(offsets, 2δ) ≥ need without the
+// sort. On a complete matrix with at most one offset allowed outside
+// the clump, carveRowsColumns runs it column by column instead; on
+// the yeast stand-in that is 95% of the carves, about half each with
+// slack 0 and slack 1. Larger slacks, and matrices with missing
+// entries, gather each row's offsets.
+//
+// deltavet:hotpath — scans every matrix row once per attempt with a
+// pair clump.
+func (scr *seedScratch) carveRows(m *matrix.Matrix, i1 int, cols []int, delta float64, need int) []int {
+	row1 := m.RowView(i1)
+	width := 2 * delta
+	if slack := len(cols) - need; scr.complete && slack <= 1 {
+		return scr.carveRowsColumns(m, row1, cols, width, slack)
+	}
+	rows := scr.carvedRow[:0]
+	for r := 0; r < m.Rows(); r++ {
+		rowR := m.RowView(r)
+		offsets := scr.offsets[:0]
+		for _, j := range cols {
+			if v := rowR[j]; !math.IsNaN(v) {
+				offsets = append(offsets, v-row1[j])
+			}
+		}
+		if clumps(offsets, need, width) {
+			rows = append(rows, r)
+		}
+	}
+	return rows
+}
+
+// carveRowsColumns is carveRows on a complete matrix when all
+// len(cols) offsets of a row (slack 0) or all but one (slack 1) must
+// clump. Sorted, a row's offsets x₀ ≤ … ≤ xₙ₋₁ then clump iff
+// xₙ₋₁ − x₀ ≤ width, respectively xₙ₋₂ − x₀ ≤ width or xₙ₋₁ − x₁ ≤
+// width — a test on the row's two (four) extreme offsets, which are
+// kept running while the columns stream through the column-major
+// mirror. Both spans only widen as offsets arrive, so a row is
+// dropped as soon as they exceed the width: the first two (three)
+// columns are scanned for every row, the rest only for the few rows
+// still alive, in place over the alive list. cols holds at least
+// three columns, as every carve does. Slack 0 keeps its own
+// two-extreme loop: answering it from the four-extreme tracker is
+// measurably slower on the yeast stand-in.
+//
+// deltavet:hotpath — see carveRows.
+func (scr *seedScratch) carveRowsColumns(m *matrix.Matrix, row1 []float64, cols []int, width float64, slack int) []int {
+	n := m.Rows()
+	alive := scr.carvedRow[:0]
+	lo, hi := scr.lo, scr.hi // per alive row: smallest and largest offset
+	c0, a0 := m.ColView(cols[0])[:n], row1[cols[0]]
+	c1, a1 := m.ColView(cols[1])[:n], row1[cols[1]]
+	if slack == 0 {
+		for r := range c0 {
+			x, y := c0[r]-a0, c1[r]-a1
+			if y < x {
+				x, y = y, x
+			}
+			if y-x <= width {
+				lo[len(alive)], hi[len(alive)] = x, y
+				alive = append(alive, r)
+			}
+		}
+		for _, j := range cols[2:] {
+			col, a := m.ColView(j), row1[j]
+			kept := alive[:0]
+			for k, r := range alive {
+				l, h := lo[k], hi[k]
+				if d := col[r] - a; d < l {
+					l = d
+				} else if d > h {
+					h = d
+				}
+				if h-l <= width {
+					lo[len(kept)], hi[len(kept)] = l, h
+					kept = append(kept, r)
+				}
+			}
+			alive = kept
+		}
+		return alive
+	}
+	lo2, hi2 := scr.lo2, scr.hi2 // per alive row: second-smallest and second-largest offset
+	c2, a2 := m.ColView(cols[2])[:n], row1[cols[2]]
+	for r := range c0 {
+		x, y, z := c0[r]-a0, c1[r]-a1, c2[r]-a2
+		if y < x {
+			x, y = y, x
+		}
+		if z < y {
+			y, z = z, y
+			if y < x {
+				x, y = y, x
+			}
+		}
+		if y-x <= width || z-y <= width {
+			at := len(alive)
+			lo[at], lo2[at], hi2[at], hi[at] = x, y, y, z
+			alive = append(alive, r)
+		}
+	}
+	for _, j := range cols[3:] {
+		col, a := m.ColView(j), row1[j]
+		kept := alive[:0]
+		for k, r := range alive {
+			l, l2, h2, h := lo[k], lo2[k], hi2[k], hi[k]
+			d := col[r] - a
+			if d < l2 {
+				if d < l {
+					l, l2 = d, l
+				} else {
+					l2 = d
+				}
+			}
+			if d > h2 {
+				if d > h {
+					h, h2 = d, h
+				} else {
+					h2 = d
+				}
+			}
+			if h2-l <= width || h-l2 <= width {
+				at := len(kept)
+				lo[at], lo2[at], hi2[at], hi[at] = l, l2, h2, h
+				kept = append(kept, r)
+			}
+		}
+		alive = kept
+	}
+	return alive
+}
+
+// clumps reports whether at least need ≥ 1 values of xs lie in one
+// window of the given width, sorting xs in place. It answers exactly
+// densestWindow(xs, width) ≥ need: on sorted values the densest
+// window holds need values iff some run xs[i..i+need-1] spans at most
+// width, and because IEEE subtraction rounds monotonically the span
+// test sees the same float operands the window scan does.
+func clumps(xs []float64, need int, width float64) bool {
+	if len(xs) < need {
+		return false
+	}
+	insertionSort(xs)
+	for i := need - 1; i < len(xs); i++ {
+		if xs[i]-xs[i-need+1] <= width {
+			return true
+		}
+	}
+	return false
+}
+
+// insertionSort sorts xs ascending in place (NaN-free input). On the
+// few-element slices seeding sorts it beats sort.Float64s. For up to
+// 12 elements it performs the same swaps as the standard library's
+// small-slice insertion sort; on longer slices the two orders can
+// differ only in where −0 and +0 sit among equal zeros, which neither
+// a span compared against a positive width nor a median entering
+// sums that start at +0 can observe.
+func insertionSort(xs []float64) {
+	for i := 1; i < len(xs); i++ {
+		v := xs[i]
+		k := i
+		for k > 0 && v < xs[k-1] {
+			xs[k] = xs[k-1]
+			k--
+		}
+		xs[k] = v
 	}
 }
 
@@ -199,9 +407,19 @@ func refineCandidate(m *matrix.Matrix, rows, cols []int, delta float64, minRows,
 // from background far more sharply than any pairwise statistic, so two
 // rounds reach the coherent fixed point.
 //
+// Neither re-selection gathers at a stride: the column statistics
+// accumulate row by row over the member rows into per-column sums, and
+// the row statistics column by column over the column-major mirror
+// into per-row sums. Each sum still takes its terms in the order of a
+// direct scan — a column's over rows in row order, a row's over
+// columns in column order — so every operand and rounding step is
+// unchanged.
+//
 // The returned slices are backed by the scratch and stay valid only
 // until the next refine call; callers keeping a result must copy it
 // (cluster.FromSpec copies on construction).
+//
+// deltavet:hotpath — once per attempt that survives the carve.
 func (scr *seedScratch) refine(m *matrix.Matrix, rows, cols []int, delta float64, minRows, minCols int) ([]int, []int) {
 	for round := 0; round < 2; round++ {
 		// Column adjustments from the current rows: c_j is column j's
@@ -244,10 +462,9 @@ func (scr *seedScratch) refine(m *matrix.Matrix, rows, cols []int, delta float64
 		for _, i := range rows {
 			rowOffV[i] = 0
 		}
-		devBuf := scr.devBuf
 		for _, i := range rows {
 			row := m.RowView(i)
-			devBuf = devBuf[:0]
+			devBuf := scr.devBuf[:0]
 			for _, j := range cols {
 				if v := row[j]; !math.IsNaN(v) {
 					devBuf = append(devBuf, v-colAdj[j])
@@ -256,7 +473,7 @@ func (scr *seedScratch) refine(m *matrix.Matrix, rows, cols []int, delta float64
 			if len(devBuf) == 0 {
 				continue
 			}
-			sort.Float64s(devBuf)
+			insertionSort(devBuf)
 			rowOffV[i] = devBuf[len(devBuf)/2]
 		}
 
@@ -266,27 +483,35 @@ func (scr *seedScratch) refine(m *matrix.Matrix, rows, cols []int, delta float64
 		// they must go before rows are scored, or their deviation
 		// would reject every true row. In round two cols aliases
 		// scr.cols; the selection reads only rows and rowOffV, so
-		// appending over the old set in place is safe.
+		// appending over the old set in place is safe. Both passes run
+		// row by row over the member rows, so each column's sums take
+		// their terms in row order, as a scan down the column would;
+		// colCnt counts the same entries.
+		colMean, colDev := scr.colMean, scr.colDev
+		clear(colMean)
+		clear(colDev)
+		for _, i := range rows {
+			off := rowOffV[i]
+			for j, v := range m.RowView(i) {
+				if !math.IsNaN(v) {
+					colMean[j] += v - off
+				}
+			}
+		}
+		for j, n := range colCnt {
+			colMean[j] /= float64(n)
+		}
+		for _, i := range rows {
+			off := rowOffV[i]
+			for j, v := range m.RowView(i) {
+				if !math.IsNaN(v) {
+					colDev[j] += math.Abs(v - off - colMean[j])
+				}
+			}
+		}
 		newCols := scr.cols[:0]
-		for j := 0; j < m.Cols(); j++ {
-			mean, n := 0.0, 0
-			for _, i := range rows {
-				if v := m.RowView(i)[j]; !math.IsNaN(v) {
-					mean += v - rowOffV[i]
-					n++
-				}
-			}
-			if n < minRows || n*2 < len(rows) {
-				continue
-			}
-			mean /= float64(n)
-			dev := 0.0
-			for _, i := range rows {
-				if v := m.RowView(i)[j]; !math.IsNaN(v) {
-					dev += math.Abs(v - rowOffV[i] - mean)
-				}
-			}
-			if dev/float64(n) <= delta {
+		for j, n := range colCnt {
+			if n >= minRows && n*2 >= len(rows) && colDev[j]/float64(n) <= delta {
 				newCols = append(newCols, j)
 			}
 		}
@@ -296,30 +521,38 @@ func (scr *seedScratch) refine(m *matrix.Matrix, rows, cols []int, delta float64
 		cols = newCols
 
 		// Re-select rows on the refined columns: a row joins when its
-		// offset-corrected mean absolute deviation is within δ. Like
-		// newCols above, rows is not read here, so scr.rows can be
-		// rebuilt in place.
+		// offset-corrected mean absolute deviation is within δ. The
+		// offsets, then the deviations, accumulate in rowSum one
+		// column at a time. Like newCols above, rows is not read
+		// here, so scr.rows can be rebuilt in place.
+		sum, cnt := scr.rowSum, scr.rowCnt
+		clear(sum)
+		clear(cnt)
+		for _, j := range cols {
+			adj := colAdj[j]
+			for i, v := range m.ColView(j)[:len(sum)] {
+				if !math.IsNaN(v) {
+					sum[i] += v - adj
+					cnt[i]++
+				}
+			}
+		}
+		off := scr.rowOff // the medians are spent; reuse their slice
+		for i, s := range sum {
+			off[i] = s / float64(cnt[i])
+			sum[i] = 0
+		}
+		for _, j := range cols {
+			adj := colAdj[j]
+			for i, v := range m.ColView(j)[:len(sum)] {
+				if !math.IsNaN(v) {
+					sum[i] += math.Abs(v - adj - off[i])
+				}
+			}
+		}
 		newRows := scr.rows[:0]
-		for i := 0; i < m.Rows(); i++ {
-			row := m.RowView(i)
-			off, n := 0.0, 0
-			for _, j := range cols {
-				if v := row[j]; !math.IsNaN(v) {
-					off += v - colAdj[j]
-					n++
-				}
-			}
-			if n < minCols {
-				continue
-			}
-			off /= float64(n)
-			dev := 0.0
-			for _, j := range cols {
-				if v := row[j]; !math.IsNaN(v) {
-					dev += math.Abs(v - colAdj[j] - off)
-				}
-			}
-			if dev/float64(n) <= delta {
+		for i, dev := range sum {
+			if n := cnt[i]; n >= minCols && dev/float64(n) <= delta {
 				newRows = append(newRows, i)
 			}
 		}
@@ -329,6 +562,33 @@ func (scr *seedScratch) refine(m *matrix.Matrix, rows, cols []int, delta float64
 		rows = newRows
 	}
 	return rows, cols
+}
+
+// score prices the refined candidate rows × cols with costOf and
+// records it. The candidate is built in the scratch cluster exactly
+// as cluster.FromSpec would build it — columns, then rows, in the
+// given order — so its cost carries the same bits.
+//
+// deltavet:hotpath — once per refined candidate; the cluster is
+// reset, never rebuilt, so a candidate costs no matrix-sized
+// allocation.
+func (scr *seedScratch) score(rows, cols []int, costOf func(cl *cluster.Cluster) float64) {
+	cl := scr.cl
+	cl.Reset()
+	for _, j := range cols {
+		cl.AddCol(j)
+	}
+	for _, i := range rows {
+		cl.AddRow(i)
+	}
+	c := seedCandidate{cost: costOf(cl)}
+	c.rows[0] = len(scr.candRows)
+	scr.candRows = append(scr.candRows, rows...)
+	c.rows[1] = len(scr.candRows)
+	c.cols[0] = len(scr.candCols)
+	scr.candCols = append(scr.candCols, cols...)
+	c.cols[1] = len(scr.candCols)
+	scr.cands = append(scr.cands, c)
 }
 
 // densestWindow finds the sliding window of the given width holding
@@ -379,9 +639,11 @@ func valueSpread(m *matrix.Matrix) float64 {
 	return hi - lo
 }
 
-func rowOverlap(a, b *cluster.Cluster) int {
+// rowOverlap counts the rows of the duplicate-free list rows that are
+// members of b.
+func rowOverlap(rows []int, b *cluster.Cluster) int {
 	n := 0
-	for _, i := range a.Rows() {
+	for _, i := range rows {
 		if b.HasRow(i) {
 			n++
 		}

@@ -2,6 +2,7 @@ package floc
 
 import (
 	"math"
+	"slices"
 	"testing"
 
 	"deltacluster/internal/cluster"
@@ -152,7 +153,192 @@ func TestRowOverlapHelper(t *testing.T) {
 	m, _ := matrix.NewFromRows([][]float64{{1}, {2}, {3}, {4}})
 	a := cluster.FromSpec(m, []int{0, 1, 2}, []int{0})
 	b := cluster.FromSpec(m, []int{2, 3}, []int{0})
-	if got := rowOverlap(a, b); got != 1 {
+	if got := rowOverlap(a.Rows(), b); got != 1 {
 		t.Errorf("rowOverlap = %d, want 1", got)
 	}
+}
+
+// clumpValues draws n values from a small lattice so that ties, exact
+// pair differences equal to the window width, and zeros of both signs
+// are common; scale 0.1 makes the differences round.
+func clumpValues(rng *stats.RNG, n int, scale float64) []float64 {
+	xs := make([]float64, n)
+	for i := range xs {
+		k := rng.Intn(9) - 4
+		if k == 0 && rng.Bool(0.5) {
+			xs[i] = math.Copysign(0, -1)
+			continue
+		}
+		xs[i] = float64(k) * scale
+	}
+	return xs
+}
+
+// TestClumpsMatchesDensestWindow pins the sort-free carve predicate to
+// its definition on random slices: clumps(xs, need, w) must equal
+// densestWindow(xs, w) ≥ need for every need, with widths drawn from
+// the slice's own pair differences (the boundary case) as well as
+// fixed ones.
+func TestClumpsMatchesDensestWindow(t *testing.T) {
+	rng := stats.NewRNG(21)
+	for trial := 0; trial < 4000; trial++ {
+		scale := 1.0
+		if trial%2 == 1 {
+			scale = 0.1
+		}
+		xs := clumpValues(rng, rng.Intn(16), scale)
+		widths := []float64{0, scale, 2.5 * scale}
+		if len(xs) >= 2 {
+			widths = append(widths, xs[rng.Intn(len(xs))]-xs[rng.Intn(len(xs))])
+		}
+		for _, w := range widths {
+			if w < 0 {
+				w = -w
+			}
+			ref := append([]float64(nil), xs...)
+			_, count := densestWindow(ref, w)
+			for need := 1; need <= len(xs)+1; need++ {
+				got := clumps(append([]float64(nil), xs...), need, w)
+				if want := count >= need; got != want {
+					t.Fatalf("xs=%v width=%v need=%d: clumps=%v, densestWindow count %d", xs, w, need, got, count)
+				}
+			}
+		}
+	}
+}
+
+// carveRowsReference is the row carve written directly from its
+// definition: each row's offsets against the anchor, densestWindow,
+// count ≥ need.
+func carveRowsReference(m *matrix.Matrix, i1 int, cols []int, delta float64, need int) []int {
+	row1 := m.RowView(i1)
+	rows := []int{}
+	for r := 0; r < m.Rows(); r++ {
+		var offsets []float64
+		for _, j := range cols {
+			if v := m.RowView(r)[j]; !math.IsNaN(v) && !math.IsNaN(row1[j]) {
+				offsets = append(offsets, v-row1[j])
+			}
+		}
+		if len(offsets) < need {
+			continue
+		}
+		if _, c := densestWindow(offsets, 2*delta); c >= need {
+			rows = append(rows, r)
+		}
+	}
+	return rows
+}
+
+// TestCarveRowsPathsAgree checks the row carve's two paths against
+// its definition: on complete matrices the column-major path (slack 0
+// and 1) and the row-wise path must return the reference row set, and
+// on a matrix with missing entries the row-wise path must. Values sit
+// on a lattice with signed zeros, so offsets tie and spans land
+// exactly on the window width.
+func TestCarveRowsPathsAgree(t *testing.T) {
+	rng := stats.NewRNG(8)
+	for trial := 0; trial < 400; trial++ {
+		rows, cols := 30+rng.Intn(40), 4+rng.Intn(8)
+		scale := []float64{1, 0.1}[trial%2]
+		missing := trial%4 == 3
+		data := make([][]float64, rows)
+		for i := range data {
+			data[i] = clumpValues(rng, cols, scale)
+			if missing {
+				for j := range data[i] {
+					if rng.Bool(0.15) {
+						data[i][j] = math.NaN()
+					}
+				}
+			}
+		}
+		m, err := matrix.NewFromRows(data)
+		if err != nil {
+			t.Fatal(err)
+		}
+		scr := newSeedScratch(m)
+		if scr.complete == missing {
+			t.Fatalf("trial %d: complete = %v on a matrix with missing=%v", trial, scr.complete, missing)
+		}
+		i1 := rng.Intn(rows)
+		var anchorCols []int
+		for j, v := range m.RowView(i1) {
+			if !math.IsNaN(v) {
+				anchorCols = append(anchorCols, j)
+			}
+		}
+		if len(anchorCols) < 3 {
+			continue
+		}
+		rng.Shuffle(len(anchorCols), func(a, b int) { anchorCols[a], anchorCols[b] = anchorCols[b], anchorCols[a] })
+		carve := anchorCols[:3+rng.Intn(len(anchorCols)-2)]
+		n := len(carve)
+		delta := float64(1+rng.Intn(4)) * scale / 2
+		for _, need := range []int{maxInt(3, (2*n+2)/3), n, n - 1} {
+			if need < 2 {
+				continue
+			}
+			want := carveRowsReference(m, i1, carve, delta, need)
+			paths := []bool{false}
+			if !missing {
+				paths = append(paths, true)
+			}
+			for _, complete := range paths {
+				scr.complete = complete
+				got := scr.carveRows(m, i1, carve, delta, need)
+				if !slices.Equal(got, want) {
+					t.Fatalf("trial %d (complete path %v, need %d of %d, delta %v): rows %v, reference %v",
+						trial, complete, need, n, delta, got, want)
+				}
+			}
+		}
+	}
+}
+
+// TestAnchoredSeedsAllocations bounds anchoredSeeds' allocations by K
+// rather than by the candidates it scores: the scratch, the candidate
+// arenas' growth and the at most K survivors' clusters. A cluster or
+// any other allocation per scored candidate would exceed the bound, as
+// the input yields hundreds of candidates; the test checks that it
+// does, counting the cost function's calls.
+func TestAnchoredSeedsAllocations(t *testing.T) {
+	ds, err := synth.Yeast(synth.YeastConfig{
+		Genes: 500, Conditions: 17, Modules: 6,
+		GenesPerModule: 40, ConditionsPerModule: 8,
+		NoiseResidue: 8,
+	}, 11)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := ds.Matrix
+	cfg := DefaultConfig(6, 20)
+	cfg.SeedAttempts = 3000
+	if err := cfg.validate(m.Rows(), m.Cols()); err != nil {
+		t.Fatal(err)
+	}
+	m.EnsureDerived()
+	e := &engine{m: m, cfg: &cfg, w: float64(m.SpecifiedCount())}
+	scored := 0
+	cost := func(cl *cluster.Cluster) float64 {
+		scored++
+		return e.seedCost(cl)
+	}
+	var seeds []*cluster.Cluster
+	allocs := testing.AllocsPerRun(3, func() {
+		scored = 0
+		seeds = anchoredSeeds(m, &cfg, stats.NewRNG(1), cost)
+	})
+	perCluster := testing.AllocsPerRun(3, func() {
+		cluster.FromSpec(m, seeds[0].Rows(), seeds[0].Cols())
+	})
+	bound := 64 + 2*float64(cfg.K)*perCluster
+	if float64(scored) < 4*bound {
+		t.Fatalf("only %d candidates scored; the input must yield many more than the bound %.0f", scored, bound)
+	}
+	if allocs > bound {
+		t.Errorf("anchoredSeeds: %.0f allocations for %d scored candidates, want at most %.0f (64 + 2·K·%.0f per cluster)",
+			allocs, scored, bound, perCluster)
+	}
+	t.Logf("%.0f allocations, %d candidates scored, bound %.0f", allocs, scored, bound)
 }

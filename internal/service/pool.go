@@ -26,8 +26,8 @@ func (s *Server) worker() {
 }
 
 // runJob executes one queued job end to end: claim, run under the
-// job's own context, map the outcome to a terminal state, and flush
-// any interrupted-run checkpoint.
+// job's own context, flush any interrupted-run checkpoint, and publish
+// the terminal state.
 //
 // deltavet:observability — the wall-clock reads here time the job for
 // metrics and logs; no clustering result depends on them.
@@ -59,13 +59,14 @@ func (s *Server) runJob(id string) {
 	cancel()
 
 	state, view, errMsg := s.outcome(id, view, err)
+	if state == StateCancelled || (view != nil && view.Partial) {
+		// Flush before the terminal state is published: a client that
+		// sees the job cancelled may read <id>.dckp straight away.
+		s.flushCheckpoint(id)
+	}
 	s.store.finish(id, state, view, errMsg)
 	s.metrics.jobFinished(state, time.Since(started))
 	s.logf("deltaserve: job %s %s after %v", id, state, time.Since(started).Round(time.Millisecond))
-
-	if state == StateCancelled || (view != nil && view.Partial) {
-		s.flushCheckpoint(id)
-	}
 }
 
 // jobContext builds the per-job context: cancellable always, and
