@@ -48,18 +48,18 @@ func TestParseBench(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := map[string]float64{
-		"BenchmarkDecideAll/workers=1": 2100000,
-		"BenchmarkDecideAll/workers=2": 2300000,
-		"BenchmarkIterate":             9000000,
-		"BenchmarkUnrecorded":          1000000,
+	want := map[string]result{
+		"BenchmarkDecideAll/workers=1": {ns: 2100000, allocs: 0, hasAllocs: true},
+		"BenchmarkDecideAll/workers=2": {ns: 2300000, allocs: 5, hasAllocs: true},
+		"BenchmarkIterate":             {ns: 9000000, allocs: 53, hasAllocs: true},
+		"BenchmarkUnrecorded":          {ns: 1000000},
 	}
 	if len(got) != len(want) {
 		t.Fatalf("parsed %d benchmarks, want %d: %v", len(got), len(want), got)
 	}
-	for name, ns := range want {
-		if got[name] != ns {
-			t.Errorf("%s = %v ns/op, want %v", name, got[name], ns)
+	for name, res := range want {
+		if got[name] != res {
+			t.Errorf("%s = %+v, want %+v", name, got[name], res)
 		}
 	}
 	wantOrder := []string{
@@ -147,6 +147,69 @@ func TestRunBadInvocations(t *testing.T) {
 		var out strings.Builder
 		if code := run(tc.args, strings.NewReader(tc.stdin), &out, &out); code != 2 {
 			t.Errorf("%s: exit = %d, want 2\n%s", tc.name, code, out.String())
+		}
+	}
+}
+
+// allocsBench is -benchmem output whose ns/op all match allocsBaseline,
+// so only the allocation counts can regress.
+const allocsBench = `BenchmarkZero-2      100   1000 ns/op   0 B/op   2 allocs/op
+BenchmarkSome-2      100   1000 ns/op   4096 B/op   25 allocs/op
+BenchmarkNoMem-2     100   1000 ns/op
+BenchmarkFree-2      100   1000 ns/op   64 B/op   7 allocs/op
+`
+
+const allocsBaseline = `{
+  "suite": "allocs",
+  "benchmarks": [
+    {"name": "BenchmarkZero", "ns_per_op": 1000, "allocs_per_op": 0},
+    {"name": "BenchmarkSome", "ns_per_op": 1000, "allocs_per_op": 10},
+    {"name": "BenchmarkNoMem", "ns_per_op": 1000, "allocs_per_op": 0},
+    {"name": "BenchmarkFree", "ns_per_op": 1000}
+  ]
+}`
+
+// TestRunAllocsGate: allocs/op is gated at the same tolerance as ns/op,
+// against max(baseline, 1), wherever the baseline records it and the
+// input measured it. Zero's 2 allocations against a recorded 0 sit
+// exactly at 2.0x; Some's 25 against 10 are 2.5x; NoMem was run
+// without -benchmem and Free records no allocation count, so neither
+// is gated.
+func TestRunAllocsGate(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "allocs.json")
+	if err := os.WriteFile(path, []byte(allocsBaseline), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	cases := []struct {
+		tolerance   string
+		code        int
+		regressions string
+	}{
+		{"3.0", 0, ""},
+		{"2.0", 1, "1 regression(s)"},
+		{"1.5", 1, "2 regression(s)"},
+	}
+	for _, tc := range cases {
+		var out strings.Builder
+		code := run([]string{"-baseline", path, "-fail", "-tolerance", tc.tolerance},
+			strings.NewReader(allocsBench), &out, &out)
+		report := out.String()
+		if code != tc.code {
+			t.Fatalf("tolerance %s: exit = %d, want %d\n%s", tc.tolerance, code, tc.code, report)
+		}
+		if tc.regressions != "" && !strings.Contains(report, tc.regressions) {
+			t.Errorf("tolerance %s: report missing %q:\n%s", tc.tolerance, tc.regressions, report)
+		}
+		for _, want := range []string{
+			"BenchmarkSome", "25 allocs/op", "ratio 2.50x",
+			"BenchmarkNoMem", "allocs/op not measured",
+		} {
+			if !strings.Contains(report, want) {
+				t.Errorf("tolerance %s: report missing %q:\n%s", tc.tolerance, want, report)
+			}
+		}
+		if strings.Contains(report, "BenchmarkFree") && strings.Contains(report, "7 allocs/op") {
+			t.Errorf("tolerance %s: BenchmarkFree records no allocs_per_op but was gated:\n%s", tc.tolerance, report)
 		}
 	}
 }

@@ -18,10 +18,12 @@ import (
 // before the seeding kernel was rewritten (sort-free carve,
 // column-major refinement, candidates scored in one reused cluster),
 // so any drift of a single seed member, member order or residue bit
-// fails TestGoldenAnchoredSeeding. The three inputs cover the complete
-// matrix the column-major carve runs on, a sparse ratings matrix under
-// the occupancy constraint, and a dense matrix with a few missing
-// cells that takes the row-wise fallback.
+// fails TestGoldenAnchoredSeeding. The inputs cover the complete
+// matrix the column-major carve runs on, a reduced sparse ratings
+// matrix under the occupancy constraint, the full-size ratings stand-in
+// at the served configuration (two run seeds; recorded before seeding
+// moved onto the specified-entry lists), and a dense matrix with a few
+// missing cells that takes the row-wise fallback.
 //
 // Re-record only for an intentional behaviour change:
 //
@@ -84,6 +86,8 @@ func anchoredGoldenInputs() []anchoredGoldenInput {
 				return cfg
 			},
 		},
+		ratingsFullInput(1),
+		ratingsFullInput(2),
 		{
 			// A planted matrix with a handful of missing cells: dense
 			// enough to look complete, but any missing entry sends the
@@ -98,6 +102,32 @@ func anchoredGoldenInputs() []anchoredGoldenInput {
 				cfg.Seed = 4
 				return cfg
 			},
+		},
+	}
+}
+
+// ratingsFullInput is the full-size ratings stand-in (943×1682, 5.5%
+// specified) under the served MovieLens configuration (k = 10, δ = 1,
+// α = 0.6, 40 iterations, anchored seeding) with the given run seed:
+// the sparsity the served ratings jobs actually seed at, which the
+// reduced 20%-filled leg above does not reach.
+func ratingsFullInput(seed int64) anchoredGoldenInput {
+	return anchoredGoldenInput{
+		name: fmt.Sprintf("ratings-full-seed%d", seed),
+		matrix: func(t *testing.T) *matrix.Matrix {
+			ds, err := synth.MovieLens(synth.DefaultMovieLensConfig(), 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return ds.Matrix
+		},
+		config: func() Config {
+			cfg := DefaultConfig(10, 1)
+			cfg.Constraints.Occupancy = 0.6
+			cfg.MaxIterations = 40
+			cfg.SeedMode = SeedAnchored
+			cfg.Seed = seed
+			return cfg
 		},
 	}
 }

@@ -2,6 +2,7 @@ package floc
 
 import (
 	"math"
+	"math/bits"
 	"sort"
 
 	"deltacluster/internal/cluster"
@@ -121,13 +122,36 @@ type seedCandidate struct {
 // matrix-row-indexed slice rather than the map a fresh-per-call
 // implementation would use; entries for the current row set are zeroed
 // before each fill, reproducing the map's zero-for-absent reads.
+//
+// The scratch also holds the run's sparse index: the positions of m's
+// specified entries, once as per-row column lists (CSR) and once as
+// per-column row lists (CSC). The carves and refine walk these lists,
+// reading each listed entry from RowView or ColView, instead of
+// scanning whole rows and columns, so a kernel touches only specified
+// entries — on the 5.5%-filled ratings stand-in, an eighteenth of the
+// dense scan — and never tests an entry for NaN. Each list is in
+// ascending index order, the order the dense skip-NaN loops visited
+// the same entries in, so every sum takes the same operands in the
+// same order and rounds identically. The lists hold positions only:
+// values come from the matrix, which keeps the index at 8 bytes per
+// specified entry. The index is built per run rather than kept with
+// the matrix's derived caches: seeding is its only reader, so the
+// matrix mutators need not maintain it and a stored matrix carries no
+// extra bytes.
 type seedScratch struct {
 	// complete records that m has no missing entries, which lets the
 	// row carve run column by column (carveRows).
 	complete bool
 
+	// The sparse index: row i is specified in columns
+	// rowIdx[rowPtr[i]:rowPtr[i+1]], column j in rows
+	// colIdx[colPtr[j]:colPtr[j+1]]. Built once per run by buildIndex;
+	// read-only after.
+	rowPtr, colPtr []int
+	rowIdx, colIdx []int32
+
 	diffs     []float64 // the anchor pair's per-column differences
-	carvedCol []int     // the pair carve's column set
+	carvedCol []int     // the pair carve's column set: the pair's shared columns, then the clump's
 	carvedRow []int     // the anchor carve's row set
 	offsets   []float64 // one row's offsets against the anchor (row-wise carve)
 	lo, lo2   []float64 // per alive row of the column-major carve: smallest and second-smallest offset
@@ -140,7 +164,7 @@ type seedScratch struct {
 	colDev  []float64 // per-column absolute deviation sum from colMean
 	devBuf  []float64 // per-row deviation sort buffer
 	rowSum  []float64 // per matrix row: offset, then deviation sum, of the row re-selection
-	rowCnt  []int     // per matrix row: specified entries behind rowSum
+	rowCnt  []int     // per matrix row: specified entries behind rowSum, or among the carve's columns (row-wise carve)
 	cols    []int     // refined column set, reused across rounds and calls
 	rows    []int     // refined row set, reused across rounds and calls
 
@@ -175,7 +199,50 @@ func newSeedScratch(m *matrix.Matrix) *seedScratch {
 		scr.hi = make([]float64, m.Rows())
 		scr.hi2 = make([]float64, m.Rows())
 	}
+	scr.buildIndex(m)
 	return scr
+}
+
+// buildIndex fills the sparse index from m's row and column
+// missing-value bitsets: four allocations per run, independent of the
+// attempts.
+func (scr *seedScratch) buildIndex(m *matrix.Matrix) {
+	nnz := m.SpecifiedCount()
+	scr.rowPtr, scr.rowIdx = specifiedLists(m.Rows(), nnz, m.RowMask)
+	scr.colPtr, scr.colIdx = specifiedLists(m.Cols(), nnz, m.ColMask)
+}
+
+// specifiedLists lists the positions of the nnz specified entries of n
+// lines — rows or columns, whose bitsets mask returns — as CSR: line
+// i's entries are idx[ptr[i]:ptr[i+1]]. Walking each line's set bits
+// lowest first yields them in ascending order and never reads a value,
+// so the build costs the bitset words plus the specified entries, not
+// a dense IsNaN scan.
+func specifiedLists(n, nnz int, mask func(int) []uint64) (ptr []int, idx []int32) {
+	ptr, idx = make([]int, n+1), make([]int32, nnz)
+	k := 0
+	for i := 0; i < n; i++ {
+		for w, word := range mask(i) {
+			for ; word != 0; word &= word - 1 {
+				idx[k] = int32(w<<6 | bits.TrailingZeros64(word))
+				k++
+			}
+		}
+		ptr[i+1] = k
+	}
+	return ptr, idx
+}
+
+// rowEntries returns the columns, ascending, in which row i is
+// specified.
+func (scr *seedScratch) rowEntries(i int) []int32 {
+	return scr.rowIdx[scr.rowPtr[i]:scr.rowPtr[i+1]]
+}
+
+// colEntries returns the rows, ascending, in which column j is
+// specified.
+func (scr *seedScratch) colEntries(j int) []int32 {
+	return scr.colIdx[scr.colPtr[j]:scr.colPtr[j+1]]
 }
 
 // carveCols returns the columns on which anchor rows i1 and i2 differ
@@ -186,14 +253,26 @@ func newSeedScratch(m *matrix.Matrix) *seedScratch {
 // minCols means the pair shows no clump. The slice is backed by the
 // scratch and valid until the next call.
 //
+// The pair's shared columns come from merging the two rows' lists,
+// in ascending column order; the clump filter then runs in place over
+// them.
+//
 // deltavet:hotpath — once per seeding attempt, 100·K attempts a run.
 func (scr *seedScratch) carveCols(m *matrix.Matrix, i1, i2 int, delta float64, minCols int) []int {
-	row1 := m.RowView(i1)
-	row2 := m.RowView(i2)
-	diffs := scr.diffs[:0]
-	for j := 0; j < m.Cols(); j++ {
-		if !math.IsNaN(row1[j]) && !math.IsNaN(row2[j]) {
-			diffs = append(diffs, row1[j]-row2[j])
+	idx1, idx2 := scr.rowEntries(i1), scr.rowEntries(i2)
+	row1, row2 := m.RowView(i1), m.RowView(i2)
+	shared, diffs := scr.carvedCol[:0], scr.diffs[:0]
+	for a, b := 0, 0; a < len(idx1) && b < len(idx2); {
+		switch j1, j2 := idx1[a], idx2[b]; {
+		case j1 < j2:
+			a++
+		case j1 > j2:
+			b++
+		default:
+			shared = append(shared, int(j1))
+			diffs = append(diffs, row1[j1]-row2[j1])
+			a++
+			b++
 		}
 	}
 	if len(diffs) < minCols {
@@ -203,11 +282,8 @@ func (scr *seedScratch) carveCols(m *matrix.Matrix, i1, i2 int, delta float64, m
 	if count < minCols {
 		return nil
 	}
-	cols := scr.carvedCol[:0]
-	for j := 0; j < m.Cols(); j++ {
-		if math.IsNaN(row1[j]) || math.IsNaN(row2[j]) {
-			continue
-		}
+	cols := shared[:0]
+	for _, j := range shared {
 		if math.Abs(row1[j]-row2[j]-center) <= 1.5*delta {
 			cols = append(cols, j)
 		}
@@ -227,7 +303,10 @@ func (scr *seedScratch) carveCols(m *matrix.Matrix, i1, i2 int, delta float64, m
 // the clump, carveRowsColumns runs it column by column instead; on
 // the yeast stand-in that is 95% of the carves, about half each with
 // slack 0 and slack 1. Larger slacks, and matrices with missing
-// entries, gather each row's offsets.
+// entries, gather each row's offsets. With missing entries, a row
+// specified in fewer than need of cols cannot clump, so the column
+// lists first count each row's entries among cols and only rows
+// reaching need are gathered.
 //
 // deltavet:hotpath — scans every matrix row once per attempt with a
 // pair clump.
@@ -237,8 +316,20 @@ func (scr *seedScratch) carveRows(m *matrix.Matrix, i1 int, cols []int, delta fl
 	if slack := len(cols) - need; scr.complete && slack <= 1 {
 		return scr.carveRowsColumns(m, row1, cols, width, slack)
 	}
+	cnt := scr.rowCnt
+	if !scr.complete {
+		clear(cnt)
+		for _, j := range cols {
+			for _, i := range scr.colEntries(j) {
+				cnt[i]++
+			}
+		}
+	}
 	rows := scr.carvedRow[:0]
 	for r := 0; r < m.Rows(); r++ {
+		if !scr.complete && cnt[r] < need {
+			continue
+		}
 		rowR := m.RowView(r)
 		offsets := scr.offsets[:0]
 		for _, j := range cols {
@@ -408,12 +499,12 @@ func refineCandidate(m *matrix.Matrix, rows, cols []int, delta float64, minRows,
 // rounds reach the coherent fixed point.
 //
 // Neither re-selection gathers at a stride: the column statistics
-// accumulate row by row over the member rows into per-column sums, and
-// the row statistics column by column over the column-major mirror
-// into per-row sums. Each sum still takes its terms in the order of a
-// direct scan — a column's over rows in row order, a row's over
-// columns in column order — so every operand and rounding step is
-// unchanged.
+// accumulate row by row over the member rows' lists into per-column
+// sums, and the row statistics column by column over the refined
+// columns' lists into per-row sums. Each sum still takes its terms in
+// the order of a direct scan — a column's over rows in row order, a
+// row's over columns in column order — so every operand and rounding
+// step is unchanged.
 //
 // The returned slices are backed by the scratch and stay valid only
 // until the next refine call; callers keeping a result must copy it
@@ -431,11 +522,8 @@ func (scr *seedScratch) refine(m *matrix.Matrix, rows, cols []int, delta float64
 		grand, grandN := 0.0, 0
 		for _, i := range rows {
 			row := m.RowView(i)
-			for j, v := range row {
-				if math.IsNaN(v) {
-					continue
-				}
-				colAdj[j] += v
+			for _, j := range scr.rowEntries(i) {
+				colAdj[j] += row[j]
 				colCnt[j]++
 			}
 		}
@@ -492,10 +580,9 @@ func (scr *seedScratch) refine(m *matrix.Matrix, rows, cols []int, delta float64
 		clear(colDev)
 		for _, i := range rows {
 			off := rowOffV[i]
-			for j, v := range m.RowView(i) {
-				if !math.IsNaN(v) {
-					colMean[j] += v - off
-				}
+			row := m.RowView(i)
+			for _, j := range scr.rowEntries(i) {
+				colMean[j] += row[j] - off
 			}
 		}
 		for j, n := range colCnt {
@@ -503,10 +590,9 @@ func (scr *seedScratch) refine(m *matrix.Matrix, rows, cols []int, delta float64
 		}
 		for _, i := range rows {
 			off := rowOffV[i]
-			for j, v := range m.RowView(i) {
-				if !math.IsNaN(v) {
-					colDev[j] += math.Abs(v - off - colMean[j])
-				}
+			row := m.RowView(i)
+			for _, j := range scr.rowEntries(i) {
+				colDev[j] += math.Abs(row[j] - off - colMean[j])
 			}
 		}
 		newCols := scr.cols[:0]
@@ -530,11 +616,10 @@ func (scr *seedScratch) refine(m *matrix.Matrix, rows, cols []int, delta float64
 		clear(cnt)
 		for _, j := range cols {
 			adj := colAdj[j]
-			for i, v := range m.ColView(j)[:len(sum)] {
-				if !math.IsNaN(v) {
-					sum[i] += v - adj
-					cnt[i]++
-				}
+			col := m.ColView(j)
+			for _, i := range scr.colEntries(j) {
+				sum[i] += col[i] - adj
+				cnt[i]++
 			}
 		}
 		off := scr.rowOff // the medians are spent; reuse their slice
@@ -544,10 +629,9 @@ func (scr *seedScratch) refine(m *matrix.Matrix, rows, cols []int, delta float64
 		}
 		for _, j := range cols {
 			adj := colAdj[j]
-			for i, v := range m.ColView(j)[:len(sum)] {
-				if !math.IsNaN(v) {
-					sum[i] += math.Abs(v - adj - off[i])
-				}
+			col := m.ColView(j)
+			for _, i := range scr.colEntries(j) {
+				sum[i] += math.Abs(col[i] - adj - off[i])
 			}
 		}
 		newRows := scr.rows[:0]

@@ -297,13 +297,15 @@ func TestCarveRowsPathsAgree(t *testing.T) {
 }
 
 // TestAnchoredSeedsAllocations bounds anchoredSeeds' allocations by K
-// rather than by the candidates it scores: the scratch, the candidate
-// arenas' growth and the at most K survivors' clusters. A cluster or
-// any other allocation per scored candidate would exceed the bound, as
-// the input yields hundreds of candidates; the test checks that it
-// does, counting the cost function's calls.
+// rather than by the candidates it scores: the scratch with its sparse
+// index, the candidate arenas' growth and the at most K survivors'
+// clusters. A cluster, an index build or any other allocation per
+// scored candidate would exceed the bound, as each input yields
+// hundreds of candidates; the test checks that it does, counting the
+// cost function's calls. The complete yeast leg takes the column-major
+// carve, the sparse ratings leg the row-wise carve with its pre-filter.
 func TestAnchoredSeedsAllocations(t *testing.T) {
-	ds, err := synth.Yeast(synth.YeastConfig{
+	yeast, err := synth.Yeast(synth.YeastConfig{
 		Genes: 500, Conditions: 17, Modules: 6,
 		GenesPerModule: 40, ConditionsPerModule: 8,
 		NoiseResidue: 8,
@@ -311,34 +313,54 @@ func TestAnchoredSeedsAllocations(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m := ds.Matrix
-	cfg := DefaultConfig(6, 20)
-	cfg.SeedAttempts = 3000
-	if err := cfg.validate(m.Rows(), m.Cols()); err != nil {
+	ratings, err := synth.MovieLens(synth.MovieLensConfig{
+		Users: 300, Movies: 400, Ratings: 24000,
+		Groups: 6, MinPerUser: 20,
+	}, 5)
+	if err != nil {
 		t.Fatal(err)
 	}
-	m.EnsureDerived()
-	e := &engine{m: m, cfg: &cfg, w: float64(m.SpecifiedCount())}
-	scored := 0
-	cost := func(cl *cluster.Cluster) float64 {
-		scored++
-		return e.seedCost(cl)
+	ratingsCfg := DefaultConfig(4, 1)
+	ratingsCfg.Constraints.Occupancy = 0.6
+	for _, leg := range []struct {
+		name     string
+		m        *matrix.Matrix
+		cfg      Config
+		attempts int
+	}{
+		{"yeast", yeast.Matrix, DefaultConfig(6, 20), 3000},
+		{"ratings", ratings.Matrix, ratingsCfg, 6000},
+	} {
+		t.Run(leg.name, func(t *testing.T) {
+			m, cfg := leg.m, leg.cfg
+			cfg.SeedAttempts = leg.attempts
+			if err := cfg.validate(m.Rows(), m.Cols()); err != nil {
+				t.Fatal(err)
+			}
+			m.EnsureDerived()
+			e := &engine{m: m, cfg: &cfg, w: float64(m.SpecifiedCount())}
+			scored := 0
+			cost := func(cl *cluster.Cluster) float64 {
+				scored++
+				return e.seedCost(cl)
+			}
+			var seeds []*cluster.Cluster
+			allocs := testing.AllocsPerRun(3, func() {
+				scored = 0
+				seeds = anchoredSeeds(m, &cfg, stats.NewRNG(1), cost)
+			})
+			perCluster := testing.AllocsPerRun(3, func() {
+				cluster.FromSpec(m, seeds[0].Rows(), seeds[0].Cols())
+			})
+			bound := 64 + 2*float64(cfg.K)*perCluster
+			if float64(scored) < 4*bound {
+				t.Fatalf("only %d candidates scored; the input must yield many more than the bound %.0f", scored, bound)
+			}
+			if allocs > bound {
+				t.Errorf("anchoredSeeds: %.0f allocations for %d scored candidates, want at most %.0f (64 + 2·K·%.0f per cluster)",
+					allocs, scored, bound, perCluster)
+			}
+			t.Logf("%.0f allocations, %d candidates scored, bound %.0f", allocs, scored, bound)
+		})
 	}
-	var seeds []*cluster.Cluster
-	allocs := testing.AllocsPerRun(3, func() {
-		scored = 0
-		seeds = anchoredSeeds(m, &cfg, stats.NewRNG(1), cost)
-	})
-	perCluster := testing.AllocsPerRun(3, func() {
-		cluster.FromSpec(m, seeds[0].Rows(), seeds[0].Cols())
-	})
-	bound := 64 + 2*float64(cfg.K)*perCluster
-	if float64(scored) < 4*bound {
-		t.Fatalf("only %d candidates scored; the input must yield many more than the bound %.0f", scored, bound)
-	}
-	if allocs > bound {
-		t.Errorf("anchoredSeeds: %.0f allocations for %d scored candidates, want at most %.0f (64 + 2·K·%.0f per cluster)",
-			allocs, scored, bound, perCluster)
-	}
-	t.Logf("%.0f allocations, %d candidates scored, bound %.0f", allocs, scored, bound)
 }

@@ -91,8 +91,8 @@ func (s *Server) handleSubmitBatch(w http.ResponseWriter, r *http.Request) {
 		spec, aerr := s.buildSpec(&req.Jobs[i])
 		if aerr == nil {
 			id := s.store.create(spec)
+			view, _ := s.store.view(id) // before the enqueue, as in handleSubmit
 			if aerr = s.tryEnqueue(id); aerr == nil {
-				view, _ := s.store.view(id)
 				item.Status = http.StatusAccepted
 				item.Job = &view
 				resp.Accepted++

@@ -240,10 +240,10 @@ func (s *Server) handleSubmitBinary(w http.ResponseWriter, r *http.Request) {
 	}
 	s.store.sweep()
 	id := s.store.create(spec)
+	view, _ := s.store.view(id) // before the enqueue, as in handleSubmit
 	if !s.enqueue(w, id) {
 		return
 	}
-	view, _ := s.store.view(id)
 	w.Header().Set("Location", "/v1/jobs/"+id)
 	writeJSON(w, http.StatusAccepted, SubmitResponse{Job: view})
 }

@@ -329,3 +329,105 @@ func TestBatchSubmitQueueFull(t *testing.T) {
 	}
 	_ = running
 }
+
+// TestAcceptedViewPrecedesWorker makes the worker win the race against
+// every submit path's 202 deterministically: the enqueue hook holds
+// each handler, after its job is queued, until a worker has started
+// that job. A view read after the enqueue would then say "running" (or
+// "done"); the accepted body must report the job as it was accepted,
+// "queued". The paths are the JSON and binary submits, the batch (two
+// items, one hook wait each) and the JSON and binary internal
+// dispatches.
+func TestAcceptedViewPrecedesWorker(t *testing.T) {
+	e := newTestEnv(t, Options{Workers: 1, QueueCap: 8})
+	started := make(chan struct{}, 1) // one job in flight at a time: each hook waits for its own
+	e.s.runHook = func(context.Context, *runSpec) (*ResultView, error) {
+		started <- struct{}{}
+		return &ResultView{Algorithm: AlgoFLOC}, nil
+	}
+	e.s.enqueueHook = func(string) { <-started }
+
+	m := smallMatrix(t)
+	params := &FLOCParams{K: 2, Delta: 6, Seed: 7}
+	binSubmit, err := EncodeBinarySubmit(&SubmitRequest{Algorithm: AlgoFLOC, FLOC: params}, m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	binDispatch, err := EncodeBinaryDispatch(&DispatchRequest{
+		ID:     "race-bin-dispatch",
+		Submit: SubmitRequest{Algorithm: AlgoFLOC, FLOC: params},
+	}, matrix.EncodeBinary(m))
+	if err != nil {
+		t.Fatal(err)
+	}
+	jsonBody := func(v any) []byte {
+		b, err := json.Marshal(v)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return b
+	}
+	post := func(path, contentType string, body []byte) []byte {
+		t.Helper()
+		resp, err := e.ts.Client().Post(e.ts.URL+path, contentType, bytes.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var buf bytes.Buffer
+		_, err = buf.ReadFrom(resp.Body)
+		_ = resp.Body.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if resp.StatusCode != http.StatusAccepted {
+			t.Fatalf("POST %s: status %d, body %s", path, resp.StatusCode, buf.Bytes())
+		}
+		return buf.Bytes()
+	}
+	decode := func(data []byte, into any) {
+		t.Helper()
+		if err := json.Unmarshal(data, into); err != nil {
+			t.Fatalf("decoding %s: %v", data, err)
+		}
+	}
+	var views []JobView
+
+	var sr SubmitResponse
+	decode(post("/v1/jobs", "application/json", jsonBody(smallJobRequest(t))), &sr)
+	views = append(views, sr.Job)
+	sr = SubmitResponse{}
+	decode(post("/v1/jobs", ContentTypeBinaryMatrix, binSubmit), &sr)
+	views = append(views, sr.Job)
+
+	var br BatchSubmitResponse
+	decode(post("/v1/jobs:batch", "application/json", jsonBody(&BatchSubmitRequest{
+		Jobs: []SubmitRequest{*smallJobRequest(t), *smallJobRequest(t)},
+	})), &br)
+	for _, item := range br.Jobs {
+		if item.Job == nil {
+			t.Fatalf("batch item %d: no job view (status %d)", item.Index, item.Status)
+		}
+		views = append(views, *item.Job)
+	}
+
+	var dr DispatchResponse
+	decode(post("/v1/internal/jobs", "application/json", jsonBody(&DispatchRequest{
+		ID: "race-json-dispatch", Submit: *smallJobRequest(t),
+	})), &dr)
+	views = append(views, dr.Job)
+	dr = DispatchResponse{}
+	decode(post("/v1/internal/jobs", ContentTypeBinaryMatrix, binDispatch), &dr)
+	views = append(views, dr.Job)
+
+	if len(views) != 6 {
+		t.Fatalf("collected %d accepted views, want 6", len(views))
+	}
+	for k, v := range views {
+		if v.State != StateQueued || v.Started != nil {
+			t.Errorf("accepted view %d (job %s) reports state %q, started %v; want queued", k, v.ID, v.State, v.Started)
+		}
+		if got := e.poll(t, v.ID, 30*time.Second); got.State != StateDone {
+			t.Errorf("job %s finished %s, want done", v.ID, got.State)
+		}
+	}
+}

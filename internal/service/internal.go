@@ -201,10 +201,10 @@ func (s *Server) dispatchCore(w http.ResponseWriter, req *DispatchRequest, m *ma
 	if lineageLog != nil {
 		s.store.adoptLineageLog(req.ID, lineageLog)
 	}
+	view, _ := s.store.view(req.ID) // before the enqueue, as in handleSubmit
 	if !s.enqueue(w, req.ID) {
 		return
 	}
-	view, _ := s.store.view(req.ID)
 	w.Header().Set("Location", "/v1/jobs/"+req.ID)
 	resp := DispatchResponse{Job: view, ResumedFromIteration: resumedFrom, WarmFromIteration: warmFrom}
 	if lineageLog != nil {

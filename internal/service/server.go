@@ -161,6 +161,11 @@ type Server struct {
 	// every job on this server — a test seam for exercising queueing,
 	// cancellation and drain semantics with controllable run bodies.
 	runHook func(ctx context.Context, spec *runSpec) (*ResultView, error)
+
+	// enqueueHook, when non-nil, runs after each job is queued and
+	// before its submit handler answers — a test seam that lets a
+	// worker finish the job first, deterministically.
+	enqueueHook func(id string)
 }
 
 // New builds a Server and starts its worker pool. The caller must
@@ -317,11 +322,13 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	s.store.sweep()
 
 	id := s.store.create(spec)
+	// The view is taken before the enqueue: once queued, a worker may
+	// start or even finish the job before this handler answers, and
+	// the 202 reports the job as accepted, not as the race left it.
+	view, _ := s.store.view(id)
 	if !s.enqueue(w, id) {
 		return
 	}
-
-	view, _ := s.store.view(id)
 	w.Header().Set("Location", "/v1/jobs/"+id)
 	writeJSON(w, http.StatusAccepted, SubmitResponse{Job: view})
 }
@@ -350,6 +357,9 @@ func (s *Server) tryEnqueue(id string) *apiError {
 			message: fmt.Sprintf("queue is full (%d jobs waiting); retry later", s.opts.QueueCap)}
 	}
 	s.metrics.jobSubmitted()
+	if s.enqueueHook != nil {
+		s.enqueueHook(id)
+	}
 	return nil
 }
 
