@@ -81,35 +81,45 @@ func BenchmarkResidueWithPacked(b *testing.B) {
 	_ = sink
 }
 
-// BenchmarkColToggle measures the save/toggle/undo triple for a
-// column — the bookkeeping wrapped around every column gain
-// evaluation. "add" toggles a non-member column in, "remove" toggles
-// a member column out; both reverse exactly, so state is identical
-// across iterations.
-func BenchmarkColToggle(b *testing.B) {
+// BenchmarkProbe measures the read-only probes behind every exact gain
+// evaluation, one leg per probe kind, on the bench cluster with its
+// evaluation pack enabled (the FLOC engine's configuration). One op is
+// one Load plus one toggled-residue scan; "row-insert-x4" is one pass
+// of the batched kernel serving four row insertions, so its ns/op
+// covers four candidates. Probes write nothing, so every op sees the
+// same state.
+func BenchmarkProbe(b *testing.B) {
 	m := benchMatrix(b)
-	b.Run("add", func(b *testing.B) {
-		cl := benchCluster(b, m)
-		var u ToggleUndo
+	cl := benchCluster(b, m)
+	cl.EnablePack()
+	single := func(isRow bool, idx int) func(b *testing.B) {
+		return func(b *testing.B) {
+			var p Probe
+			b.ReportAllocs()
+			b.ResetTimer()
+			var sink float64
+			for i := 0; i < b.N; i++ {
+				p.Load(cl, isRow, idx)
+				sink += p.Residue(ArithmeticMean)
+			}
+			_ = sink
+		}
+	}
+	b.Run("row-insert-x4", func(b *testing.B) {
+		var ps [4]Probe
+		var out [4]float64
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			cl.SaveColToggle(0, &u) // column 0 is not a member
-			cl.ToggleCol(0)
-			cl.UndoColToggle(0, &u)
+			for q := range ps {
+				ps[q].Load(cl, true, 1+3*q) // rows 1, 4, 7, 10 are not members
+			}
+			RowInsertionResidues(ps[:], ArithmeticMean, out[:])
 		}
 	})
-	b.Run("remove", func(b *testing.B) {
-		cl := benchCluster(b, m)
-		var u ToggleUndo
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			cl.SaveColToggle(1, &u) // column 1 is a member
-			cl.ToggleCol(1)
-			cl.UndoColToggle(1, &u)
-		}
-	})
+	b.Run("row-remove", single(true, 3))  // row 3 is a member
+	b.Run("col-insert", single(false, 0)) // column 0 is not a member
+	b.Run("col-remove", single(false, 1)) // column 1 is a member
 }
 
 // BenchmarkInsertionMass measures the incremental gain tier's
@@ -143,38 +153,5 @@ func BenchmarkInsertionMass(b *testing.B) {
 			sink += mass
 		}
 		_ = sink
-	})
-}
-
-// BenchmarkColToggleAggregates is BenchmarkColToggle with the
-// residue-mass tier enabled: each save/toggle/undo additionally folds
-// the column's φ-contributions in and out of the maintained masses
-// and restores them bit-for-bit. The delta over BenchmarkColToggle is
-// the fold's bookkeeping cost per speculative evaluation.
-func BenchmarkColToggleAggregates(b *testing.B) {
-	m := benchMatrix(b)
-	b.Run("add", func(b *testing.B) {
-		cl := benchCluster(b, m)
-		cl.EnableResidueAggregates(ArithmeticMean)
-		var u ToggleUndo
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			cl.SaveColToggle(0, &u) // column 0 is not a member
-			cl.ToggleCol(0)
-			cl.UndoColToggle(0, &u)
-		}
-	})
-	b.Run("remove", func(b *testing.B) {
-		cl := benchCluster(b, m)
-		cl.EnableResidueAggregates(ArithmeticMean)
-		var u ToggleUndo
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			cl.SaveColToggle(1, &u) // column 1 is a member
-			cl.ToggleCol(1)
-			cl.UndoColToggle(1, &u)
-		}
 	})
 }

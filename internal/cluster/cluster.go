@@ -91,7 +91,6 @@ type Cluster struct {
 	// once EnableResidueAggregates turns the tier on, and guarded like
 	// the sums: only deltavet:writer functions may assign them.
 	absTracked bool        // tier enabled; set only by EnableResidueAggregates/CopyFrom
-	specPaused bool        // maintenance suspended (speculative toggles); see SetSpeculationPaused
 	absMean    ResidueMean // which φ the masses aggregate
 	rowAbs     []float64   // per matrix row: its share of absSum // deltavet:guard
 	colAbs     []float64   // per matrix col: its share of absSum // deltavet:guard
@@ -165,7 +164,7 @@ func (c *Cluster) Reset() {
 	c.total = 0
 	c.volume = 0
 	c.pack, c.packBases, c.packStride = nil, nil, 0
-	c.absTracked, c.specPaused, c.absMean = false, false, ArithmeticMean
+	c.absTracked, c.absMean = false, ArithmeticMean
 	c.rowAbs, c.colAbs, c.absSum = nil, nil, 0
 }
 
@@ -278,7 +277,7 @@ func (c *Cluster) AddRow(i int) {
 	c.rowPos[i] = len(c.memberRows)
 	c.memberRows = append(c.memberRows, i)
 	row := c.m.RowView(i)
-	if c.packStride > 0 && !c.specPaused {
+	if c.packStride > 0 {
 		c.packAppendRow(row)
 	}
 	for _, j := range c.memberCols {
@@ -293,11 +292,11 @@ func (c *Cluster) AddRow(i int) {
 		c.total += v
 		c.volume++
 	}
-	if c.packStride > 0 && !c.specPaused {
+	if c.packStride > 0 {
 		// Only the new row's sums changed; the other cached bases stand.
 		c.packRefreshBase(len(c.memberRows)-1, i)
 	}
-	if c.absTracked && !c.specPaused {
+	if c.absTracked {
 		c.absAddRow(i)
 	}
 }
@@ -310,7 +309,7 @@ func (c *Cluster) RemoveRow(i int) {
 	if pos < 0 {
 		panic(fmt.Sprintf("cluster: RemoveRow(%d): not a member", i))
 	}
-	if c.absTracked && !c.specPaused {
+	if c.absTracked {
 		// Unwind the residue masses first, under the pre-removal bases.
 		c.absRemoveRow(i)
 	}
@@ -320,7 +319,7 @@ func (c *Cluster) RemoveRow(i int) {
 	c.rowPos[moved] = pos
 	c.memberRows = c.memberRows[:last]
 	c.rowPos[i] = -1
-	if c.packStride > 0 && !c.specPaused {
+	if c.packStride > 0 {
 		c.packRemoveRow(pos)
 	}
 
@@ -348,7 +347,7 @@ func (c *Cluster) AddCol(j int) {
 	}
 	c.colPos[j] = len(c.memberCols)
 	c.memberCols = append(c.memberCols, j)
-	if c.packStride > 0 && !c.specPaused && len(c.memberCols) > c.packStride {
+	if c.packStride > 0 && len(c.memberCols) > c.packStride {
 		// Widen before the early return too: with no member rows there
 		// are no blocks to move, but the stride invariant
 		// (packStride ≥ len(memberCols)) must hold before the next
@@ -364,7 +363,7 @@ func (c *Cluster) AddCol(j int) {
 	// above keeps generators that add columns to empty clusters from
 	// forcing a mirror build they will never read.
 	col := c.m.ColView(j)
-	if c.packStride > 0 && !c.specPaused {
+	if c.packStride > 0 {
 		c.packAppendCol(col)
 	}
 	for _, i := range c.memberRows {
@@ -379,10 +378,10 @@ func (c *Cluster) AddCol(j int) {
 		c.total += v
 		c.volume++
 	}
-	if c.packStride > 0 && !c.specPaused {
+	if c.packStride > 0 {
 		c.packRefreshBases()
 	}
-	if c.absTracked && !c.specPaused {
+	if c.absTracked {
 		c.absAddCol(j)
 	}
 }
@@ -395,7 +394,7 @@ func (c *Cluster) RemoveCol(j int) {
 	if pos < 0 {
 		panic(fmt.Sprintf("cluster: RemoveCol(%d): not a member", j))
 	}
-	if c.absTracked && !c.specPaused {
+	if c.absTracked {
 		// Unwind the residue masses first, under the pre-removal bases.
 		c.absRemoveCol(j)
 	}
@@ -405,7 +404,7 @@ func (c *Cluster) RemoveCol(j int) {
 	c.colPos[moved] = pos
 	c.memberCols = c.memberCols[:last]
 	c.colPos[j] = -1
-	if c.packStride > 0 && !c.specPaused {
+	if c.packStride > 0 {
 		c.packRemoveCol(pos)
 	}
 
@@ -421,176 +420,12 @@ func (c *Cluster) RemoveCol(j int) {
 			c.total -= v
 			c.volume--
 		}
-		if c.packStride > 0 && !c.specPaused {
+		if c.packStride > 0 {
 			c.packRefreshBases()
 		}
 	}
 	c.colSum[j] = 0
 	c.colCnt[j] = 0
-}
-
-// ToggleUndo captures the exact bits one membership toggle disturbs,
-// so the toggle can be reversed bit-for-bit. A plain toggle-back is
-// NOT such a reversal: float sums do not round-trip ((x+v)−v ≠ x in
-// general) and removing a member swaps it with the last one, so a
-// remove-then-re-add permutes internal member order and every later
-// aggregate accumulates in a different sequence. Speculative gain
-// evaluation — score a toggle, then pretend it never happened — needs
-// the exact reversal: it makes each evaluation a pure function of the
-// cluster's frozen state, independent of how many evaluations ran
-// before it or on which goroutine (the property the FLOC parallel
-// decide phase is built on).
-//
-// The zero value is ready to use; the capture buffer is reused across
-// Save/Undo pairs, so one ToggleUndo per evaluator goroutine amortizes
-// to zero allocations. A ToggleUndo must not be shared concurrently.
-type ToggleUndo struct {
-	sums    []float64 // cross-axis member sums in internal order (colSum for a row toggle, rowSum for a column toggle)
-	total   float64
-	itemSum float64
-	itemCnt int
-	pos     int
-	member  bool
-
-	// Residue-mass capture, filled only while the incremental tier is
-	// enabled: the cross-axis shares in internal order, the toggled
-	// item's own share and the total mass.
-	abs      []float64
-	absItem  float64
-	absTotal float64
-}
-
-// SaveRowToggle records in u everything a ToggleRow(i) will disturb.
-// Call it immediately before the toggle; UndoRowToggle then restores
-// the cluster bit-for-bit.
-func (c *Cluster) SaveRowToggle(i int, u *ToggleUndo) {
-	u.member = c.rowPos[i] >= 0
-	u.pos = c.rowPos[i]
-	u.itemSum = c.rowSum[i]
-	u.itemCnt = c.rowCnt[i]
-	u.total = c.total
-	u.sums = u.sums[:0]
-	for _, j := range c.memberCols {
-		u.sums = append(u.sums, c.colSum[j])
-	}
-	if c.absTracked && !c.specPaused {
-		u.absItem = c.rowAbs[i]
-		u.absTotal = c.absSum
-		u.abs = u.abs[:0]
-		for _, j := range c.memberCols {
-			u.abs = append(u.abs, c.colAbs[j])
-		}
-	}
-}
-
-// UndoRowToggle exactly reverses the ToggleRow(i) that followed
-// SaveRowToggle(i, u): membership, internal member order and every
-// guarded aggregate are restored to the saved bits (deltavet:writer).
-// The counts and the volume reverse exactly under integer arithmetic;
-// the float sums are overwritten from the capture because addition
-// does not round-trip.
-func (c *Cluster) UndoRowToggle(i int, u *ToggleUndo) {
-	if u.member {
-		// The toggle removed row i (swapping it with the last member);
-		// re-add it and swap it back to its original position.
-		c.AddRow(i)
-		last := len(c.memberRows) - 1
-		moved := c.memberRows[u.pos]
-		c.memberRows[u.pos] = i
-		c.memberRows[last] = moved
-		c.rowPos[i] = u.pos
-		c.rowPos[moved] = last
-		if c.packStride > 0 && !c.specPaused {
-			c.packSwapRows(u.pos, last)
-		}
-		c.rowSum[i] = u.itemSum
-		c.rowCnt[i] = u.itemCnt
-		if c.packStride > 0 && !c.specPaused {
-			// AddRow cached a base from the re-accumulated sums; recache
-			// it from the restored bits.
-			c.packRefreshBase(u.pos, i)
-		}
-	} else {
-		// The toggle appended row i; removing the last member restores
-		// order exactly, and a non-member's rowSum/rowCnt are zero by
-		// invariant.
-		c.RemoveRow(i)
-	}
-	for k, j := range c.memberCols {
-		c.colSum[j] = u.sums[k]
-	}
-	if c.absTracked && !c.specPaused {
-		// The Add/Remove inside this undo re-folded the residue masses
-		// under whatever bases it saw; restore the captured bits.
-		for k, j := range c.memberCols {
-			c.colAbs[j] = u.abs[k]
-		}
-		c.rowAbs[i] = u.absItem
-		c.absSum = u.absTotal
-	}
-	c.total = u.total
-}
-
-// SaveColToggle records in u everything a ToggleCol(j) will disturb;
-// see SaveRowToggle.
-func (c *Cluster) SaveColToggle(j int, u *ToggleUndo) {
-	u.member = c.colPos[j] >= 0
-	u.pos = c.colPos[j]
-	u.itemSum = c.colSum[j]
-	u.itemCnt = c.colCnt[j]
-	u.total = c.total
-	u.sums = u.sums[:0]
-	for _, i := range c.memberRows {
-		u.sums = append(u.sums, c.rowSum[i])
-	}
-	if c.absTracked && !c.specPaused {
-		u.absItem = c.colAbs[j]
-		u.absTotal = c.absSum
-		u.abs = u.abs[:0]
-		for _, i := range c.memberRows {
-			u.abs = append(u.abs, c.rowAbs[i])
-		}
-	}
-}
-
-// UndoColToggle exactly reverses the ToggleCol(j) that followed
-// SaveColToggle(j, u) (deltavet:writer); see UndoRowToggle.
-func (c *Cluster) UndoColToggle(j int, u *ToggleUndo) {
-	if u.member {
-		c.AddCol(j)
-		last := len(c.memberCols) - 1
-		moved := c.memberCols[u.pos]
-		c.memberCols[u.pos] = j
-		c.memberCols[last] = moved
-		c.colPos[j] = u.pos
-		c.colPos[moved] = last
-		if c.packStride > 0 && !c.specPaused {
-			c.packSwapCols(u.pos, last)
-		}
-		c.colSum[j] = u.itemSum
-		c.colCnt[j] = u.itemCnt
-	} else {
-		c.RemoveCol(j)
-	}
-	for k, i := range c.memberRows {
-		c.rowSum[i] = u.sums[k]
-	}
-	if c.absTracked && !c.specPaused {
-		// See UndoRowToggle: the masses re-folded inside this undo are
-		// overwritten with the captured bits.
-		for k, i := range c.memberRows {
-			c.rowAbs[i] = u.abs[k]
-		}
-		c.colAbs[j] = u.absItem
-		c.absSum = u.absTotal
-	}
-	if c.packStride > 0 && !c.specPaused {
-		// The restore loop above rewrote every member row's sum; the
-		// bases cached by the AddCol/RemoveCol inside this undo are
-		// stale. Recache from the restored bits.
-		c.packRefreshBases()
-	}
-	c.total = u.total
 }
 
 // ToggleRow adds row i if absent and removes it otherwise — the
@@ -668,9 +503,10 @@ func (c *Cluster) Residue() float64 { return c.ResidueWith(ArithmeticMean) }
 
 // ResidueWith returns the cluster residue under the chosen mean.
 //
-// The scan is the hot kernel of every exact gain evaluation in the
-// FLOC engine, so the attribute bases d_Ij are hoisted into a scratch
-// slice first: one divide per member column instead of one per
+// The scan prices every action the FLOC engine applies and every seed
+// candidate it scores (gain evaluations use the read-only probes of
+// probe.go instead, which replay this scan for the toggled state), so
+// the attribute bases d_Ij are hoisted into a scratch slice first: one divide per member column instead of one per
 // specified entry. The hoist is operand-preserving — each consumed
 // base is the same division of the same bits, just computed once — so
 // the result is bit-identical to the fused form. A column whose
@@ -680,9 +516,11 @@ func (c *Cluster) Residue() float64 { return c.ResidueWith(ArithmeticMean) }
 // loop; the per-entry arithmetic and accumulation order are
 // unchanged.
 //
-// deltavet:hotpath — the residue kernel behind every exact gain
-// evaluation; thousands of calls per decide phase, zero allocations in
-// steady state.
+// ResidueWith writes that scratch, so concurrent callers must not
+// share a cluster; probes may.
+//
+// deltavet:hotpath — the residue kernel behind every applied action;
+// zero allocations in steady state.
 func (c *Cluster) ResidueWith(mean ResidueMean) float64 {
 	if c.volume == 0 {
 		return 0
@@ -830,7 +668,13 @@ func (c *Cluster) Diameter() float64 {
 // by the submatrices of c and o: |I∩I'| × |J∩J'|. The FLOC overlap
 // constraint is expressed against this count.
 func (c *Cluster) Overlap(o *Cluster) int {
-	rows := 0
+	rows, cols := c.intersection(o)
+	return rows * cols
+}
+
+// intersection returns |I∩I'| and |J∩J'|, walking the smaller member
+// list of each axis.
+func (c *Cluster) intersection(o *Cluster) (rows, cols int) {
 	a, b := c, o
 	if len(b.memberRows) < len(a.memberRows) {
 		a, b = b, a
@@ -840,7 +684,6 @@ func (c *Cluster) Overlap(o *Cluster) int {
 			rows++
 		}
 	}
-	cols := 0
 	a, b = c, o
 	if len(b.memberCols) < len(a.memberCols) {
 		a, b = b, a
@@ -850,7 +693,7 @@ func (c *Cluster) Overlap(o *Cluster) int {
 			cols++
 		}
 	}
-	return rows * cols
+	return rows, cols
 }
 
 // Clone returns an independent copy sharing the same data matrix.
@@ -871,7 +714,6 @@ func (c *Cluster) Clone() *Cluster {
 		packBases:  append([]float64(nil), c.packBases...),
 		packStride: c.packStride,
 		absTracked: c.absTracked,
-		specPaused: c.specPaused,
 		absMean:    c.absMean,
 		rowAbs:     append([]float64(nil), c.rowAbs...),
 		colAbs:     append([]float64(nil), c.colAbs...),
@@ -910,7 +752,6 @@ func (c *Cluster) CopyFrom(o *Cluster) {
 		// Adopt the source's residue masses bit-for-bit, same as the
 		// sums above.
 		c.absTracked = true
-		c.specPaused = o.specPaused
 		c.absMean = o.absMean
 		if len(c.rowAbs) == 0 {
 			c.rowAbs = make([]float64, len(c.rowPos))

@@ -62,27 +62,6 @@ func (c *Cluster) EnableResidueAggregates(mean ResidueMean) {
 // maintaining the aggregates.
 func (c *Cluster) ResidueAggregatesEnabled() bool { return c.absTracked }
 
-// SetSpeculationPaused suspends (true) or resumes (false) maintenance
-// of the derived caches — the residue masses and the evaluation pack —
-// across membership mutations. While paused, the mutators leave every
-// mass and pack bit untouched and Save/Undo skip their mass capture
-// entirely, so a save/toggle/undo speculation costs only the integer
-// membership bookkeeping and the sum folds. The undo restores
-// membership, internal member order and sums exactly, so caches that
-// were skipped on both sides of the round trip still describe the
-// restored state bit-for-bit. The FLOC engine pauses around each
-// speculative constraint toggle under GainMode incremental: its
-// estimator reads only the anchored pre-toggle masses and the
-// constraint checks read only integer state, so folding masses and
-// shuffling pack blocks just to bit-restore them would be pure
-// overhead. Reading the masses, the pack, or ResidueWith after a
-// *net* membership change made while paused is a caller bug — they
-// describe the membership as of the pause until the next refresh or
-// Recompute.
-func (c *Cluster) SetSpeculationPaused(paused bool) {
-	c.specPaused = paused
-}
-
 // ResidueMass returns the maintained Σφ(r_ij) of the cluster under
 // the fold convention (0 when the tier is disabled). Immediately
 // after a refresh point — enabling, Recompute, FromOrdered — the mass

@@ -110,15 +110,17 @@ func (c *Cluster) packRefreshBases() {
 	}
 }
 
-// packSetLen resizes the pack to nRows blocks, growing the backing
-// array geometrically so steady-state toggles never allocate
-// (deltavet:writer, deltavet:hotpath).
+// packSetLen resizes the pack to nRows blocks (deltavet:writer,
+// deltavet:hotpath). The first build allocates exactly what it needs:
+// every FLOC job builds a pack per cluster, so spare capacity there is
+// paid by every job. Later growth doubles, so steady-state toggles
+// never allocate.
 func (c *Cluster) packSetLen(nRows int) {
 	if cap(c.packBases) >= nRows {
 		c.packBases = c.packBases[:nRows]
 	} else {
 		//deltavet:ignore hotalloc reason=amortized geometric growth; steady-state toggles take the cap branch above
-		nb := make([]float64, nRows, 2*nRows)
+		nb := make([]float64, nRows, packCap(cap(c.packBases), nRows))
 		copy(nb, c.packBases)
 		c.packBases = nb
 	}
@@ -128,9 +130,18 @@ func (c *Cluster) packSetLen(nRows int) {
 		return
 	}
 	//deltavet:ignore hotalloc reason=amortized geometric growth; steady-state toggles take the cap branch above
-	np := make([]float64, need, 2*need)
+	np := make([]float64, need, packCap(cap(c.pack), need))
 	copy(np, c.pack)
 	c.pack = np
+}
+
+// packCap is the capacity for growing a pack backing of capacity old
+// to need entries: exact for the first build (old == 0), doubled after.
+func packCap(old, need int) int {
+	if old == 0 {
+		return need
+	}
+	return 2 * need
 }
 
 // packGrowStride widens the pack blocks after a column insertion has
@@ -196,21 +207,6 @@ func (c *Cluster) packRemoveRow(pos int) {
 	c.packBases = c.packBases[:last]
 }
 
-// packSwapRows swaps two pack blocks; UndoRowToggle uses it to mirror
-// its member-order restoration (deltavet:writer, deltavet:hotpath).
-func (c *Cluster) packSwapRows(a, b int) {
-	if a == b {
-		return
-	}
-	s := c.packStride
-	ra := c.pack[a*s : (a+1)*s]
-	rb := c.pack[b*s : (b+1)*s]
-	for k := range ra {
-		ra[k], rb[k] = rb[k], ra[k]
-	}
-	c.packBases[a], c.packBases[b] = c.packBases[b], c.packBases[a]
-}
-
 // packAppendCol gathers matrix column j (the just-appended last member
 // column) into slot len(memberCols)-1 of every pack block
 // (deltavet:writer, deltavet:hotpath). col is the column's mirror
@@ -230,18 +226,5 @@ func (c *Cluster) packRemoveCol(pos int) {
 	last := len(c.memberCols) // caller truncated memberCols already; last slot is at the old end
 	for r := 0; r < len(c.pack)/s; r++ {
 		c.pack[r*s+pos] = c.pack[r*s+last]
-	}
-}
-
-// packSwapCols swaps two column slots in every pack block;
-// UndoColToggle uses it to mirror its member-order restoration
-// (deltavet:writer, deltavet:hotpath).
-func (c *Cluster) packSwapCols(a, b int) {
-	if a == b {
-		return
-	}
-	s := c.packStride
-	for r := 0; r < len(c.pack)/s; r++ {
-		c.pack[r*s+a], c.pack[r*s+b] = c.pack[r*s+b], c.pack[r*s+a]
 	}
 }

@@ -73,7 +73,7 @@ func (e *engine) exportCheckpoint(iterations int, trace []float64) *Checkpoint {
 		Trace:      append([]float64(nil), trace...),
 		Clusters:   make([]ClusterState, len(e.clusters)),
 		ConfigSum:  configSum(e.cfg),
-		MatrixSum:  matrixSum(e.m),
+		MatrixSum:  e.matrixSum(),
 	}
 	for c, cl := range e.clusters {
 		ck.Clusters[c] = ClusterState{Rows: cl.OrderedRows(), Cols: cl.OrderedCols()}
@@ -84,13 +84,15 @@ func (e *engine) exportCheckpoint(iterations int, trace []float64) *Checkpoint {
 // resumeEngine rebuilds an engine from a checkpoint, initializing the
 // guarded residue/cost caches with the same per-cluster rebuild loop
 // iterate() runs at a boundary, so every cached float is bit-equal to
-// the interrupted run's (deltavet:writer).
-func resumeEngine(m *matrix.Matrix, cfg *Config, ck *Checkpoint) (*engine, error) {
+// the interrupted run's (deltavet:writer). msum is matrixSum(m), which
+// the caller has already computed and the engine keeps for the
+// checkpoints it cuts.
+func resumeEngine(m *matrix.Matrix, cfg *Config, ck *Checkpoint, msum uint64) (*engine, error) {
 	if got := configSum(cfg); ck.ConfigSum != got {
 		return nil, fmt.Errorf("floc: checkpoint was written under a different configuration (sum %016x, want %016x)", ck.ConfigSum, got)
 	}
-	if got := matrixSum(m); ck.MatrixSum != got {
-		return nil, fmt.Errorf("floc: checkpoint was written for a different matrix (sum %016x, want %016x)", ck.MatrixSum, got)
+	if ck.MatrixSum != msum {
+		return nil, fmt.Errorf("floc: checkpoint was written for a different matrix (sum %016x, want %016x)", ck.MatrixSum, msum)
 	}
 	if len(ck.Clusters) != cfg.K {
 		return nil, fmt.Errorf("floc: checkpoint has %d clusters, configuration wants %d", len(ck.Clusters), cfg.K)
@@ -106,6 +108,8 @@ func resumeEngine(m *matrix.Matrix, cfg *Config, ck *Checkpoint) (*engine, error
 		coverCol:  make([]int, m.Cols()),
 		gainEvals: ck.GainEvals,
 		actions:   ck.Actions,
+		mSum:      msum,
+		mSumSet:   true,
 	}
 	e.w = float64(m.SpecifiedCount())
 	// Same discipline as newEngine: freeze the derived matrix caches
@@ -203,6 +207,18 @@ func configSum(cfg *Config) uint64 {
 	f(cfg.PolishMaxResidue)
 	o(cfg.ApproximateGain)
 	return h.Sum64()
+}
+
+// matrixSum returns matrixSum(e.m), hashing the matrix at most once
+// per run: a run cuts a checkpoint at every improving boundary under
+// KeepFinalCheckpoint, and re-hashing an unchanged matrix for each
+// costs O(N·M). The cache lives on the engine, not on the Matrix,
+// because a served matrix may be mutated between runs.
+func (e *engine) matrixSum() uint64 {
+	if !e.mSumSet {
+		e.mSum, e.mSumSet = matrixSum(e.m), true
+	}
+	return e.mSum
 }
 
 // matrixSum fingerprints a matrix with FNV-64a over its shape and the

@@ -218,3 +218,62 @@ func TestResumeRejectsMismatchedRun(t *testing.T) {
 		t.Fatalf("error %q does not mention the matrix", err)
 	}
 }
+
+// TestCheckpointsCarryMatrixSum pins the run's single matrix hash:
+// every checkpoint a run emits — each periodic one and the final one,
+// on a cold run, a resumed run and a warm start — carries matrixSum of
+// the matrix that run saw. The warm start runs on a mutated matrix, so
+// its checkpoints must carry the new sum, not the parent's.
+func TestCheckpointsCarryMatrixSum(t *testing.T) {
+	m := warmTestMatrix(t, 1)
+	cfg := warmTestConfig(1)
+	run := func(what string, opts RunOptions) *Result {
+		t.Helper()
+		want := matrixSum(m)
+		var cks []*Checkpoint
+		opts.KeepFinalCheckpoint = true
+		opts.CheckpointEvery = 1
+		opts.OnCheckpoint = func(ck *Checkpoint) error {
+			cks = append(cks, ck)
+			return nil
+		}
+		res, err := RunWithOptions(context.Background(), m, cfg, opts)
+		if err != nil {
+			t.Fatalf("%s: %v", what, err)
+		}
+		if res.FinalCheckpoint == nil {
+			t.Fatalf("%s: no final checkpoint", what)
+		}
+		for _, ck := range append(cks, res.FinalCheckpoint) {
+			if ck.MatrixSum != want {
+				t.Fatalf("%s: checkpoint at iteration %d carries matrix sum %016x, want %016x",
+					what, ck.Iterations, ck.MatrixSum, want)
+			}
+		}
+		return res
+	}
+	cold := run("cold", RunOptions{})
+	if cold.Iterations < 2 {
+		t.Fatalf("cold run took %d improving iterations; too few to resume mid-run", cold.Iterations)
+	}
+	var first *Checkpoint
+	if _, err := RunWithOptions(context.Background(), m, cfg, RunOptions{
+		CheckpointEvery: 1,
+		OnCheckpoint: func(ck *Checkpoint) error {
+			if first == nil {
+				first = ck
+			}
+			return nil
+		},
+	}); err != nil {
+		t.Fatal(err)
+	}
+	run("resume", RunOptions{Resume: first})
+
+	parentSum := matrixSum(m)
+	parentRows := plantDelta(t, m)
+	if matrixSum(m) == parentSum {
+		t.Fatal("the planted delta left the matrix sum unchanged")
+	}
+	run("warm start", RunOptions{WarmStart: &WarmStart{Checkpoint: cold.FinalCheckpoint, ParentRows: parentRows}})
+}

@@ -157,9 +157,10 @@ const (
 
 	// GainIncremental ranks candidates from delta-maintained
 	// residue-mass aggregates (see cluster.EnableResidueAggregates):
-	// a speculative toggle folds the item's own residue contribution
-	// in or out in O(row)/O(col), and the candidate residue is then
-	// one division — mass/volume — instead of the O(volume) rescan.
+	// a removal reads the item's recorded share of the mass, an
+	// insertion scores the item's entries in O(row)/O(col), and the
+	// candidate residue is then one division — mass/volume — instead
+	// of the O(volume) rescan.
 	// The estimate only *ranks*: every applied action, reported
 	// residue and occupancy/volume/overlap check still runs the exact
 	// kernel, and the aggregates are refreshed to exact at every

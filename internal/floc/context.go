@@ -178,7 +178,7 @@ func RunWithOptions(ctx context.Context, m *matrix.Matrix, cfg Config, opts RunO
 	switch {
 	case opts.Resume != nil:
 		var err error
-		e, err = resumeEngine(m, &cfg, opts.Resume)
+		e, err = resumeEngine(m, &cfg, opts.Resume, matrixSum(m))
 		if err != nil {
 			return nil, err
 		}
@@ -191,12 +191,13 @@ func RunWithOptions(ctx context.Context, m *matrix.Matrix, cfg Config, opts RunO
 		if ws.Checkpoint == nil {
 			return nil, fmt.Errorf("floc: WarmStart without a checkpoint")
 		}
-		if matrixSum(m) == ws.Checkpoint.MatrixSum {
+		msum := matrixSum(m)
+		if msum == ws.Checkpoint.MatrixSum {
 			// Empty delta: the warm start is exactly a resume, which
 			// makes the whole run bit-identical to the uninterrupted
 			// cold run — the deltastream equivalence guarantee.
 			var err error
-			e, err = resumeEngine(m, &cfg, ws.Checkpoint)
+			e, err = resumeEngine(m, &cfg, ws.Checkpoint, msum)
 			if err != nil {
 				return nil, err
 			}
@@ -206,7 +207,7 @@ func RunWithOptions(ctx context.Context, m *matrix.Matrix, cfg Config, opts RunO
 			finalCk = ws.Checkpoint
 		} else {
 			var err error
-			e, err = warmStartEngine(m, &cfg, ws)
+			e, err = warmStartEngine(m, &cfg, ws, msum)
 			if err != nil {
 				return nil, err
 			}

@@ -2,6 +2,8 @@
 
 package floc
 
+import "deltacluster/internal/cluster"
+
 // debugInvariants is false in release builds: the assertion calls
 // below compile to nothing. Build with -tags deltadebug to recompute
 // residues from scratch after every applied action and panic on
@@ -10,3 +12,6 @@ const debugInvariants = false
 
 // assertInvariants is a no-op without the deltadebug tag.
 func (e *engine) assertInvariants(string) {}
+
+// checkProbe is a no-op without the deltadebug tag.
+func (e *engine) checkProbe(*cluster.Probe, int, float64, bool) {}

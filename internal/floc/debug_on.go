@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math"
 
+	"deltacluster/internal/cluster"
 	"deltacluster/internal/stats"
 )
 
@@ -53,9 +54,7 @@ func (e *engine) assertInvariants(context string) {
 			// its exact rescan — so the fold-convention masses must
 			// agree with the from-scratch definition (which Recompute on
 			// the clone just rebuilt) after every mutation the engine
-			// performs. Only mid-evaluation state (between a speculative
-			// toggle and its exact undo) is ever one fold away, and that
-			// state is never observable here.
+			// performs. Evaluations probe read-only and fold nothing.
 			if !within(cl.ResidueMass(), fresh.ResidueMass()) {
 				die("cluster %d residue mass %v, recomputed %v", c, cl.ResidueMass(), fresh.ResidueMass())
 			}
@@ -108,6 +107,52 @@ func (e *engine) assertInvariants(context string) {
 	for j := range coverCol {
 		if e.coverCol[j] != coverCol[j] {
 			die("column %d coverage cache %d, recomputed %d", j, e.coverCol[j], coverCol[j])
+		}
+	}
+}
+
+// checkProbe cross-checks a probe of cluster c against a real toggle:
+// the cluster is copied into the evaluator's own scratch cluster
+// (probeRef, so decide workers never share one), the item is really
+// toggled there, and the copy is asked what the probe answered — its
+// volume and shape, occupancy at the configured α, its overlap with
+// every other cluster and, when scored is set, its residue, which must
+// match res bit for bit. These are every input of violatesToggled's
+// verdict and of the exact gain, so a probe that drifts from the
+// mutators' arithmetic fails at the first evaluation it gets wrong.
+func (e *engine) checkProbe(p *cluster.Probe, c int, res float64, scored bool) {
+	cl := e.clusters[c]
+	if e.probeRef == nil {
+		e.probeRef = cl.Clone()
+	} else {
+		e.probeRef.CopyFrom(cl)
+	}
+	ref := e.probeRef
+	isRow, idx := p.Item()
+	if isRow {
+		ref.ToggleRow(idx)
+	} else {
+		ref.ToggleCol(idx)
+	}
+	die := func(format string, args ...any) {
+		panic(fmt.Sprintf("floc: deltadebug probe of cluster %d (isRow=%v idx=%d) disagrees with a real toggle: %s",
+			c, isRow, idx, fmt.Sprintf(format, args...)))
+	}
+	if p.Volume() != ref.Volume() || p.NumRows() != ref.NumRows() || p.NumCols() != ref.NumCols() {
+		die("probe volume %d shape %dx%d, toggled %d %dx%d",
+			p.Volume(), p.NumRows(), p.NumCols(), ref.Volume(), ref.NumRows(), ref.NumCols())
+	}
+	if a := e.cfg.Constraints.Occupancy; a > 0 && p.SatisfiesOccupancy(a) != ref.SatisfiesOccupancy(a) {
+		die("probe occupancy(%v) = %v, toggled %v", a, p.SatisfiesOccupancy(a), ref.SatisfiesOccupancy(a))
+	}
+	for o, other := range e.clusters {
+		if o != c && p.Overlap(other) != ref.Overlap(other) {
+			die("probe overlap with cluster %d = %d, toggled %d", o, p.Overlap(other), ref.Overlap(other))
+		}
+	}
+	if scored {
+		if want := ref.ResidueWith(e.cfg.ResidueMean); math.Float64bits(res) != math.Float64bits(want) {
+			die("probe residue %v (%016x), toggled %v (%016x)", res, math.Float64bits(res), want, math.Float64bits(want))
 		}
 	}
 }

@@ -75,11 +75,20 @@ type engine struct {
 	gainEvals int64
 	actions   int64
 
-	// undo is the scratch buffer for exact toggle reversal during
-	// speculative gain evaluation (see evalAction). Each evaluator —
-	// the engine itself and every decide-phase shadow — owns one, so
-	// evaluations never share it across goroutines.
-	undo cluster.ToggleUndo
+	// probes is this evaluator's read-only probe scratch (see
+	// probeScratch). The engine and every decide-phase shadow own one,
+	// so probes are never shared across goroutines.
+	probes probeScratch
+
+	// mSum caches matrixSum(m) once computed (mSumSet): the matrix
+	// cannot change during a run, so every checkpoint the run cuts
+	// shares one hash of it.
+	mSum    uint64
+	mSumSet bool
+
+	// probeRef is the scratch cluster the deltadebug build toggles for
+	// real to cross-check every probe (debug_on.go); nil otherwise.
+	probeRef *cluster.Cluster
 
 	// Reused scratch, all owned by this engine (shadows get their own):
 	// decisions backs decideAll's result (overwritten every call — the
@@ -335,54 +344,13 @@ func improveEps(x float64) float64 {
 // blockedNow re-checks the constraints for a decision against the
 // current mid-iteration state (the decision was taken against the
 // iteration's starting state, and earlier actions may have changed
-// the picture). It mirrors evalAction's checks without computing a
-// gain.
+// the picture). It is evalAction's admission test without the gain:
+// removals are re-checked on the toggled state too, since earlier
+// actions of this iteration may have changed the cluster so that a
+// removal decided against the iteration-start state now breaks
+// occupancy.
 func (e *engine) blockedNow(d decision) bool {
-	cl := e.clusters[d.clusterIdx]
-	cons := &e.cfg.Constraints
-	var isMember bool
-	if d.isRow {
-		isMember = cl.HasRow(d.idx)
-	} else {
-		isMember = cl.HasCol(d.idx)
-	}
-	if isMember {
-		if d.isRow {
-			if cl.NumRows()-1 < cons.MinRows {
-				return true
-			}
-			if cons.RequireRowCoverage && e.coverRow[d.idx] <= 1 {
-				return true
-			}
-		} else {
-			if cl.NumCols()-1 < cons.MinCols {
-				return true
-			}
-			if cons.RequireColCoverage && e.coverCol[d.idx] <= 1 {
-				return true
-			}
-		}
-	}
-	// Constraints on the candidate (toggled) state — removals too:
-	// earlier actions of this iteration may have changed the cluster,
-	// so a removal decided against the iteration-start state can now
-	// break occupancy. The probe reverses its toggle exactly (same
-	// discipline as evalAction): constraint checks observe state, they
-	// never perturb it.
-	if d.isRow {
-		cl.SaveRowToggle(d.idx, &e.undo)
-		cl.ToggleRow(d.idx)
-	} else {
-		cl.SaveColToggle(d.idx, &e.undo)
-		cl.ToggleCol(d.idx)
-	}
-	violated := e.violatesToggled(d.clusterIdx, isMember)
-	if d.isRow {
-		cl.UndoRowToggle(d.idx, &e.undo)
-	} else {
-		cl.UndoColToggle(d.idx, &e.undo)
-	}
-	return violated
+	return !e.admits(&e.probes.one, d.isRow, d.idx, d.clusterIdx)
 }
 
 // apply performs a toggle, updating the residue cache and coverage
@@ -419,7 +387,7 @@ func (e *engine) apply(isRow bool, idx, c int) {
 		// apply just paid for. Without this, estimates read between
 		// applies (polish's evaluate-apply-evaluate loop in particular)
 		// would compound one fold of drift per applied action; with it,
-		// every estimate is at most one speculative fold from exact.
+		// every estimate reads masses anchored at the last apply.
 		cl.RefreshResidueAggregates()
 	}
 	e.resSum += newRes - e.residues[c]

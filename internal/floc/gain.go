@@ -6,6 +6,26 @@ import (
 	"deltacluster/internal/cluster"
 )
 
+// Gain evaluation.
+//
+// Every candidate action — toggling one row or column in one cluster —
+// is judged on the state the toggle would produce: whether the
+// constraints admit it, and, under the exact tier, the toggled
+// residue. None of it toggles anything. A cluster.Probe computes the
+// toggled residue, volume, shape, occupancy and overlap from the
+// frozen pre-toggle cluster, replaying each mutator's operand order so
+// every answer carries the bits a real toggle would (cluster/probe.go).
+// An evaluation is therefore a pure function of the engine state, and
+// the decide workers read the engine's clusters directly (parallel.go).
+//
+// admits is the one admission test: the size-floor and coverage
+// pre-checks, then violatesToggled on the probe. evalAction adds the
+// gain of one tier. decideRange scores a whole range of items cluster
+// by cluster; under the exact tier it batches each cluster's row
+// insertions four per pass over the cluster's pack. Row insertions are
+// where the exact tier's time goes: 91% of the entries scanned on the
+// synthetic-iterate benchmark workload.
+
 // decision records the chosen action for one row or column: toggling
 // its membership in cluster clusterIdx, expected to change that
 // cluster's residue by -gain. clusterIdx is -1 when every one of the
@@ -21,101 +41,76 @@ type decision struct {
 // to −∞").
 var negInf = math.Inf(-1)
 
+// probeScratch is one evaluator's read-only probe scratch: a probe for
+// single evaluations, and a batch of row-insertion probes with the
+// decision slot each one serves and its scored residue.
+type probeScratch struct {
+	one   cluster.Probe
+	batch [4]cluster.Probe
+	at    [4]int
+	res   [4]float64
+}
+
 // evalAction returns the gain of toggling item (isRow, idx) in cluster
 // c, or −∞ if the action is blocked by the configured constraints.
-// The cluster is left unmodified.
+// Nothing is toggled: the constraint verdict and the exact tier's
+// residue come from a read-only probe of the frozen cluster.
 //
-// deltavet:hotpath — one call per (item, cluster) pair per decide
-// phase; BenchmarkDecideAll pins the whole chain at 0 allocs/op.
+// deltavet:hotpath — one call per (item, cluster) pair outside the
+// decide phase's batches; BenchmarkDecideAll pins the whole chain at 0
+// allocs/op.
 func (e *engine) evalAction(isRow bool, idx, c int) float64 {
 	e.gainEvals++
-	cl := e.clusters[c]
-	cons := &e.cfg.Constraints
-
-	var isMember bool
-	if isRow {
-		isMember = cl.HasRow(idx)
-	} else {
-		isMember = cl.HasCol(idx)
+	p := &e.probes.one
+	if !e.admits(p, isRow, idx, c) {
+		return negInf
 	}
-
-	// Pre-checks that do not need the toggled state.
-	if isMember {
-		if isRow {
-			if cl.NumRows()-1 < cons.MinRows {
-				return negInf
-			}
-			if cons.RequireRowCoverage && e.coverRow[idx] <= 1 {
-				return negInf
-			}
-		} else {
-			if cl.NumCols()-1 < cons.MinCols {
-				return negInf
-			}
-			if cons.RequireColCoverage && e.coverCol[idx] <= 1 {
-				return negInf
-			}
-		}
-	}
-
 	// Estimator tiers score against the *pre-toggle* state: judging a
 	// candidate under the bases it would itself shift is systematically
 	// optimistic for insertions (the incoming entries absorb part of
-	// their own deviation into the bases they join), so both
-	// approximate tiers read the current bases and only then toggle for
-	// the constraint checks below.
-	var approx float64
+	// their own deviation into the bases they join).
 	switch {
 	case e.cfg.GainMode == GainIncremental:
-		approx = e.incrementalGain(c, isRow, idx, isMember)
+		return e.incrementalGain(c, isRow, idx, !p.Inserts())
 	case e.cfg.ApproximateGain:
-		approx = e.approximateGain(c, isRow, idx, isMember)
+		return e.approximateGain(c, isRow, idx, !p.Inserts())
 	}
+	res := p.Residue(e.cfg.ResidueMean)
+	if debugInvariants {
+		e.checkProbe(p, c, res, true)
+	}
+	return e.exactGain(c, p, res)
+}
 
-	// Under incremental ranking the gain above was read entirely from
-	// anchored pre-toggle state; the toggle below exists only for the
-	// integer constraint checks. Pausing derived-cache maintenance
-	// across it leaves the anchored masses and the evaluation pack
-	// untouched instead of folding, shuffling and bit-restoring them —
-	// the undo still restores membership, order and sums exactly, so
-	// the skipped caches describe the restored state unchanged.
-	if e.cfg.GainMode == GainIncremental {
-		cl.SetSpeculationPaused(true)
-	}
+// exactGain prices the toggle p describes in cluster c, given the
+// toggled residue res.
+func (e *engine) exactGain(c int, p *cluster.Probe, res float64) float64 {
+	return e.costs[c] - e.cost(res, p.Volume(), p.NumRows(), p.NumCols())
+}
 
-	// Toggle, inspect the outcome, then reverse the toggle *exactly*.
-	// A plain toggle-back would leave float drift in the cross-axis
-	// sums and permute internal member order after removals, making
-	// each evaluation depend on every evaluation before it; the
-	// save/undo pair restores the cluster bit-for-bit, so an
-	// evaluation is a pure function of the frozen engine state — the
-	// property that lets decideAll shard evaluations across workers
-	// without changing a single output bit (see parallel.go).
-	if isRow {
-		cl.SaveRowToggle(idx, &e.undo)
-		cl.ToggleRow(idx)
-	} else {
-		cl.SaveColToggle(idx, &e.undo)
-		cl.ToggleCol(idx)
-	}
-	gain := negInf
-	if !e.violatesToggled(c, isMember) {
-		if e.cfg.GainMode == GainIncremental || e.cfg.ApproximateGain {
-			gain = approx
-		} else {
-			newRes := cl.ResidueWith(e.cfg.ResidueMean)
-			gain = e.costs[c] - e.cost(newRes, cl.Volume(), cl.NumRows(), cl.NumCols())
+// admits loads p with toggling item (isRow, idx) in cluster c and
+// reports whether the configured constraints allow the toggle: the
+// size floor and coverage pre-checks, then the toggled-state checks.
+// It is the one admission test of every evaluation and of blockedNow.
+func (e *engine) admits(p *cluster.Probe, isRow bool, idx, c int) bool {
+	cl := e.clusters[c]
+	cons := &e.cfg.Constraints
+	// Pre-checks that do not need the toggled state.
+	if isRow && cl.HasRow(idx) {
+		if cl.NumRows()-1 < cons.MinRows || cons.RequireRowCoverage && e.coverRow[idx] <= 1 {
+			return false
 		}
 	}
-	if isRow {
-		cl.UndoRowToggle(idx, &e.undo)
-	} else {
-		cl.UndoColToggle(idx, &e.undo)
+	if !isRow && cl.HasCol(idx) {
+		if cl.NumCols()-1 < cons.MinCols || cons.RequireColCoverage && e.coverCol[idx] <= 1 {
+			return false
+		}
 	}
-	if e.cfg.GainMode == GainIncremental {
-		cl.SetSpeculationPaused(false)
+	p.Load(cl, isRow, idx)
+	if debugInvariants {
+		e.checkProbe(p, c, 0, false)
 	}
-	return gain
+	return !e.violatesToggled(p, c)
 }
 
 // incrementalGain scores toggling item (isRow, idx) in cluster c from
@@ -190,22 +185,21 @@ func (e *engine) incrementalGain(c int, isRow bool, idx int, isMember bool) floa
 	return e.costs[c] - e.cost(newRes, newVol, nRows, nCols)
 }
 
-// violatesToggled checks the constraints that require the candidate
-// (toggled) state of cluster c: the volume ceiling, occupancy α and
-// the pairwise overlap budget. wasMember tells whether the toggle was
-// a removal.
-func (e *engine) violatesToggled(c int, wasMember bool) bool {
+// violatesToggled checks the constraints that concern the toggled
+// state p describes in cluster c: the volume ceiling, occupancy α and
+// the pairwise overlap budget.
+func (e *engine) violatesToggled(p *cluster.Probe, c int) bool {
 	cons := &e.cfg.Constraints
-	cl := e.clusters[c]
-	if !wasMember && cons.MaxVolume > 0 && cl.Volume() > cons.MaxVolume {
+	inserts := p.Inserts()
+	if inserts && cons.MaxVolume > 0 && p.Volume() > cons.MaxVolume {
 		return true
 	}
-	if cons.Occupancy > 0 && !cl.SatisfiesOccupancy(cons.Occupancy) {
+	if cons.Occupancy > 0 && !p.SatisfiesOccupancy(cons.Occupancy) {
 		return true
 	}
-	if cons.MaxOverlap >= 0 && !wasMember {
+	if cons.MaxOverlap >= 0 && inserts {
 		// Only insertions can raise overlap.
-		cells := cl.NumRows() * cl.NumCols()
+		cells := p.NumRows() * p.NumCols()
 		for o, other := range e.clusters {
 			if o == c {
 				continue
@@ -218,7 +212,7 @@ func (e *engine) violatesToggled(c int, wasMember bool) bool {
 			if minCells == 0 {
 				continue
 			}
-			if float64(cl.Overlap(other)) > cons.MaxOverlap*float64(minCells) {
+			if float64(p.Overlap(other)) > cons.MaxOverlap*float64(minCells) {
 				return true
 			}
 		}
@@ -356,21 +350,82 @@ func (e *engine) approximateGain(c int, isRow bool, idx int, isMember bool) floa
 }
 
 // decideOne determines the best action for item (isRow, idx) across
-// all k clusters against the current state.
-//
-// deltavet:hotpath — the decide phase's per-item kernel; everything it
-// statically calls inherits the allocation-free discipline.
+// all k clusters against the current state: decideRange over a
+// one-item range.
 func (e *engine) decideOne(isRow bool, idx int) decision {
-	best := decision{isRow: isRow, idx: idx, clusterIdx: -1, gain: negInf}
-	for c := range e.clusters {
-		if g := e.evalAction(isRow, idx, c); g > best.gain {
-			best.gain = g
-			best.clusterIdx = c
+	t := idx
+	if !isRow {
+		t += e.m.Rows()
+	}
+	var d [1]decision
+	e.decideRange(t, t+1, d[:])
+	return d[0]
+}
+
+// decideRange determines the best action of items lo..hi−1 (itemOf
+// numbering) into out[0:hi−lo] against the current state. It walks
+// the clusters in ascending order and, within each, every item; an
+// item keeps a cluster's gain only if it is strictly greater than the
+// best so far, so the lowest cluster index wins ties and every
+// decision — and the gainEvals tally — is the one an item-by-item loop
+// over the clusters produces. Under the exact tier the non-member rows
+// of a cluster are scored four per pass over its pack
+// (cluster.RowInsertionResidues).
+//
+// deltavet:hotpath — the decide phase's kernel; everything it
+// statically calls inherits the allocation-free discipline.
+func (e *engine) decideRange(lo, hi int, out []decision) {
+	out = out[:hi-lo]
+	for t := range out {
+		isRow, idx := e.itemOf(lo + t)
+		out[t] = decision{isRow: isRow, idx: idx, clusterIdx: -1, gain: negInf}
+	}
+	batched := e.cfg.GainMode == GainExact && !e.cfg.ApproximateGain
+	ps := &e.probes
+	for c, cl := range e.clusters {
+		n := 0
+		for t := range out {
+			d := &out[t]
+			if !batched || !d.isRow || cl.HasRow(d.idx) {
+				if g := e.evalAction(d.isRow, d.idx, c); g > d.gain {
+					d.gain, d.clusterIdx = g, c
+				}
+				continue
+			}
+			e.gainEvals++
+			if !e.admits(&ps.batch[n], true, d.idx, c) {
+				continue // −∞ never beats the best so far
+			}
+			ps.at[n] = t
+			n++
+			if n == len(ps.batch) {
+				e.scoreBatch(c, n, out)
+				n = 0
+			}
+		}
+		if n > 0 {
+			e.scoreBatch(c, n, out)
 		}
 	}
-	return best
+}
+
+// scoreBatch scores the first n batched row insertions into cluster c
+// in one pass and offers each gain to the decision it serves.
+func (e *engine) scoreBatch(c, n int, out []decision) {
+	ps := &e.probes
+	cluster.RowInsertionResidues(ps.batch[:n], e.cfg.ResidueMean, ps.res[:n])
+	for q := 0; q < n; q++ {
+		p := &ps.batch[q]
+		if debugInvariants {
+			e.checkProbe(p, c, ps.res[q], true)
+		}
+		d := &out[ps.at[q]]
+		if g := e.exactGain(c, p, ps.res[q]); g > d.gain {
+			d.gain, d.clusterIdx = g, c
+		}
+	}
 }
 
 // decideAll (parallel.go) determines the best action for every row
 // and column (Figure 5, first box of phase 2), in matrix order,
-// sharding the evaluations across Config.Workers goroutines.
+// sharding the items across Config.Workers goroutines.

@@ -556,22 +556,11 @@ func TestViolatesToggledBruteForce(t *testing.T) {
 				}
 			}
 
-			// Drive the engine's check on the actually-toggled state,
-			// the way evalAction invokes it.
-			cl := e.clusters[tc.c]
-			if tc.isRow {
-				cl.SaveRowToggle(tc.idx, &e.undo)
-				cl.ToggleRow(tc.idx)
-			} else {
-				cl.SaveColToggle(tc.idx, &e.undo)
-				cl.ToggleCol(tc.idx)
-			}
-			got := e.violatesToggled(tc.c, wasMember)
-			if tc.isRow {
-				cl.UndoRowToggle(tc.idx, &e.undo)
-			} else {
-				cl.UndoColToggle(tc.idx, &e.undo)
-			}
+			// Drive the engine's check on a probe of the toggle, the way
+			// evalAction invokes it.
+			var p cluster.Probe
+			p.Load(e.clusters[tc.c], tc.isRow, tc.idx)
+			got := e.violatesToggled(&p, tc.c)
 			if got != want {
 				t.Fatalf("violatesToggled = %v, brute-force constraint predicate = %v", got, want)
 			}

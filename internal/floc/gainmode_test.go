@@ -161,9 +161,9 @@ func TestGainModeExactGoldenUnchanged(t *testing.T) {
 // TestGainModeIncrementalWorkerDeterminism is claim 2: under
 // GainIncremental, every worker count must reproduce the serial run's
 // fingerprint, progress trace and checkpoint bytes exactly. The decide
-// shadows carry the residue masses through Clone/CopyFrom, and the
-// estimator reads only anchored pre-toggle state, so sharding must not
-// change a bit.
+// shadows read the engine's clusters, residue masses included, in
+// place, and the estimator reads only anchored pre-toggle state, so
+// sharding must not change a bit.
 func TestGainModeIncrementalWorkerDeterminism(t *testing.T) {
 	for _, tc := range gainModeCases() {
 		tc := tc

@@ -1,10 +1,6 @@
 package floc
 
-import (
-	"sync"
-
-	"deltacluster/internal/cluster"
-)
+import "sync"
 
 // Parallel decide phase.
 //
@@ -19,17 +15,18 @@ import (
 //
 // The determinism argument has three legs:
 //
-//  1. Evaluations are pure. evalAction reverses its speculative
-//     toggle with cluster.ToggleUndo, restoring the cluster
-//     bit-for-bit (a plain toggle-back would leave float drift in the
-//     cross-axis sums and permute internal member order after
-//     removals). Each item's decision is therefore a function of the
-//     frozen iteration-start bits only, not of evaluation order.
-//  2. Workers share nothing mutable. Each worker evaluates on a
-//     shadow: cloned clusters (exact bit copies, member order
-//     included) plus read-only views of the engine's residue/cost/
-//     coverage caches. Ties between clusters resolve by the same
-//     lowest-index-wins rule (decideOne's strict >) on every worker.
+//  1. Evaluations are pure. Nothing is toggled: every constraint
+//     verdict and exact residue comes from a read-only cluster.Probe of
+//     the frozen iteration-start state, whose answers carry the bits a
+//     real toggle would (gain.go). Each item's decision is therefore a
+//     function of the frozen bits only, not of evaluation order.
+//  2. Workers share nothing mutable. A worker evaluates on a shadow
+//     engine that reads the engine's clusters and its residue/cost/
+//     coverage caches in place and owns only its probe scratch and its
+//     tally. Ties between clusters resolve by the same
+//     lowest-index-wins rule (decideRange's strict >) on every worker.
+//     The -race runs of the worker matrix check that the sharing is
+//     read-only.
 //  3. The merge is positional. Worker w writes out[t] for exactly the
 //     t in its shard, and shard boundaries come from the same indexed
 //     item enumeration (itemOf) the serial loop uses, so the merged
@@ -70,8 +67,8 @@ func (e *engine) decideWorkers(items int) int {
 
 // decideAll determines the best action for every row and column in
 // matrix order; ordering strategies permute the result afterwards.
-// With Workers ≤ 1 it is today's straight serial loop; otherwise the
-// items are sharded as documented above.
+// With Workers ≤ 1 it is one decideRange over every item; otherwise
+// the items are sharded as documented above.
 //
 // The returned slice is backed by engine-owned scratch that the next
 // decideAll call overwrites; callers must copy it to retain it across
@@ -85,17 +82,12 @@ func (e *engine) decideAll() []decision {
 	out := e.decisions[:items]
 	workers := e.decideWorkers(items)
 	if workers <= 1 {
-		for t := 0; t < items; t++ {
-			isRow, idx := e.itemOf(t)
-			out[t] = e.decideOne(isRow, idx)
-		}
+		e.decideRange(0, items, out)
 		return out
 	}
 
-	if len(e.shadows) < workers {
-		for w := len(e.shadows); w < workers; w++ {
-			e.shadows = append(e.shadows, e.decideShadow())
-		}
+	for len(e.shadows) < workers {
+		e.shadows = append(e.shadows, &engine{})
 	}
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
@@ -106,10 +98,7 @@ func (e *engine) decideAll() []decision {
 		wg.Add(1)
 		go func(sh *engine, lo, hi int) {
 			defer wg.Done()
-			for t := lo; t < hi; t++ {
-				isRow, idx := sh.itemOf(t)
-				out[t] = sh.decideOne(isRow, idx)
-			}
+			sh.decideRange(lo, hi, out[lo:hi])
 		}(sh, lo, hi)
 	}
 	wg.Wait()
@@ -123,43 +112,19 @@ func (e *engine) decideAll() []decision {
 	return out
 }
 
-// decideShadow builds a read-path replica of the engine for one
-// decide-phase worker: cloned clusters it may speculatively toggle,
-// and shared read-only views of everything else an evaluation touches
-// (deltavet:writer — the guarded caches are aliased, not assigned
-// through; workers only read them, and the clones' own aggregates are
-// maintained by the cluster package's writers). Shadows live in
-// e.shadows and are refreshed, not rebuilt, on every decide call.
-func (e *engine) decideShadow() *engine {
-	sh := &engine{
-		m:        e.m,
-		cfg:      e.cfg,
-		residues: e.residues,
-		costs:    e.costs,
-		resSum:   e.resSum,
-		costSum:  e.costSum,
-		w:        e.w,
-		coverRow: e.coverRow,
-		coverCol: e.coverCol,
-	}
-	sh.clusters = make([]*cluster.Cluster, len(e.clusters))
-	for c, cl := range e.clusters {
-		sh.clusters[c] = cl.Clone()
-	}
-	return sh
-}
-
-// refreshShadow re-syncs a pooled shadow with the engine's
-// iteration-start state (deltavet:writer). The guarded cache slices
-// were aliased at construction and the engine only ever copies into
-// them in place, so only the scalars, the tally and the cluster bits
-// need refreshing; CopyFrom reuses the clusters' storage, making the
-// refresh allocation-free once the pack capacities are warm.
+// refreshShadow points a pooled decide-phase shadow at the engine's
+// iteration-start state (deltavet:writer — the guarded caches are
+// aliased, not written: workers only read them, and read the clusters
+// in place through probes). A shadow owns only its probe scratch,
+// idxScratch and its tally.
 func (sh *engine) refreshShadow(e *engine) {
-	sh.resSum = e.resSum
-	sh.costSum = e.costSum
+	sh.m = e.m
+	sh.cfg = e.cfg
+	sh.clusters = e.clusters
+	sh.residues = e.residues
+	sh.costs = e.costs
+	sh.w = e.w
+	sh.coverRow = e.coverRow
+	sh.coverCol = e.coverCol
 	sh.gainEvals = 0
-	for c, cl := range e.clusters {
-		sh.clusters[c].CopyFrom(cl)
-	}
 }

@@ -6,6 +6,7 @@ import (
 	"runtime"
 	"testing"
 
+	"deltacluster/internal/cluster"
 	"deltacluster/internal/matrix"
 )
 
@@ -378,5 +379,79 @@ func TestWorkersValidation(t *testing.T) {
 	}
 	if cfg.Workers != 3 {
 		t.Fatalf("explicit Workers rewritten to %d, want 3", cfg.Workers)
+	}
+}
+
+// TestDecideRangeMatchesItemMajorLoop pins the cluster-major decide
+// against the item-major loop it replaced: for every item, evalAction
+// over the clusters in ascending order, keeping strictly greater
+// gains. Clusters 0 and 1 are identical, so each item's gains tie
+// across them and the lower index must win. Every gain tier and every
+// toggled-state constraint runs through the same comparison; under the
+// exact tier the row insertions take the batched path.
+func TestDecideRangeMatchesItemMajorLoop(t *testing.T) {
+	m := plantedMissingMatrix(t, 5, 40, 12, 2, 40, 0.1)
+	specs := []cluster.Spec{
+		{Rows: []int{0, 1, 2, 3, 4, 5, 6}, Cols: []int{0, 1, 2, 3}},
+		{Rows: []int{0, 1, 2, 3, 4, 5, 6}, Cols: []int{0, 1, 2, 3}},
+		{Rows: []int{10, 12, 14, 16, 18, 20}, Cols: []int{3, 4, 5, 6, 7, 8}},
+	}
+	for _, tc := range []struct {
+		name   string
+		mode   GainMode
+		approx bool
+		mean   cluster.ResidueMean
+		cons   Constraints
+	}{
+		{name: "exact", cons: Constraints{MinRows: 2, MinCols: 2, MaxOverlap: -1}},
+		{name: "exact-squared", mean: cluster.SquaredMean, cons: Constraints{MinRows: 2, MinCols: 2, MaxOverlap: -1}},
+		{name: "exact-constrained", cons: Constraints{MinRows: 2, MinCols: 2, MaxOverlap: 1, Occupancy: 0.5, MaxVolume: 40}},
+		{name: "incremental", mode: GainIncremental, cons: Constraints{MinRows: 2, MinCols: 2, MaxOverlap: -1}},
+		{name: "approximate", approx: true, cons: Constraints{MinRows: 2, MinCols: 2, MaxOverlap: -1}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := DefaultConfig(3, 8)
+			cfg.GainMode = tc.mode
+			cfg.ApproximateGain = tc.approx
+			cfg.ResidueMean = tc.mean
+			cfg.Constraints = tc.cons
+			cfg.Workers = 1
+			e := newBareEngine(t, m, cfg, specs)
+			if tc.mode == GainIncremental {
+				for _, cl := range e.clusters {
+					cl.EnableResidueAggregates(tc.mean)
+				}
+			}
+			items := m.Rows() + m.Cols()
+			want := make([]decision, items)
+			ties := 0
+			for it := range want {
+				isRow, idx := e.itemOf(it)
+				best := decision{isRow: isRow, idx: idx, clusterIdx: -1, gain: negInf}
+				for c := range e.clusters {
+					if g := e.evalAction(isRow, idx, c); g > best.gain {
+						best.gain, best.clusterIdx = g, c
+					}
+				}
+				if best.clusterIdx == 0 {
+					ties++
+				}
+				want[it] = best
+			}
+			if ties == 0 {
+				t.Fatal("no item chose the tied cluster pair; the tie-break is untested")
+			}
+			wantEvals := e.gainEvals
+			e.gainEvals = 0
+			got := e.decideAll()
+			for it := range want {
+				if got[it] != want[it] {
+					t.Fatalf("decision[%d] = %+v, item-major loop %+v", it, got[it], want[it])
+				}
+			}
+			if e.gainEvals != wantEvals {
+				t.Fatalf("%d gain evaluations, item-major loop made %d", e.gainEvals, wantEvals)
+			}
+		})
 	}
 }

@@ -21,7 +21,7 @@ func polishEngine(t *testing.T, m *matrix.Matrix, cfg Config, members []ClusterS
 		Clusters:  members,
 		ConfigSum: configSum(&cfg),
 		MatrixSum: matrixSum(m),
-	})
+	}, matrixSum(m))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -121,6 +121,7 @@ func newBareEngine(t *testing.T, m *matrix.Matrix, cfg Config, specs []cluster.S
 	e.costs = make([]float64, cfg.K)
 	for c, spec := range specs {
 		cl := cluster.FromSpec(m, spec.Rows, spec.Cols)
+		cl.EnablePack()
 		e.clusters[c] = cl
 		e.residues[c] = cl.ResidueWith(cfg.ResidueMean)
 		e.resSum += e.residues[c]

@@ -52,7 +52,7 @@ type WarmStart struct {
 // rebuild iterate() runs at a boundary (deltavet:writer), so phase 2
 // starts from boundary-normalized state exactly as a cold run starts
 // from seeding.
-func warmStartEngine(m *matrix.Matrix, cfg *Config, ws *WarmStart) (*engine, error) {
+func warmStartEngine(m *matrix.Matrix, cfg *Config, ws *WarmStart, msum uint64) (*engine, error) {
 	ck := ws.Checkpoint
 	if got := configSum(cfg); ck.ConfigSum != got {
 		return nil, fmt.Errorf("floc: warm-start checkpoint was written under a different configuration (sum %016x, want %016x)", ck.ConfigSum, got)
@@ -92,6 +92,8 @@ func warmStartEngine(m *matrix.Matrix, cfg *Config, ws *WarmStart) (*engine, err
 		rng:      stats.NewRNGAt(ck.Seed, ck.Draws),
 		coverRow: make([]int, m.Rows()),
 		coverCol: make([]int, m.Cols()),
+		mSum:     msum,
+		mSumSet:  true,
 	}
 	e.w = float64(m.SpecifiedCount())
 
@@ -117,13 +119,13 @@ func warmStartEngine(m *matrix.Matrix, cfg *Config, ws *WarmStart) (*engine, err
 	}
 
 	// Best-residue placement of the appended rows, in row order then
-	// cluster order — fully deterministic, no RNG draws. Each probe
-	// toggles the candidate row in, checks the toggled-state
-	// constraints (volume ceiling, occupancy, overlap budget) and
-	// reads the resulting residue, then reverses the toggle exactly.
-	// The row joins the admissible cluster whose residue stays lowest
-	// (ties to the lowest cluster index); with no admissible cluster
-	// it stays unassigned and phase 2 may still adopt it.
+	// cluster order — fully deterministic, no RNG draws. Each candidate
+	// placement is probed read-only: the toggled-state constraints
+	// (volume ceiling, occupancy, overlap budget) and the resulting
+	// residue. The row joins the admissible cluster whose residue stays
+	// lowest (ties to the lowest cluster index); with no admissible
+	// cluster it stays unassigned and phase 2 may still adopt it.
+	p := &e.probes.one
 	for i := parentRows; i < m.Rows(); i++ {
 		best := -1
 		bestRes := 0.0
@@ -131,16 +133,16 @@ func warmStartEngine(m *matrix.Matrix, cfg *Config, ws *WarmStart) (*engine, err
 			if cl.NumCols() == 0 {
 				continue
 			}
-			cl.SaveRowToggle(i, &e.undo)
-			cl.ToggleRow(i)
-			ok := !e.violatesToggled(c, false)
-			res := 0.0
-			if ok {
-				res = cl.ResidueWith(cfg.ResidueMean)
-				e.gainEvals++
+			p.Load(cl, true, i)
+			if e.violatesToggled(p, c) {
+				continue
 			}
-			cl.UndoRowToggle(i, &e.undo)
-			if ok && (best < 0 || res < bestRes) {
+			res := p.Residue(cfg.ResidueMean)
+			e.gainEvals++
+			if debugInvariants {
+				e.checkProbe(p, c, res, true)
+			}
+			if best < 0 || res < bestRes {
 				best = c
 				bestRes = res
 			}
