@@ -94,7 +94,8 @@ func WriteMatrix(w io.Writer, m *Matrix, opts IOOptions) error { return matrix.W
 const MatrixBinaryContentType = matrix.BinaryContentType
 
 // EncodeMatrixBinary renders m in the canonical DCMX binary format:
-// versioned, checksummed, with missing entries as canonical NaN bits.
+// versioned, checksummed, a bitmap of the specified entries followed
+// by their packed values, so missing entries cost one bit each.
 // Equal matrices encode to equal bytes.
 func EncodeMatrixBinary(m *Matrix) []byte { return matrix.EncodeBinary(m) }
 

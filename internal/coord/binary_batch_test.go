@@ -11,6 +11,7 @@ import (
 
 	"deltacluster/internal/matrix"
 	"deltacluster/internal/service"
+	"deltacluster/internal/synth"
 )
 
 // fastMatrix is fastSubmit's matrix decoded from the same CSV — the
@@ -144,4 +145,138 @@ func TestCoordinatorBatchFanout(t *testing.T) {
 			t.Fatalf("batch item %d diverged from the individually submitted job:\n  batch: %+v\n  solo:  %+v", i, res, soloRes)
 		}
 	}
+}
+
+// retainedDCMX reads the DCMX bytes a routing entry keeps.
+func retainedDCMX(t *testing.T, c *Coordinator, id string) (dcmx []byte, owner string, replicas []string) {
+	t.Helper()
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	j, ok := c.jobs[id]
+	if !ok {
+		t.Fatalf("no routing entry for %s", id)
+	}
+	return j.binMatrix, j.owner, append([]string(nil), j.replicas...)
+}
+
+// waitFor polls cond every 20ms until it holds or the timeout lapses.
+func waitFor(t *testing.T, what string, timeout time.Duration, cond func() bool) {
+	t.Helper()
+	deadline := time.Now().Add(timeout)
+	for !cond() {
+		if time.Now().After(deadline) {
+			t.Fatalf("timed out waiting for %s", what)
+		}
+		time.Sleep(20 * time.Millisecond)
+	}
+}
+
+// TestCoordinatorRetainsExactDCMX pins what a done binary job costs
+// the coordinator: its routing entry keeps an exact-size copy of the
+// DCMX section (len == cap == the canonical encoding of the ratings
+// stand-in), not a window into the request body that would pin the
+// body's read slack and params, and it stays that way through a
+// failover redispatch and a lineage rebuild that forward those bytes.
+func TestCoordinatorRetainsExactDCMX(t *testing.T) {
+	ds, err := synth.MovieLens(synth.DefaultMovieLensConfig(), 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := ds.Matrix
+	want := len(matrix.EncodeBinary(m))
+	cl := startCluster(t, 3, nil, service.Options{Workers: 1, QueueCap: 8, CheckpointEvery: 1})
+	nodeAt := func(url string) *node {
+		for _, nd := range cl.nodes {
+			if nd.ts.URL == url {
+				return nd
+			}
+		}
+		t.Fatalf("no node at %s", url)
+		return nil
+	}
+	check := func(stage, id string) []byte {
+		t.Helper()
+		dcmx, _, _ := retainedDCMX(t, cl.coord, id)
+		if len(dcmx) != want || cap(dcmx) != want {
+			t.Fatalf("%s: job %s retains len %d cap %d, want both %d (the encoding's size)", stage, id, len(dcmx), cap(dcmx), want)
+		}
+		return dcmx
+	}
+
+	body, err := service.EncodeBinarySubmit(&service.SubmitRequest{
+		Algorithm: service.AlgoFLOC,
+		// δ=2 (not the paper's 1) so the run completes an iteration and
+		// leaves a final boundary for the rebuild to warm-start from.
+		FLOC: &service.FLOCParams{K: 10, Delta: 2, Seed: 7, MaxIterations: 40,
+			Seeding: "anchored", Occupancy: 0.6, Workers: 1},
+	}, m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err := http.Post(cl.ts.URL+"/v1/jobs", service.ContentTypeBinaryMatrix, bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	data := readAll(t, resp)
+	if resp.StatusCode != http.StatusAccepted {
+		t.Fatalf("binary submit: status %d, body %s", resp.StatusCode, data)
+	}
+	var sr SubmitResponse
+	if err := json.Unmarshal(data, &sr); err != nil {
+		t.Fatal(err)
+	}
+	id := sr.Job.ID
+	root := check("submit", id)
+	if !bytes.Equal(root, matrix.EncodeBinary(m)) {
+		t.Fatal("retained DCMX differs from the client's section")
+	}
+
+	// Failover: lose the owner before the job can finish. The
+	// coordinator re-dispatches the retained bytes to a survivor.
+	_, first, _ := retainedDCMX(t, cl.coord, id)
+	nodeAt(first).ts.Close()
+	waitFor(t, "the failover migration", 30*time.Second, func() bool {
+		return coordMetrics(t, cl.ts.URL).Jobs.Migrations >= 1
+	})
+	if v := pollDone(t, cl.ts.URL, id, 60*time.Second); v.State != service.StateDone {
+		t.Fatalf("migrated job finished %s (error %q), want done", v.State, v.Error)
+	}
+	check("failover", id)
+
+	// Lineage rebuild: with the new owner lost too, a recluster
+	// rebuilds the child on the last backend from the retained bytes,
+	// the recorded patch and the replicated final checkpoint.
+	_, second, replicas := retainedDCMX(t, cl.coord, id)
+	if second == first || len(replicas) != 1 {
+		t.Fatalf("after failover: owner %s (was %s), replicas %v", second, first, replicas)
+	}
+	waitFor(t, "the final checkpoint on the replica", 30*time.Second, func() bool {
+		st, _ := do(t, http.MethodGet, replicas[0]+"/v1/internal/replicas/"+id+"/checkpoint", nil)
+		return st == http.StatusOK
+	})
+	if st, body := do(t, http.MethodPatch, cl.ts.URL+"/v1/jobs/"+id+"/matrix", smallPatch(m.Cols())); st != http.StatusOK {
+		t.Fatalf("patch: status %d, body %s", st, body)
+	}
+	nodeAt(second).ts.Close()
+	waitFor(t, "the second owner marked down", 10*time.Second, func() bool {
+		return coordMetrics(t, cl.ts.URL).Backends.States[second] == "down"
+	})
+	st, data := do(t, http.MethodPost, cl.ts.URL+"/v1/jobs/"+id+":recluster", nil)
+	if st != http.StatusAccepted {
+		t.Fatalf("recluster: status %d, body %s", st, data)
+	}
+	var rr service.ReclusterResponse
+	if err := json.Unmarshal(data, &rr); err != nil {
+		t.Fatal(err)
+	}
+	if v := pollDone(t, cl.ts.URL, rr.Job.ID, 60*time.Second); v.State != service.StateDone {
+		t.Fatalf("rebuilt child finished %s (error %q), want done", v.State, v.Error)
+	}
+	if got := coordMetrics(t, cl.ts.URL).Streaming.ReclusterFallbacks; got != 1 {
+		t.Fatalf("recluster_fallbacks %d, want 1 (a rebuild from the retained bytes)", got)
+	}
+	if child := check("rebuild", rr.Job.ID); &child[0] != &root[0] {
+		t.Fatal("rebuilt child holds its own copy of the lineage's DCMX bytes, want the root's")
+	}
+	check("rebuild (root)", id)
 }

@@ -210,11 +210,13 @@ type job struct {
 	finalCkPulled bool // the done-boundary checkpoint reached the replicas
 
 	// binMatrix holds the DCMX section of a binary submission, exactly
-	// as the client sent it. Every (re)dispatch — initial, migration,
-	// recluster rebuild — forwards these bytes verbatim inside a DSUB
-	// envelope; the receiving backend re-verifies the section checksum,
-	// so no hop can corrupt the matrix silently. Nil for JSON jobs,
-	// whose matrix lives in submit itself.
+	// as the client sent it, in an exact-size copy of its own (never a
+	// window into the request body, whose read slack and params it
+	// would pin for the entry's life). Every (re)dispatch — initial,
+	// migration, recluster rebuild — forwards these bytes verbatim
+	// inside a DSUB envelope; the receiving backend re-verifies the
+	// section checksum, so no hop can corrupt the matrix silently. Nil
+	// for JSON jobs, whose matrix lives in submit itself.
 	binMatrix []byte
 }
 
@@ -482,9 +484,9 @@ type submitOutcome struct {
 // refuses), replicate the job's metadata to peer backends, and record
 // the routing entry. dcmx, when non-nil, is the client's DCMX matrix
 // section; it rides the dispatch verbatim inside a DSUB envelope and
-// is retained on the routing entry so migrations and rebuilds can
-// forward the same bytes. Total unavailability (no backend accepts)
-// is the only 5xx path.
+// an exact-size copy is retained on the routing entry so migrations
+// and rebuilds can forward the same bytes. Total unavailability (no
+// backend accepts) is the only 5xx path.
 func (c *Coordinator) submitOne(ctx context.Context, req service.SubmitRequest, dcmx []byte) submitOutcome {
 	if c.routingFull() {
 		return submitOutcome{status: http.StatusTooManyRequests, code: service.CodeQueueFull,
@@ -573,7 +575,7 @@ func (c *Coordinator) submitOne(ctx context.Context, req service.SubmitRequest, 
 		lastView:    view,
 		degraded:    missing > 0,
 		lineageRoot: id,
-		binMatrix:   dcmx,
+		binMatrix:   exactCopy(dcmx),
 	}
 	c.mu.Lock()
 	c.jobs[id] = j
@@ -587,6 +589,18 @@ func (c *Coordinator) submitOne(ctx context.Context, req service.SubmitRequest, 
 			"replication degraded: %d of %d replica(s) placed; the job runs, but failover headroom is reduced",
 			c.opts.Replication-missing, c.opts.Replication)
 	}
+	return out
+}
+
+// exactCopy returns b in a fresh slice with cap == len (nil for nil).
+// bytes.Clone would do, but append rounds its capacity up to the
+// allocator's size class — up to a page per retained matrix.
+func exactCopy(b []byte) []byte {
+	if b == nil {
+		return nil
+	}
+	out := make([]byte, len(b))
+	copy(out, b)
 	return out
 }
 

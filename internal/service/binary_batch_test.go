@@ -3,9 +3,14 @@ package service
 import (
 	"bytes"
 	"context"
+	"crypto/sha256"
+	"encoding/binary"
 	"encoding/json"
+	"io"
+	"math"
 	"net/http"
 	"reflect"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -171,7 +176,32 @@ func TestBinarySubmitRejectsCorruption(t *testing.T) {
 			t.Errorf("%s: status %d, want 400", name, resp.StatusCode)
 		}
 	}
-	resp, data := e.do(t, http.MethodGet, "/metrics", nil)
+
+	// A section in the retired dense version-1 layout, correctly framed
+	// and checksummed, is refused by version.
+	payload := make([]byte, 0, 32)
+	for _, w := range []uint64{1, 2, math.Float64bits(1), math.Float64bits(2)} {
+		payload = binary.LittleEndian.AppendUint64(payload, w)
+	}
+	v1 := binary.LittleEndian.AppendUint32([]byte("DCMX"), 1)
+	v1 = binary.LittleEndian.AppendUint64(v1, uint64(len(payload)))
+	sum := sha256.Sum256(payload)
+	v1 = append(append(v1, payload...), sum[:]...)
+	body := encodeEnvelope(submitMagic, []byte(`{"floc":{"k":1,"delta":5}}`), v1)
+	resp, err := e.ts.Client().Post(e.ts.URL+"/v1/jobs", ContentTypeBinaryMatrix, bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	data, err := io.ReadAll(resp.Body)
+	_ = resp.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(data), "version 1") {
+		t.Errorf("v1 DCMX section: status %d, body %s; want 400 naming version 1", resp.StatusCode, data)
+	}
+
+	resp, data = e.do(t, http.MethodGet, "/metrics", nil)
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("metrics: status %d", resp.StatusCode)
 	}
