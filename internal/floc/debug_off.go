@@ -2,7 +2,10 @@
 
 package floc
 
-import "deltacluster/internal/cluster"
+import (
+	"deltacluster/internal/cluster"
+	"deltacluster/internal/matrix"
+)
 
 // debugInvariants is false in release builds: the assertion calls
 // below compile to nothing. Build with -tags deltadebug to recompute
@@ -15,3 +18,6 @@ func (e *engine) assertInvariants(string) {}
 
 // checkProbe is a no-op without the deltadebug tag.
 func (e *engine) checkProbe(*cluster.Probe, int, float64, bool) {}
+
+// checkRowSelection is a no-op without the deltadebug tag.
+func (*seedScratch) checkRowSelection(*matrix.Matrix, []int, float64, int, []int) {}

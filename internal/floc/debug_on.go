@@ -5,8 +5,10 @@ package floc
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"deltacluster/internal/cluster"
+	"deltacluster/internal/matrix"
 	"deltacluster/internal/stats"
 )
 
@@ -154,5 +156,21 @@ func (e *engine) checkProbe(p *cluster.Probe, c int, res float64, scored bool) {
 		if want := ref.ResidueWith(e.cfg.ResidueMean); math.Float64bits(res) != math.Float64bits(want) {
 			die("probe residue %v (%016x), toggled %v (%016x)", res, math.Float64bits(res), want, math.Float64bits(want))
 		}
+	}
+}
+
+// checkRowSelection cross-checks refine's pre-filtered row re-selection
+// on a complete matrix against the list-based one it replaces: got must
+// be exactly the rows selectRows accepts on the same columns and
+// column adjustments. It overwrites only scratch that is refilled
+// before its next read: selectRows' rowSum, rowCnt and rowOff, and the
+// carve's row list, which refine reads, as its first round's rows, only
+// before the row re-selection. Reusing that list keeps the check free
+// of allocations, so the allocation bounds hold under deltadebug too.
+func (scr *seedScratch) checkRowSelection(m *matrix.Matrix, cols []int, delta float64, minCols int, got []int) {
+	want := scr.selectRows(m, cols, delta, minCols, scr.carvedRow[:0])
+	if !slices.Equal(got, want) {
+		panic(fmt.Sprintf("floc: deltadebug pre-filtered row re-selection on %d columns (δ=%v) kept rows %v, the list scan %v",
+			len(cols), delta, got, want))
 	}
 }

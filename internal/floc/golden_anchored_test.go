@@ -22,8 +22,11 @@ import (
 // matrix the column-major carve runs on, a reduced sparse ratings
 // matrix under the occupancy constraint, the full-size ratings stand-in
 // at the served configuration (two run seeds; recorded before seeding
-// moved onto the specified-entry lists), and a dense matrix with a few
-// missing cells that takes the row-wise fallback.
+// moved onto the specified-entry lists), a dense matrix with a few
+// missing cells that takes the row-wise fallback, and the full-size
+// yeast stand-in at the microarray benchmark's configuration (two run
+// seeds; recorded before the complete-matrix row scans were
+// pre-filtered by each row's offset range).
 //
 // Re-record only for an intentional behaviour change:
 //
@@ -102,6 +105,34 @@ func anchoredGoldenInputs() []anchoredGoldenInput {
 				cfg.Seed = 4
 				return cfg
 			},
+		},
+		yeastFullInput(1),
+		yeastFullInput(2),
+	}
+}
+
+// yeastFullInput is the full-size yeast stand-in (2884×17, complete,
+// dataset seed 1) under the Section 6.1.2 configuration the
+// microarray-seed benchmark runs (k = 2 × modules, δ = 2.5 × module
+// noise, 60 iterations) with the given run seed: the shape on which
+// the complete-matrix carve and refine paths do nearly all of a job's
+// work, at a scale the reduced yeast leg above does not reach.
+func yeastFullInput(seed int64) anchoredGoldenInput {
+	ycfg := synth.DefaultYeastConfig()
+	return anchoredGoldenInput{
+		name: fmt.Sprintf("yeast-full-seed%d", seed),
+		matrix: func(t *testing.T) *matrix.Matrix {
+			ds, err := synth.Yeast(ycfg, 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return ds.Matrix
+		},
+		config: func() Config {
+			cfg := DefaultConfig(2*ycfg.Modules, 2.5*ycfg.NoiseResidue)
+			cfg.MaxIterations = 60
+			cfg.Seed = seed
+			return cfg
 		},
 	}
 }

@@ -140,7 +140,9 @@ type seedCandidate struct {
 // extra bytes.
 type seedScratch struct {
 	// complete records that m has no missing entries, which lets the
-	// row carve run column by column (carveRows).
+	// row carve and refine's row re-selection run column by column over
+	// a list of the rows still alive (carveRowsColumns,
+	// selectRowsComplete).
 	complete bool
 
 	// The sparse index: row i is specified in columns
@@ -154,8 +156,8 @@ type seedScratch struct {
 	carvedCol []int     // the pair carve's column set: the pair's shared columns, then the clump's
 	carvedRow []int     // the anchor carve's row set
 	offsets   []float64 // one row's offsets against the anchor (row-wise carve)
-	lo, lo2   []float64 // per alive row of the column-major carve: smallest and second-smallest offset
-	hi, hi2   []float64 // per alive row of the column-major carve: largest and second-largest offset
+	lo, hi    []float64 // per alive row of a column-major pass: smallest and largest offset (carve) or adjusted value (row re-selection)
+	lo2, hi2  []float64 // per alive row of the slack-1 carve: second-smallest and second-largest offset
 
 	colAdj  []float64 // per-column mean adjustment for the current rows
 	colCnt  []int     // per-column specified entries over the current rows
@@ -166,7 +168,7 @@ type seedScratch struct {
 	rowSum  []float64 // per matrix row: offset, then deviation sum, of the row re-selection
 	rowCnt  []int     // per matrix row: specified entries behind rowSum, or among the carve's columns (row-wise carve)
 	cols    []int     // refined column set, reused across rounds and calls
-	rows    []int     // refined row set, reused across rounds and calls
+	rows    []int     // refined row set, reused across rounds and calls; selectRowsComplete's alive list
 
 	cl       *cluster.Cluster // the one cluster every candidate is scored in
 	cands    []seedCandidate
@@ -308,8 +310,10 @@ func (scr *seedScratch) carveCols(m *matrix.Matrix, i1, i2 int, delta float64, m
 // lists first count each row's entries among cols and only rows
 // reaching need are gathered.
 //
-// deltavet:hotpath — scans every matrix row once per attempt with a
-// pair clump.
+// deltavet:hotpath — once per attempt with a pair clump. Every row is
+// read in the carve's first two or three columns (column-major path)
+// or in all of them (row-wise path on a complete matrix); later
+// columns, and rows short of need with missing entries, are skipped.
 func (scr *seedScratch) carveRows(m *matrix.Matrix, i1 int, cols []int, delta float64, need int) []int {
 	row1 := m.RowView(i1)
 	width := 2 * delta
@@ -358,23 +362,39 @@ func (scr *seedScratch) carveRows(m *matrix.Matrix, i1 int, cols []int, delta fl
 // two-extreme loop: answering it from the four-extreme tracker is
 // measurably slower on the yeast stand-in.
 //
+// On the yeast stand-in the first pass keeps 12% of the rows at slack
+// 0 and 31% at slack 1, too many for a well-predicted branch, so it
+// runs without a branch on the outcome: each row index is written to the alive
+// list unconditionally and the list advances when the row passes, and
+// only the survivors' extremes are then sorted into lo/hi (lo2/hi2).
+// The tests are the sorted ones: with slack 0, |y − x| ≤ width equals
+// the sorted y − x ≤ width because negation is exact; with slack 1,
+// min(|y−x|, |z−y|, |z−x|) ≤ width equals "an adjacent sorted gap ≤
+// width", because the outer gap rounds to at least either inner one.
+// Offsets that overflow to ±Inf give the same verdicts both ways.
+//
 // deltavet:hotpath — see carveRows.
 func (scr *seedScratch) carveRowsColumns(m *matrix.Matrix, row1 []float64, cols []int, width float64, slack int) []int {
 	n := m.Rows()
-	alive := scr.carvedRow[:0]
+	alive := scr.carvedRow[:n]
 	lo, hi := scr.lo, scr.hi // per alive row: smallest and largest offset
 	c0, a0 := m.ColView(cols[0])[:n], row1[cols[0]]
 	c1, a1 := m.ColView(cols[1])[:n], row1[cols[1]]
 	if slack == 0 {
+		k := 0
 		for r := range c0 {
+			alive[k] = r
+			if math.Abs((c1[r]-a1)-(c0[r]-a0)) <= width {
+				k++
+			}
+		}
+		alive = alive[:k]
+		for k, r := range alive {
 			x, y := c0[r]-a0, c1[r]-a1
 			if y < x {
 				x, y = y, x
 			}
-			if y-x <= width {
-				lo[len(alive)], hi[len(alive)] = x, y
-				alive = append(alive, r)
-			}
+			lo[k], hi[k] = x, y
 		}
 		for _, j := range cols[2:] {
 			col, a := m.ColView(j), row1[j]
@@ -397,7 +417,16 @@ func (scr *seedScratch) carveRowsColumns(m *matrix.Matrix, row1 []float64, cols 
 	}
 	lo2, hi2 := scr.lo2, scr.hi2 // per alive row: second-smallest and second-largest offset
 	c2, a2 := m.ColView(cols[2])[:n], row1[cols[2]]
+	k := 0
 	for r := range c0 {
+		x, y, z := c0[r]-a0, c1[r]-a1, c2[r]-a2
+		alive[k] = r
+		if min(math.Abs(y-x), math.Abs(z-y), math.Abs(z-x)) <= width {
+			k++
+		}
+	}
+	alive = alive[:k]
+	for k, r := range alive {
 		x, y, z := c0[r]-a0, c1[r]-a1, c2[r]-a2
 		if y < x {
 			x, y = y, x
@@ -408,11 +437,7 @@ func (scr *seedScratch) carveRowsColumns(m *matrix.Matrix, row1 []float64, cols 
 				x, y = y, x
 			}
 		}
-		if y-x <= width || z-y <= width {
-			at := len(alive)
-			lo[at], lo2[at], hi2[at], hi[at] = x, y, y, z
-			alive = append(alive, r)
-		}
+		lo[k], lo2[k], hi2[k], hi[k] = x, y, y, z
 	}
 	for _, j := range cols[3:] {
 		col, a := m.ColView(j), row1[j]
@@ -501,10 +526,12 @@ func refineCandidate(m *matrix.Matrix, rows, cols []int, delta float64, minRows,
 // Neither re-selection gathers at a stride: the column statistics
 // accumulate row by row over the member rows' lists into per-column
 // sums, and the row statistics column by column over the refined
-// columns' lists into per-row sums. Each sum still takes its terms in
-// the order of a direct scan — a column's over rows in row order, a
-// row's over columns in column order — so every operand and rounding
-// step is unchanged.
+// columns' lists into per-row sums (selectRows). Each sum still takes
+// its terms in the order of a direct scan — a column's over rows in
+// row order, a row's over columns in column order — so every operand
+// and rounding step is unchanged. On a complete matrix the row
+// re-selection first rules rows out by the range of their adjusted
+// values and sums only for the survivors (selectRowsComplete).
 //
 // The returned slices are backed by the scratch and stay valid only
 // until the next refine call; callers keeping a result must copy it
@@ -607,38 +634,17 @@ func (scr *seedScratch) refine(m *matrix.Matrix, rows, cols []int, delta float64
 		cols = newCols
 
 		// Re-select rows on the refined columns: a row joins when its
-		// offset-corrected mean absolute deviation is within δ. The
-		// offsets, then the deviations, accumulate in rowSum one
-		// column at a time. Like newCols above, rows is not read
-		// here, so scr.rows can be rebuilt in place.
-		sum, cnt := scr.rowSum, scr.rowCnt
-		clear(sum)
-		clear(cnt)
-		for _, j := range cols {
-			adj := colAdj[j]
-			col := m.ColView(j)
-			for _, i := range scr.colEntries(j) {
-				sum[i] += col[i] - adj
-				cnt[i]++
+		// offset-corrected mean absolute deviation is within δ. Like
+		// newCols above, rows is not read here, so scr.rows can be
+		// rebuilt in place.
+		var newRows []int
+		if scr.complete {
+			newRows = scr.selectRowsComplete(m, cols, delta)
+			if debugInvariants {
+				scr.checkRowSelection(m, cols, delta, minCols, newRows)
 			}
-		}
-		off := scr.rowOff // the medians are spent; reuse their slice
-		for i, s := range sum {
-			off[i] = s / float64(cnt[i])
-			sum[i] = 0
-		}
-		for _, j := range cols {
-			adj := colAdj[j]
-			col := m.ColView(j)
-			for _, i := range scr.colEntries(j) {
-				sum[i] += math.Abs(col[i] - adj - off[i])
-			}
-		}
-		newRows := scr.rows[:0]
-		for i, dev := range sum {
-			if n := cnt[i]; n >= minCols && dev/float64(n) <= delta {
-				newRows = append(newRows, i)
-			}
+		} else {
+			newRows = scr.selectRows(m, cols, delta, minCols, scr.rows[:0])
 		}
 		if len(newRows) < minRows {
 			return nil, nil
@@ -646,6 +652,157 @@ func (scr *seedScratch) refine(m *matrix.Matrix, rows, cols []int, delta float64
 		rows = newRows
 	}
 	return rows, cols
+}
+
+// selectRows is refine's row re-selection over the specified-entry
+// lists: a row joins when it is specified in at least minCols of cols
+// and its offset-corrected mean absolute deviation on them is within
+// δ. The offsets, then the deviations, accumulate in rowSum one column
+// at a time, each row's terms in ascending column order. The rows are
+// appended to dst in ascending order.
+//
+// deltavet:hotpath — refine's row re-selection on matrices with
+// missing entries.
+func (scr *seedScratch) selectRows(m *matrix.Matrix, cols []int, delta float64, minCols int, dst []int) []int {
+	colAdj := scr.colAdj
+	sum, cnt := scr.rowSum, scr.rowCnt
+	clear(sum)
+	clear(cnt)
+	for _, j := range cols {
+		adj := colAdj[j]
+		col := m.ColView(j)
+		for _, i := range scr.colEntries(j) {
+			sum[i] += col[i] - adj
+			cnt[i]++
+		}
+	}
+	off := scr.rowOff // refine's medians are spent; reuse their slice
+	for i, s := range sum {
+		off[i] = s / float64(cnt[i])
+		sum[i] = 0
+	}
+	for _, j := range cols {
+		adj := colAdj[j]
+		col := m.ColView(j)
+		for _, i := range scr.colEntries(j) {
+			sum[i] += math.Abs(col[i] - adj - off[i])
+		}
+	}
+	for i, dev := range sum {
+		if n := cnt[i]; n >= minCols && dev/float64(n) <= delta {
+			dst = append(dst, i)
+		}
+	}
+	return dst
+}
+
+// selectRowsComplete is selectRows on a complete matrix, where every
+// row is specified in all n = len(cols) ≥ minCols columns (at least
+// three in seeding, and the first pair needs two). Only a few
+// percent of the rows pass (on the yeast stand-in about 3% survive the
+// pre-filter below and 2.5% are accepted), so instead of two passes of
+// every row over every column it first rules rows out by a bound.
+//
+// With y_j = col_j[i] − colAdj[j], a row's deviation sum is
+// Σ_j |y_j − off| ≥ max_j y_j − min_j y_j for any offset off, so an
+// accepted row's range of y is at most n·δ up to rounding; rangeBound
+// gives the threshold that provably covers the rounding. The columns
+// stream through the column-major mirror as in carveRowsColumns: the
+// first pair is tested for every row without a branch (the row index
+// is written unconditionally and the list advances on the test), and
+// each later column updates the running min and max (in scr.lo/hi)
+// only of the rows still alive, dropping a row once its range exceeds
+// the bound (a range only grows as columns arrive, and rounds
+// monotonically, so a partial range past the bound rules the row out
+// as surely as the full one). The few survivors then take exactly selectRows'
+// arithmetic: the offset and the deviation sums over the same operands
+// in ascending column order, and the same dev/n ≤ δ test. The result
+// is written over the alive list in scr.rows.
+//
+// deltavet:hotpath — refine's row re-selection on complete matrices.
+func (scr *seedScratch) selectRowsComplete(m *matrix.Matrix, cols []int, delta float64) []int {
+	nr, n := m.Rows(), len(cols)
+	bound := rangeBound(n, delta)
+	colAdj := scr.colAdj
+	lo, hi := scr.lo, scr.hi
+	c0, a0 := m.ColView(cols[0])[:nr], colAdj[cols[0]]
+	c1, a1 := m.ColView(cols[1])[:nr], colAdj[cols[1]]
+	alive := scr.rows[:nr]
+	k := 0
+	for r := range c0 {
+		alive[k] = r
+		if math.Abs((c1[r]-a1)-(c0[r]-a0)) <= bound {
+			k++
+		}
+	}
+	alive = alive[:k]
+	for k, r := range alive {
+		lo[k], hi[k] = min(c0[r]-a0, c1[r]-a1), max(c0[r]-a0, c1[r]-a1)
+	}
+	for _, j := range cols[2:] {
+		col, a := m.ColView(j), colAdj[j]
+		kept := alive[:0]
+		for k, r := range alive {
+			l, h := lo[k], hi[k]
+			if y := col[r] - a; y < l {
+				l = y
+			} else if y > h {
+				h = y
+			}
+			if h-l <= bound {
+				lo[len(kept)], hi[len(kept)] = l, h
+				kept = append(kept, r)
+			}
+		}
+		alive = kept
+	}
+	rows := alive[:0]
+	for _, r := range alive {
+		row := m.RowView(r)
+		s := 0.0
+		for _, j := range cols {
+			s += row[j] - colAdj[j]
+		}
+		off := s / float64(n)
+		dev := 0.0
+		for _, j := range cols {
+			dev += math.Abs(row[j] - colAdj[j] - off)
+		}
+		if dev/float64(n) <= delta {
+			rows = append(rows, r)
+		}
+	}
+	return rows
+}
+
+// rangeBound returns the threshold above which a row's range of
+// adjusted values y_j, computed as fl(max − min), rules out
+// fl(D/n) ≤ δ for its computed deviation sum D = Σ_j |y_j − off| over
+// n terms, whatever its offset off. It is n·δ with a relative margin
+// of 1e-9, or +Inf (no pre-filter) where the argument below does not
+// hold.
+//
+// Let u = 2⁻⁵³ and let Y, X be the largest and smallest y_j. If the row
+// is accepted, D and every term are finite, and a sum or difference
+// that lands in the subnormal range is exact, so every rounding step is
+// relative: each term |fl(y_j − off)| ≥ (1−u)·|y_j − off|, the n−1
+// additions of nonnegative terms lose at most a factor (1−u) each, and
+// with Σ|y_j − off| ≥ Y − X that gives D ≥ (1−u)ⁿ·(Y − X). For a
+// normal δ, fl(D/n) ≤ δ implies D/n ≤ δ + ulp(δ)/2 ≤ (1+u)·δ, so
+// Y − X ≤ (1+u)/(1−u)ⁿ·n·δ. The bound is fl(fl(n·δ)·c) with
+// fl(n·δ) ≥ (1−u)·n·δ and c = fl(1 + 1e-9) ≥ 1 + 1e-9 − u. For
+// n + 1 ≤ 2²², (1−u)ⁿ⁺¹ ≥ 1 − 2⁻³¹ and (1 − 2⁻³¹)·(1 + 1e-9 − u) >
+// 1 + u, so Y − X ≤ fl(n·δ)·c; rounding is monotone, so the computed
+// range is at most the computed bound, overflow included.
+//
+// A row with a non-finite y_j fails the exact test (its offset and
+// then its deviation sum turn infinite or NaN), so it does not matter
+// whether the filter keeps it or drops it on a NaN range.
+func rangeBound(n int, delta float64) float64 {
+	if n+1 > 1<<22 || !(delta >= 0x1p-1022) {
+		return math.Inf(1)
+	}
+	return float64(n) * delta * (1 + 1e-9)
 }
 
 // score prices the refined candidate rows × cols with costOf and

@@ -234,22 +234,30 @@ func carveRowsReference(m *matrix.Matrix, i1 int, cols []int, delta float64, nee
 // its definition: on complete matrices the column-major path (slack 0
 // and 1) and the row-wise path must return the reference row set, and
 // on a matrix with missing entries the row-wise path must. Values sit
-// on a lattice with signed zeros, so offsets tie and spans land
-// exactly on the window width.
+// on a lattice with signed zeros, so offsets tie and the offsets of a
+// row's first carved columns differ by exactly the window width. Every
+// fifth matrix also holds values near ±1e308, whose offsets against
+// the anchor overflow to ±Inf; on those the column-major paths must
+// match the row-wise path (see below). The test requires enough
+// accepted rows whose first two offsets sit exactly a window apart,
+// and enough overflowed offsets.
 func TestCarveRowsPathsAgree(t *testing.T) {
 	rng := stats.NewRNG(8)
+	var atWidth, overflowed int
 	for trial := 0; trial < 400; trial++ {
 		rows, cols := 30+rng.Intn(40), 4+rng.Intn(8)
 		scale := []float64{1, 0.1}[trial%2]
 		missing := trial%4 == 3
+		huge := trial%5 == 4
 		data := make([][]float64, rows)
 		for i := range data {
 			data[i] = clumpValues(rng, cols, scale)
-			if missing {
-				for j := range data[i] {
-					if rng.Bool(0.15) {
-						data[i][j] = math.NaN()
-					}
+			for j := range data[i] {
+				switch {
+				case missing && rng.Bool(0.15):
+					data[i][j] = math.NaN()
+				case huge && rng.Bool(0.2):
+					data[i][j] = []float64{1.7e308, -1.7e308, 1e308, -1e308}[rng.Intn(4)]
 				}
 			}
 		}
@@ -280,6 +288,30 @@ func TestCarveRowsPathsAgree(t *testing.T) {
 				continue
 			}
 			want := carveRowsReference(m, i1, carve, delta, need)
+			if huge {
+				// densestWindow reads the span of two same-sign
+				// infinite offsets, Inf − Inf = NaN, as no wider than
+				// the window, and counts them as a clump; every
+				// carve kernel compares the span with ≤ and does not.
+				// Here the column-major paths are held to the
+				// row-wise one instead.
+				scr.complete = false
+				want = slices.Clone(scr.carveRows(m, i1, carve, delta, need))
+			}
+			row1 := m.RowView(i1)
+			for _, r := range want {
+				x, y := m.RowView(r)[carve[0]]-row1[carve[0]], m.RowView(r)[carve[1]]-row1[carve[1]]
+				if math.Abs(y-x) == 2*delta {
+					atWidth++
+				}
+			}
+			for r := 0; r < rows; r++ {
+				for _, j := range carve {
+					if math.IsInf(m.RowView(r)[j]-row1[j], 0) {
+						overflowed++
+					}
+				}
+			}
 			paths := []bool{false}
 			if !missing {
 				paths = append(paths, true)
@@ -294,6 +326,11 @@ func TestCarveRowsPathsAgree(t *testing.T) {
 			}
 		}
 	}
+	if atWidth < 100 || overflowed < 100 {
+		t.Errorf("%d accepted rows with the first two offsets a window apart, %d overflowed offsets; want at least 100 of each",
+			atWidth, overflowed)
+	}
+	t.Logf("%d accepted rows with the first two offsets a window apart, %d overflowed offsets", atWidth, overflowed)
 }
 
 // TestAnchoredSeedsAllocations bounds anchoredSeeds' allocations by K

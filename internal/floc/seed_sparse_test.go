@@ -121,40 +121,48 @@ func denseRefine(m *matrix.Matrix, rows, cols []int, delta float64, minRows, min
 		}
 		cols = newCols
 
-		sum := make([]float64, m.Rows())
-		cnt := make([]int, m.Rows())
-		for _, j := range cols {
-			for i, v := range m.ColView(j) {
-				if !math.IsNaN(v) {
-					sum[i] += v - colAdj[j]
-					cnt[i]++
-				}
-			}
-		}
-		off := make([]float64, m.Rows())
-		for i, s := range sum {
-			off[i] = s / float64(cnt[i])
-			sum[i] = 0
-		}
-		for _, j := range cols {
-			for i, v := range m.ColView(j) {
-				if !math.IsNaN(v) {
-					sum[i] += math.Abs(v - colAdj[j] - off[i])
-				}
-			}
-		}
-		var newRows []int
-		for i, dev := range sum {
-			if n := cnt[i]; n >= minCols && dev/float64(n) <= delta {
-				newRows = append(newRows, i)
-			}
-		}
+		newRows := denseSelectRows(m, cols, colAdj, delta, minCols)
 		if len(newRows) < minRows {
 			return nil, nil
 		}
 		rows = newRows
 	}
 	return rows, cols
+}
+
+// denseSelectRows is refine's row re-selection over whole columns: the
+// rows specified in at least minCols of cols whose offset-corrected
+// mean absolute deviation against colAdj is within δ.
+func denseSelectRows(m *matrix.Matrix, cols []int, colAdj []float64, delta float64, minCols int) []int {
+	sum := make([]float64, m.Rows())
+	cnt := make([]int, m.Rows())
+	for _, j := range cols {
+		for i, v := range m.ColView(j) {
+			if !math.IsNaN(v) {
+				sum[i] += v - colAdj[j]
+				cnt[i]++
+			}
+		}
+	}
+	off := make([]float64, m.Rows())
+	for i, s := range sum {
+		off[i] = s / float64(cnt[i])
+		sum[i] = 0
+	}
+	for _, j := range cols {
+		for i, v := range m.ColView(j) {
+			if !math.IsNaN(v) {
+				sum[i] += math.Abs(v - colAdj[j] - off[i])
+			}
+		}
+	}
+	var rows []int
+	for i, dev := range sum {
+		if n := cnt[i]; n >= minCols && dev/float64(n) <= delta {
+			rows = append(rows, i)
+		}
+	}
+	return rows
 }
 
 // listKernelMatrix draws a matrix for the list-kernel properties: a
@@ -329,4 +337,178 @@ func TestListKernelsMatchDense(t *testing.T) {
 		}
 	}
 	t.Logf("non-empty carves %v, non-empty refinements %v at missing fractions %v", carved, refined, fractions)
+	t.Run("row selection boundaries", testRowSelectionBoundaries)
+}
+
+// testRowSelectionBoundaries pins refine's pre-filtered row
+// re-selection on complete matrices (selectRowsComplete) to the dense
+// row re-selection and to the list-based one, on rows built to sit at
+// the edges of its range bound: adjusted values whose range is exactly
+// n·δ or a few ulps either side of it, with deviation exactly n·δ
+// (dev/n == δ) when the arithmetic is exact; rows drawn until one is
+// accepted with a computed range above n·δ, the case the bound's
+// margin exists for; signed zeros in values and column adjustments;
+// and values near ±1e308 whose adjusted value x − colAdj overflows to
+// ±Inf. The column adjustments are set directly. Whole refinements of
+// the same matrices are checked against denseRefine as well. The test
+// requires that enough accepted rows of each boundary kind occur.
+func testRowSelectionBoundaries(t *testing.T) {
+	rng := stats.NewRNG(29)
+	const minCols, minRows = 3, 3
+	var marginNeeded, atDelta, overflowed int
+	for trial := 0; trial < 400; trial++ {
+		nr, nc := 40+rng.Intn(40), 3+rng.Intn(14)
+		delta := []float64{0.1, 0.7, 1.1, 2, 20, 0.25, 0x1p-1070}[rng.Intn(7)]
+		cols := ascendingSubset(rng, nc, 0.7)
+		if len(cols) < minCols {
+			continue
+		}
+		n := len(cols)
+		adj := make([]float64, nc)
+		for j := range adj {
+			switch rng.Intn(8) {
+			case 0:
+				adj[j] = math.Copysign(0, -1)
+			case 1:
+				adj[j] = []float64{1e308, -1e308}[rng.Intn(2)]
+			default:
+				adj[j] = float64(rng.Intn(41)-20) * 0.1
+			}
+		}
+		// A huge adjustment swallows the constructed values, and a
+		// subnormal δ leaves no room between ulps: no redraw can then
+		// reach a range above n·δ that the exact test accepts.
+		redraw := delta >= 0x1p-1022
+		for _, j := range cols {
+			redraw = redraw && math.Abs(adj[j]) < 1e300
+		}
+		data := make([][]float64, nr)
+		for i := range data {
+			row := clumpValues(rng, nc, 0.1)
+			kind := rng.Intn(5)
+			if kind == 2 && !redraw {
+				kind = 0
+			}
+			switch kind {
+			case 0, 1:
+				boundaryRow(rng, row, cols, adj, delta)
+			case 2:
+				// Redraw until the exact test accepts a computed range
+				// above n·δ.
+				for try := 0; try < 1000; try++ {
+					boundaryRow(rng, row, cols, adj, delta)
+					if r, dev := adjustedRowStats(row, cols, adj); dev <= delta && r > float64(n)*delta {
+						break
+					}
+				}
+			case 3:
+				for _, j := range cols {
+					row[j] = math.Copysign(0, float64(2*rng.Intn(2)-1))
+				}
+			case 4:
+				for _, j := range cols {
+					if rng.Bool(0.5) {
+						row[j] = []float64{1.7e308, -1.7e308, 1e308, -1e308}[rng.Intn(4)]
+					}
+				}
+			}
+			data[i] = row
+		}
+		m, err := matrix.NewFromRows(data)
+		if err != nil {
+			t.Fatal(err)
+		}
+		scr := newSeedScratch(m)
+		if !scr.complete {
+			t.Fatalf("trial %d: boundary matrix is not complete", trial)
+		}
+		copy(scr.colAdj, adj)
+		want := denseSelectRows(m, cols, adj, delta, minCols)
+		if got := scr.selectRows(m, cols, delta, minCols, nil); !slices.Equal(got, want) {
+			t.Fatalf("trial %d: list row selection %v, dense %v", trial, got, want)
+		}
+		if got := scr.selectRowsComplete(m, cols, delta); !slices.Equal(got, want) {
+			t.Fatalf("trial %d (n=%d, δ=%v): pre-filtered row selection %v, dense %v", trial, n, delta, got, want)
+		}
+		for _, i := range want {
+			r, dev := adjustedRowStats(m.RowView(i), cols, adj)
+			if r > float64(n)*delta {
+				marginNeeded++
+			}
+			if dev == delta {
+				atDelta++
+			}
+		}
+		for i := 0; i < nr; i++ {
+			for _, j := range cols {
+				if math.IsInf(m.RowView(i)[j]-adj[j], 0) {
+					overflowed++
+				}
+			}
+		}
+
+		rows := ascendingSubset(rng, nr, 0.5)
+		wantR, wantC := denseRefine(m, rows, slices.Clone(cols), delta, minRows, minCols)
+		gotR, gotC := scr.refine(m, rows, slices.Clone(cols), delta, minRows, minCols)
+		if !slices.Equal(gotR, wantR) || !slices.Equal(gotC, wantC) {
+			t.Fatalf("trial %d: refine(%v, %v) = %v × %v, dense %v × %v", trial, rows, cols, gotR, gotC, wantR, wantC)
+		}
+	}
+	if marginNeeded < 50 || atDelta < 50 || overflowed < 50 {
+		t.Errorf("accepted rows with a range above n·δ: %d, at dev/n == δ: %d; overflowed adjusted values: %d; want at least 50 of each",
+			marginNeeded, atDelta, overflowed)
+	}
+	t.Logf("accepted rows with a range above n·δ: %d, at dev/n == δ: %d; overflowed adjusted values: %d", marginNeeded, atDelta, overflowed)
+}
+
+// boundaryRow sets row's entries in cols so that their adjusted values
+// y_j = row[j] − adj[j] are base + n·δ/2, except for two extremes
+// base and base + n·δ (n = len(cols)). The extremes move outward by up
+// to three ulps and the others by one ulp either way half the time, so
+// the range lands on n·δ or just past it.
+func boundaryRow(rng *stats.RNG, row []float64, cols []int, adj []float64, delta float64) {
+	nd := float64(len(cols)) * delta
+	base := float64(rng.Intn(100)) * 0.1
+	a := rng.Intn(len(cols))
+	b := (a + 1 + rng.Intn(len(cols)-1)) % len(cols)
+	for k, j := range cols {
+		var y float64
+		switch k {
+		case a:
+			y = base
+			for s := rng.Intn(4); s > 0; s-- {
+				y = math.Nextafter(y, math.Inf(-1))
+			}
+		case b:
+			y = base + nd
+			for s := rng.Intn(4); s > 0; s-- {
+				y = math.Nextafter(y, math.Inf(1))
+			}
+		default:
+			y = base + nd/2
+			if rng.Bool(0.5) {
+				y = math.Nextafter(y, math.Inf(2*rng.Intn(2)-1))
+			}
+		}
+		row[j] = y + adj[j]
+	}
+}
+
+// adjustedRowStats returns the computed range of row's adjusted values
+// on cols and its mean absolute deviation dev/n, with refine's
+// arithmetic.
+func adjustedRowStats(row []float64, cols []int, adj []float64) (span, devPerCol float64) {
+	lo, hi := math.Inf(1), math.Inf(-1)
+	s := 0.0
+	for _, j := range cols {
+		y := row[j] - adj[j]
+		lo, hi = min(lo, y), max(hi, y)
+		s += y
+	}
+	off := s / float64(len(cols))
+	dev := 0.0
+	for _, j := range cols {
+		dev += math.Abs(row[j] - adj[j] - off)
+	}
+	return hi - lo, dev / float64(len(cols))
 }
