@@ -84,10 +84,11 @@ func BenchmarkResidueWithPacked(b *testing.B) {
 // BenchmarkProbe measures the read-only probes behind every exact gain
 // evaluation, one leg per probe kind, on the bench cluster with its
 // evaluation pack enabled (the FLOC engine's configuration). One op is
-// one Load plus one toggled-residue scan; "row-insert-x4" is one pass
-// of the batched kernel serving four row insertions, so its ns/op
-// covers four candidates. Probes write nothing, so every op sees the
-// same state.
+// one Load plus one toggled-residue scan; "row-insert-xN" is one call
+// of the batched kernel serving N row insertions (Loads included), so
+// its ns/op covers N candidates: one AVX2 pass for both widths where
+// the CPU has AVX2, N/4 passes of the portable kernel otherwise.
+// Probes write nothing, so every op sees the same state.
 func BenchmarkProbe(b *testing.B) {
 	m := benchMatrix(b)
 	cl := benchCluster(b, m)
@@ -105,18 +106,22 @@ func BenchmarkProbe(b *testing.B) {
 			_ = sink
 		}
 	}
-	b.Run("row-insert-x4", func(b *testing.B) {
-		var ps [4]Probe
-		var out [4]float64
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			for q := range ps {
-				ps[q].Load(cl, true, 1+3*q) // rows 1, 4, 7, 10 are not members
+	batch := func(n int) func(b *testing.B) {
+		return func(b *testing.B) {
+			ps := make([]Probe, n)
+			out := make([]float64, n)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				for q := range ps {
+					ps[q].Load(cl, true, 1+3*q) // rows 1, 4, 7, …, 46 are not members
+				}
+				RowInsertionResidues(ps, ArithmeticMean, out)
 			}
-			RowInsertionResidues(ps[:], ArithmeticMean, out[:])
 		}
-	})
+	}
+	b.Run("row-insert-x4", batch(4))
+	b.Run("row-insert-x16", batch(16))
 	b.Run("row-remove", single(true, 3))  // row 3 is a member
 	b.Run("col-insert", single(false, 0)) // column 0 is not a member
 	b.Run("col-remove", single(false, 1)) // column 1 is a member

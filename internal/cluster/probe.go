@@ -45,10 +45,21 @@ import (
 //
 // Row insertions dominate the exact decide phase, and every one of a
 // cluster's candidates rescans the same frozen pack with its own
-// column bases. RowInsertionResidues therefore serves up to four
-// candidates per pass: each pack entry is loaded and offset by its row
-// base once, and each candidate accumulates its own terms in its own
-// accumulator, in exactly the order its single scan would.
+// column bases. RowInsertionResidues therefore serves up to sixteen
+// candidates (lanes) at once: each pack entry is loaded, tested for
+// NaN and offset by its row base once, and each lane accumulates its
+// own terms in its own accumulator, in exactly the order its single
+// scan would. Two kernels do this and return the same bits:
+//
+//   - On amd64 CPUs with AVX2 (detected once, at package init), an
+//     assembly kernel serves all sixteen lanes in one pass, four ymm
+//     registers of four lanes each, with the lanes' column bases
+//     interleaved per column (probe_amd64.s states why it is exact).
+//   - Elsewhere, and under the purego build tag, packSums4 serves the
+//     lanes in groups of four, one pass over the pack per group.
+//
+// The inserted row's own terms and the final division stay in Go
+// (scanRow), shared by both.
 
 // Probe is one membership toggle of a cluster — row or column idx, in
 // if absent and out if present — and answers for the toggled state.
@@ -67,6 +78,7 @@ type Probe struct {
 	cnt          int       // the item's specified entries over the cross axis
 	vals         []float64 // the item's values at the cross-axis members, in internal order
 	cb           []float64 // column bases the scan reads
+	cbT          []float64 // a batch's column bases, interleaved per column (AVX2 kernel)
 }
 
 // Load targets p at toggling row (isRow) or column idx of c, folding
@@ -235,7 +247,7 @@ func (p *Probe) Residue(mean ResidueMean) float64 {
 	}
 	if p.isRow && p.pos < 0 {
 		var out [1]float64
-		rowInsertionResidues(&[4]*Probe{p, p, p, p}, 1, mean, out[:])
+		rowInsertionResidues(&[RowInsertionLanes]*Probe{p}, 1, mean, out[:])
 		return out[0]
 	}
 	c := p.c
@@ -339,19 +351,25 @@ func scanRow(sum float64, vals []float64, rowBase float64, cb []float64, base fl
 	return sum
 }
 
+// RowInsertionLanes is the most row insertions RowInsertionResidues
+// scores in one pass: four ymm registers of four float64 lanes each.
+const RowInsertionLanes = 16
+
 // RowInsertionResidues sets out[q] to ps[q].Residue(mean) for one to
-// four row-insertion probes of the same cluster, in one pass over the
-// cluster's pack. Duplicate candidates are allowed.
+// RowInsertionLanes row-insertion probes of the same cluster, in one
+// pass over the cluster's pack (one per group of four lanes on the
+// portable kernel). Duplicate candidates are allowed. ps[0] owns the
+// pass's scratch.
 //
 // deltavet:hotpath — the batched exact gain kernel of the decide phase.
 func RowInsertionResidues(ps []Probe, mean ResidueMean, out []float64) {
 	n := len(ps)
-	if n == 0 || n > 4 || len(out) < n {
+	if n == 0 || n > RowInsertionLanes || len(out) < n {
 		panic(fmt.Sprintf("cluster: RowInsertionResidues: %d probes, %d results", n, len(out)))
 	}
-	var lanes [4]*Probe
-	for q := range lanes {
-		p := &ps[min(q, n-1)]
+	var lanes [RowInsertionLanes]*Probe
+	for q := range ps {
+		p := &ps[q]
 		if !p.isRow || p.pos >= 0 || p.c != ps[0].c {
 			panic("cluster: RowInsertionResidues: not row insertions into one cluster")
 		}
@@ -360,23 +378,88 @@ func RowInsertionResidues(ps []Probe, mean ResidueMean, out []float64) {
 	rowInsertionResidues(&lanes, n, mean, out)
 }
 
-// rowInsertionResidues is the four-lane kernel behind
-// RowInsertionResidues and the single row-insertion Residue. Lanes at
-// and past n repeat lane n−1; their sums are discarded. A lane whose
-// toggled volume is 0 reports 0, as ResidueWith does: its cluster has
-// no specified pack entry, so its NaN base is never read.
-func rowInsertionResidues(ps *[4]*Probe, n int, mean ResidueMean, out []float64) {
-	c := ps[0].c
-	var cbs [4][]float64
-	var bs [4]float64
-	for q, p := range ps {
-		if q >= n {
-			cbs[q], bs[q] = cbs[n-1], bs[n-1]
+// rowInsertionResidues is the batched kernel behind
+// RowInsertionResidues and the single row-insertion Residue: it scores
+// lanes ps[0..n−1] (1 ≤ n ≤ RowInsertionLanes). A lane whose toggled
+// volume is 0 reports 0, as ResidueWith does: its cluster has no
+// specified pack entry, so its NaN base is never read.
+func rowInsertionResidues(ps *[RowInsertionLanes]*Probe, n int, mean ResidueMean, out []float64) {
+	var l lanes
+	l.load(ps, n)
+	sums := l.scan(ps[0], mean, useAVX2)
+	for q := 0; q < n; q++ {
+		p := ps[q]
+		if p.volume == 0 {
+			out[q] = 0
 			continue
 		}
-		cbs[q] = p.rowToggleBases()
-		bs[q] = p.total / float64(p.volume)
+		// The inserted row is the toggled pack's last block.
+		sum := scanRow(sums[q], p.vals, p.sum/float64(p.cnt), l.cbs[q], l.bs[q], mean)
+		out[q] = sum / float64(p.volume)
 	}
+}
+
+// lanes is one pass's candidates: each lane's toggled column bases and
+// toggled overall base. Lanes at and past n repeat lane n−1; their
+// sums are discarded.
+type lanes struct {
+	c   *Cluster
+	n   int
+	cbs [RowInsertionLanes][]float64
+	bs  [RowInsertionLanes]float64
+}
+
+// load fills l from row-insertion probes ps[0..n−1] of one cluster.
+func (l *lanes) load(ps *[RowInsertionLanes]*Probe, n int) {
+	l.c, l.n = ps[0].c, n
+	for q := range l.cbs {
+		if q >= n {
+			l.cbs[q], l.bs[q] = l.cbs[n-1], l.bs[n-1]
+			continue
+		}
+		p := ps[q]
+		l.cbs[q] = p.rowToggleBases()
+		l.bs[q] = p.total / float64(p.volume)
+	}
+}
+
+// scan returns every lane's sum of residue terms over the pack, the
+// existing rows scanned with the lane's toggled bases. With avx2 the
+// sixteen-lane kernel runs (owner's cbT holds its interleaved column
+// bases); otherwise packSums4 serves the lanes in groups of four. Both
+// return the same bits.
+func (l *lanes) scan(owner *Probe, mean ResidueMean, avx2 bool) (sums [RowInsertionLanes]float64) {
+	c := l.c
+	nc := len(l.cbs[0])
+	if !avx2 {
+		for g := 0; g < l.n; g += 4 {
+			packSums4(c, (*[4][]float64)(l.cbs[g:g+4]), (*[4]float64)(l.bs[g:g+4]), mean, (*[4]float64)(sums[g:g+4]))
+		}
+		return sums
+	}
+	rows := len(c.memberRows)
+	if rows == 0 || nc == 0 {
+		return sums
+	}
+	cbT := growFloats(owner.cbT, nc*RowInsertionLanes)
+	owner.cbT = cbT
+	for q, cb := range l.cbs {
+		for k, x := range cb[:nc] {
+			cbT[k*RowInsertionLanes+q] = x
+		}
+	}
+	s := c.packStride
+	// The kernel reads the pack up to this entry and rows row bases.
+	_, _ = c.pack[(rows-1)*s+nc-1], c.packBases[rows-1]
+	rowInsertionsAVX2(&c.pack[0], s, rows, nc, &c.packBases[0], &cbT[0], &l.bs, &sums, mean == SquaredMean)
+	return sums
+}
+
+// packSums4 sets sums[q] to lane q's sum of residue terms over the
+// pack for four lanes: each pack entry is loaded and offset by its row
+// base once, and each lane accumulates its own terms in its own
+// accumulator, in exactly the order its single scan would.
+func packSums4(c *Cluster, cbs *[4][]float64, bs *[4]float64, mean ResidueMean, sums *[4]float64) {
 	cb0 := cbs[0]
 	nc := len(cb0)
 	cb1, cb2, cb3 := cbs[1][:nc], cbs[2][:nc], cbs[3][:nc]
@@ -417,15 +500,5 @@ func rowInsertionResidues(ps *[4]*Probe, n int, mean ResidueMean, out []float64)
 			}
 		}
 	}
-	sums := [4]float64{s0, s1, s2, s3}
-	for q := 0; q < n; q++ {
-		p := ps[q]
-		if p.volume == 0 {
-			out[q] = 0
-			continue
-		}
-		// The inserted row is the toggled pack's last block.
-		sum := scanRow(sums[q], p.vals, p.sum/float64(p.cnt), cbs[q], bs[q], mean)
-		out[q] = sum / float64(p.volume)
-	}
+	*sums = [4]float64{s0, s1, s2, s3}
 }

@@ -174,15 +174,15 @@ func TestProbeMatchesToggledClone(t *testing.T) {
 }
 
 // TestRowInsertionResiduesBatches checks the batched kernel at every
-// width from 1 to 4, duplicate candidates included, against the
-// residue of each candidate really inserted.
+// width from 1 to RowInsertionLanes, duplicate candidates included,
+// against the residue of each candidate really inserted.
 func TestRowInsertionResiduesBatches(t *testing.T) {
 	for _, missing := range []float64{0, 0.3, 0.9} {
 		for seed := int64(1); seed <= 3; seed++ {
 			m := probeMatrix(seed*7+int64(missing*10), 12, 8, missing)
 			rng := stats.NewRNG(seed * 101)
-			var ps [4]Probe
-			var out [4]float64
+			var ps [RowInsertionLanes]Probe
+			var out [RowInsertionLanes]float64
 			probeStates(t, m, seed+50, 50, func(c *Cluster) {
 				var cands []int
 				for i := 0; i < m.Rows(); i++ {
@@ -194,13 +194,13 @@ func TestRowInsertionResiduesBatches(t *testing.T) {
 					return
 				}
 				before := exactBits(c)
-				for trial := 0; trial < 8; trial++ {
-					w := 1 + trial%4
+				for trial := 0; trial < RowInsertionLanes; trial++ {
+					w := 1 + trial
 					rows := make([]int, w)
 					for q := range rows {
 						rows[q] = cands[rng.Intn(len(cands))]
 					}
-					if trial == 7 {
+					if w > 1 && trial%4 == 3 {
 						rows[1] = rows[0] // a duplicate candidate
 					}
 					for _, mean := range []ResidueMean{ArithmeticMean, SquaredMean} {

@@ -22,9 +22,11 @@ import (
 // pre-checks, then violatesToggled on the probe. evalAction adds the
 // gain of one tier. decideRange scores a whole range of items cluster
 // by cluster; under the exact tier it batches each cluster's row
-// insertions four per pass over the cluster's pack. Row insertions are
-// where the exact tier's time goes: 91% of the entries scanned on the
-// synthetic-iterate benchmark workload.
+// insertions sixteen at a time (cluster.RowInsertionLanes), one pass
+// over the cluster's pack with the AVX2 kernel, one per four with the
+// portable one. Row insertions are where the exact tier's time goes:
+// 91% of the entries scanned on the synthetic-iterate benchmark
+// workload.
 
 // decision records the chosen action for one row or column: toggling
 // its membership in cluster clusterIdx, expected to change that
@@ -46,9 +48,9 @@ var negInf = math.Inf(-1)
 // decision slot each one serves and its scored residue.
 type probeScratch struct {
 	one   cluster.Probe
-	batch [4]cluster.Probe
-	at    [4]int
-	res   [4]float64
+	batch [cluster.RowInsertionLanes]cluster.Probe
+	at    [cluster.RowInsertionLanes]int
+	res   [cluster.RowInsertionLanes]float64
 }
 
 // evalAction returns the gain of toggling item (isRow, idx) in cluster
@@ -369,7 +371,7 @@ func (e *engine) decideOne(isRow bool, idx int) decision {
 // best so far, so the lowest cluster index wins ties and every
 // decision — and the gainEvals tally — is the one an item-by-item loop
 // over the clusters produces. Under the exact tier the non-member rows
-// of a cluster are scored four per pass over its pack
+// of a cluster are scored in batches of cluster.RowInsertionLanes
 // (cluster.RowInsertionResidues).
 //
 // deltavet:hotpath — the decide phase's kernel; everything it

@@ -178,7 +178,8 @@ func clumpValues(rng *stats.RNG, n int, scale float64) []float64 {
 // its definition on random slices: clumps(xs, need, w) must equal
 // densestWindow(xs, w) ≥ need for every need, with widths drawn from
 // the slice's own pair differences (the boundary case) as well as
-// fixed ones.
+// fixed ones. Every third slice also holds infinite values, the
+// offsets of entries near ±1e308, which never clump.
 func TestClumpsMatchesDensestWindow(t *testing.T) {
 	rng := stats.NewRNG(21)
 	for trial := 0; trial < 4000; trial++ {
@@ -190,6 +191,13 @@ func TestClumpsMatchesDensestWindow(t *testing.T) {
 		widths := []float64{0, scale, 2.5 * scale}
 		if len(xs) >= 2 {
 			widths = append(widths, xs[rng.Intn(len(xs))]-xs[rng.Intn(len(xs))])
+		}
+		if trial%3 == 2 {
+			for i := range xs {
+				if rng.Bool(0.3) {
+					xs[i] = math.Inf(1 - 2*rng.Intn(2))
+				}
+			}
 		}
 		for _, w := range widths {
 			if w < 0 {
@@ -237,10 +245,9 @@ func carveRowsReference(m *matrix.Matrix, i1 int, cols []int, delta float64, nee
 // on a lattice with signed zeros, so offsets tie and the offsets of a
 // row's first carved columns differ by exactly the window width. Every
 // fifth matrix also holds values near ±1e308, whose offsets against
-// the anchor overflow to ±Inf; on those the column-major paths must
-// match the row-wise path (see below). The test requires enough
-// accepted rows whose first two offsets sit exactly a window apart,
-// and enough overflowed offsets.
+// the anchor overflow to ±Inf and never clump. The test requires
+// enough accepted rows whose first two offsets sit exactly a window
+// apart, and enough overflowed offsets.
 func TestCarveRowsPathsAgree(t *testing.T) {
 	rng := stats.NewRNG(8)
 	var atWidth, overflowed int
@@ -288,16 +295,6 @@ func TestCarveRowsPathsAgree(t *testing.T) {
 				continue
 			}
 			want := carveRowsReference(m, i1, carve, delta, need)
-			if huge {
-				// densestWindow reads the span of two same-sign
-				// infinite offsets, Inf − Inf = NaN, as no wider than
-				// the window, and counts them as a clump; every
-				// carve kernel compares the span with ≤ and does not.
-				// Here the column-major paths are held to the
-				// row-wise one instead.
-				scr.complete = false
-				want = slices.Clone(scr.carveRows(m, i1, carve, delta, need))
-			}
 			row1 := m.RowView(i1)
 			for _, r := range want {
 				x, y := m.RowView(r)[carve[0]]-row1[carve[0]], m.RowView(r)[carve[1]]-row1[carve[1]]
