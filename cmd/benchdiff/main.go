@@ -10,10 +10,10 @@
 //
 // The comparison is on ns/op, plus allocs/op for every baseline entry
 // that records allocs_per_op and every input line that carries an
-// allocs/op column (go test -benchmem). Allocation counts are compared
-// as max(current, 1) / max(baseline, 1), so a zero-allocation
-// benchmark may reach the tolerance's worth of allocations — 2 at
-// -tolerance 2.0 — before it fails, and 0 against 0 reads as 1.00x.
+// allocs/op column (go test -benchmem). Allocation counts are
+// deterministic, so a baseline of 0 allocs/op admits none: any
+// allocation is a regression, whatever the tolerance. Nonzero
+// baselines are compared as current / baseline at the tolerance.
 // Benchmark names are matched after stripping the -GOMAXPROCS suffix
 // go test appends on multi-core machines, so a baseline recorded at
 // one core count checks runs at any other. Baseline entries absent
@@ -36,7 +36,6 @@ import (
 	"flag"
 	"fmt"
 	"io"
-	"math"
 	"os"
 	"regexp"
 	"strconv"
@@ -179,8 +178,15 @@ func diff(base baseline, current map[string]result, order []string, tolerance fl
 		case want.AllocsPerOp == nil:
 		case !cur.hasAllocs:
 			fmt.Fprintf(out, "  %-45s allocs/op not measured (run with -benchmem)\n", name)
+		case *want.AllocsPerOp == 0:
+			v := "ok"
+			if cur.allocs > 0 {
+				regressions++
+				v = "REGRESSION (baseline allocates nothing)"
+			}
+			fmt.Fprintf(out, "  %-45s %12.0f allocs/op  baseline %8.0f  %s\n", name, cur.allocs, 0.0, v)
 		default:
-			ratio := math.Max(cur.allocs, 1) / math.Max(*want.AllocsPerOp, 1)
+			ratio := cur.allocs / *want.AllocsPerOp
 			fmt.Fprintf(out, "  %-45s %12.0f allocs/op  baseline %8.0f  ratio %.2fx  %s\n",
 				name, cur.allocs, *want.AllocsPerOp, ratio, verdict(ratio))
 		}

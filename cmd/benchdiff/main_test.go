@@ -169,12 +169,11 @@ const allocsBaseline = `{
   ]
 }`
 
-// TestRunAllocsGate: allocs/op is gated at the same tolerance as ns/op,
-// against max(baseline, 1), wherever the baseline records it and the
-// input measured it. Zero's 2 allocations against a recorded 0 sit
-// exactly at 2.0x; Some's 25 against 10 are 2.5x; NoMem was run
-// without -benchmem and Free records no allocation count, so neither
-// is gated.
+// TestRunAllocsGate: allocs/op is gated wherever the baseline records
+// it and the input measured it. Zero's 2 allocations against a recorded
+// 0 fail at every tolerance; Some's 25 against 10 are 2.5x, gated at
+// the same tolerance as ns/op; NoMem was run without -benchmem and
+// Free records no allocation count, so neither is gated.
 func TestRunAllocsGate(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "allocs.json")
 	if err := os.WriteFile(path, []byte(allocsBaseline), 0o644); err != nil {
@@ -185,8 +184,8 @@ func TestRunAllocsGate(t *testing.T) {
 		code        int
 		regressions string
 	}{
-		{"3.0", 0, ""},
-		{"2.0", 1, "1 regression(s)"},
+		{"3.0", 1, "1 regression(s)"},
+		{"2.0", 1, "2 regression(s)"},
 		{"1.5", 1, "2 regression(s)"},
 	}
 	for _, tc := range cases {
@@ -210,6 +209,31 @@ func TestRunAllocsGate(t *testing.T) {
 		}
 		if strings.Contains(report, "BenchmarkFree") && strings.Contains(report, "7 allocs/op") {
 			t.Errorf("tolerance %s: BenchmarkFree records no allocs_per_op but was gated:\n%s", tc.tolerance, report)
+		}
+	}
+}
+
+// TestRunZeroAllocsBaseline: against a baseline of 0 allocs/op, one
+// allocation fails even at a tolerance that would admit a hundredfold
+// slowdown, and zero allocations pass.
+func TestRunZeroAllocsBaseline(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "zero.json")
+	const baseline = `{"suite": "zero", "benchmarks": [{"name": "BenchmarkFree", "ns_per_op": 1000, "allocs_per_op": 0}]}`
+	if err := os.WriteFile(path, []byte(baseline), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		allocs string
+		code   int
+	}{
+		{"1", 1},
+		{"0", 0},
+	} {
+		var out strings.Builder
+		bench := "BenchmarkFree-2   100   1000 ns/op   16 B/op   " + tc.allocs + " allocs/op\n"
+		code := run([]string{"-baseline", path, "-fail", "-tolerance", "100"}, strings.NewReader(bench), &out, &out)
+		if code != tc.code {
+			t.Errorf("%s allocs/op against a baseline of 0: exit = %d, want %d\n%s", tc.allocs, code, tc.code, out.String())
 		}
 	}
 }

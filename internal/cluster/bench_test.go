@@ -82,49 +82,43 @@ func BenchmarkResidueWithPacked(b *testing.B) {
 }
 
 // BenchmarkProbe measures the read-only probes behind every exact gain
-// evaluation, one leg per probe kind, on the bench cluster with its
-// evaluation pack enabled (the FLOC engine's configuration). One op is
-// one Load plus one toggled-residue scan; "row-insert-xN" is one call
-// of the batched kernel serving N row insertions (Loads included), so
-// its ns/op covers N candidates: one AVX2 pass for both widths where
-// the CPU has AVX2, N/4 passes of the portable kernel otherwise.
+// evaluation on the bench cluster with its evaluation pack enabled
+// (the FLOC engine's configuration). One op is one Load plus one
+// Residues call: "row-insert-x16" serves sixteen row insertions,
+// "row-remove-x16" sixteen row removals and "col-insert-x16" sixteen
+// column insertions in one pass where the CPU has AVX2 (four passes of
+// the portable kernels otherwise); the single legs serve one toggle.
 // Probes write nothing, so every op sees the same state.
 func BenchmarkProbe(b *testing.B) {
 	m := benchMatrix(b)
 	cl := benchCluster(b, m)
 	cl.EnablePack()
-	single := func(isRow bool, idx int) func(b *testing.B) {
+	leg := func(isRow bool, idxs ...int) func(b *testing.B) {
 		return func(b *testing.B) {
-			var p Probe
-			b.ReportAllocs()
-			b.ResetTimer()
-			var sink float64
-			for i := 0; i < b.N; i++ {
-				p.Load(cl, isRow, idx)
-				sink += p.Residue(ArithmeticMean)
-			}
-			_ = sink
-		}
-	}
-	batch := func(n int) func(b *testing.B) {
-		return func(b *testing.B) {
-			ps := make([]Probe, n)
-			out := make([]float64, n)
+			var pb Batch
+			out := make([]float64, len(idxs))
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				for q := range ps {
-					ps[q].Load(cl, true, 1+3*q) // rows 1, 4, 7, …, 46 are not members
-				}
-				RowInsertionResidues(ps, ArithmeticMean, out)
+				pb.Load(cl, isRow, idxs...)
+				pb.Residues(ArithmeticMean, out)
 			}
 		}
 	}
-	b.Run("row-insert-x4", batch(4))
-	b.Run("row-insert-x16", batch(16))
-	b.Run("row-remove", single(true, 3))  // row 3 is a member
-	b.Run("col-insert", single(false, 0)) // column 0 is not a member
-	b.Run("col-remove", single(false, 1)) // column 1 is a member
+	every := func(from, step, n int) []int {
+		out := make([]int, n)
+		for q := range out {
+			out[q] = from + step*q
+		}
+		return out
+	}
+	b.Run("row-insert-x4", leg(true, every(1, 3, 4)...))   // rows 1, 4, 7, 10 are not members
+	b.Run("row-insert-x16", leg(true, every(1, 3, 16)...)) // nor are 13, …, 46
+	b.Run("row-remove", leg(true, 3))                      // row 3 is a member
+	b.Run("row-remove-x16", leg(true, every(0, 3, 16)...)) // as are 0, 6, …, 45
+	b.Run("col-insert", leg(false, 0))                     // column 0 is not a member
+	b.Run("col-insert-x16", leg(false, 0, 3, 6, 9, 12, 15, 18, 21, 24, 27, 30, 33, 36, 39, 42, 45))
+	b.Run("col-remove", leg(false, 1)) // column 1 is a member
 }
 
 // BenchmarkInsertionMass measures the incremental gain tier's

@@ -9,16 +9,18 @@ import (
 	"deltacluster/internal/stats"
 )
 
-// The batched row-insertion kernels, differentially: the sixteen-lane
-// AVX2 kernel must return the portable four-lane kernel's bits, and
-// RowInsertionResidues the really inserted clusters' residue bits, on
-// adversarial values — signed zeros, subnormals, offsets that overflow
-// to ±Inf, all-missing columns whose 0/0 bases no term may read — at
-// every batch width and every member-column count up to the pack
-// stride, 0-row packs and zero-volume lanes included.
+// The batched probe kernels, differentially: for every batched kind —
+// row insertions, row removals and column insertions — the sixteen-lane
+// AVX2 kernels must return the loader's scalar toggled bases and the
+// portable four-lane kernels' lane sums bit for bit, and Residues the
+// really toggled clusters' residue bits, on adversarial values — signed
+// zeros, subnormals, offsets that overflow to ±Inf, all-missing rows
+// and columns whose 0/0 bases no term may read — at every batch width
+// and every member-column count up to the pack stride, stale pack
+// slots, 0-row packs, duplicate and zero-volume lanes included.
 
 // kernelPalette holds the adversarial values the kernel tests draw
-// from besides ordinary ones; the huge ones make d − cb overflow.
+// from besides ordinary ones; the huge ones make the offsets overflow.
 var kernelPalette = []float64{
 	0, math.Copysign(0, -1), 5e-324, -5e-324, 2.5e-310, -1e-309, 0.5, -2, 3.25,
 }
@@ -68,116 +70,183 @@ func kernelCluster(rng *stats.RNG, m *matrix.Matrix, nRows, width, nc int) *Clus
 	return c
 }
 
-// checkKernels scores row insertions of rows into c, one lane each, and
-// fails unless both kernels return the same lane sums and
-// RowInsertionResidues returns each really inserted cluster's residue.
-// It returns how many lane sums were infinite or NaN.
-func checkKernels(t *testing.T, c *Cluster, rows []int, mean ResidueMean) (nonFinite int) {
+// checkKernels loads a batch toggling rows (isRow) or columns idxs of
+// c, one lane each, and fails unless both kernels return the same lane
+// sums and Residues returns each really toggled cluster's residue. It
+// returns how many lane sums were infinite or NaN.
+func checkKernels(t *testing.T, c *Cluster, isRow bool, idxs []int, mean ResidueMean) (nonFinite int) {
 	t.Helper()
-	n := len(rows)
-	ps := make([]Probe, n)
-	var lanePs [RowInsertionLanes]*Probe
-	for q, i := range rows {
-		ps[q].Load(c, true, i)
-		lanePs[q] = &ps[q]
+	var b Batch
+	b.Load(c, isRow, idxs...)
+	if useAVX2 {
+		// The toggled bases of the AVX2 kernel and of the scalar loop.
+		b.loadBases(true)
+		avx := append([]float64(nil), b.bases...)
+		b.loadBases(false)
+		for x := range avx {
+			if x%Lanes < len(idxs) && math.Float64bits(avx[x]) != math.Float64bits(b.bases[x]) {
+				t.Fatalf("rows %v cols %v isRow %v lanes %v: member %d lane %d AVX2 base %x (%v), scalar %x (%v)",
+					c.memberRows, c.memberCols, isRow, idxs, x/Lanes, x%Lanes,
+					math.Float64bits(avx[x]), avx[x], math.Float64bits(b.bases[x]), b.bases[x])
+			}
+		}
 	}
-	var l lanes
-	l.load(&lanePs, n)
-	portable := l.scan(&ps[0], mean, false)
-	for _, x := range portable[:n] {
+	portable := b.sums(mean, false)
+	for _, x := range portable[:len(idxs)] {
 		if math.IsInf(x, 0) || math.IsNaN(x) {
 			nonFinite++
 		}
 	}
 	if useAVX2 {
-		avx := l.scan(&ps[0], mean, true)
-		for q := 0; q < n; q++ {
+		avx := b.sums(mean, true)
+		for q := range idxs {
 			if math.Float64bits(avx[q]) != math.Float64bits(portable[q]) {
-				t.Fatalf("rows %v cols %v mean %v lanes %v: lane %d AVX2 sum %x (%v), portable %x (%v)",
-					c.memberRows, c.memberCols, mean, rows, q,
+				t.Fatalf("rows %v cols %v mean %v isRow %v lanes %v: lane %d AVX2 sum %x (%v), portable %x (%v)",
+					c.memberRows, c.memberCols, mean, isRow, idxs, q,
 					math.Float64bits(avx[q]), avx[q], math.Float64bits(portable[q]), portable[q])
 			}
 		}
 	}
-	out := make([]float64, n)
-	RowInsertionResidues(ps, mean, out)
-	for q, i := range rows {
-		if want := toggled(c, true, i).ResidueWith(mean); math.Float64bits(out[q]) != math.Float64bits(want) {
-			t.Fatalf("rows %v cols %v mean %v lanes %v: lane %d residue %x (%v), inserted %x (%v)",
-				c.memberRows, c.memberCols, mean, rows, q,
+	out := make([]float64, len(idxs))
+	b.Residues(mean, out)
+	for q, x := range idxs {
+		if want := toggled(c, isRow, x).ResidueWith(mean); math.Float64bits(out[q]) != math.Float64bits(want) {
+			t.Fatalf("rows %v cols %v mean %v isRow %v lanes %v: lane %d residue %x (%v), toggled %x (%v)",
+				c.memberRows, c.memberCols, mean, isRow, idxs, q,
 				math.Float64bits(out[q]), out[q], math.Float64bits(want), want)
 		}
 	}
 	return nonFinite
 }
 
-// nonMembers returns the rows of c's matrix that c does not hold.
-func nonMembers(c *Cluster) []int {
+// candidates returns the rows (isRow) or columns of c's matrix that c
+// holds (members) or does not hold.
+func candidates(c *Cluster, isRow, members bool) []int {
 	var out []int
-	for i := 0; i < c.m.Rows(); i++ {
-		if !c.HasRow(i) {
-			out = append(out, i)
+	n, has := c.m.Cols(), c.HasCol
+	if isRow {
+		n, has = c.m.Rows(), c.HasRow
+	}
+	for x := 0; x < n; x++ {
+		if has(x) == members {
+			out = append(out, x)
 		}
 	}
 	return out
 }
 
-// TestRowInsertionKernelsAgree runs checkKernels at every batch width
-// 1…16 and every member-column count 0…width for pack strides 4, 8, 16
-// and 32, under both means, with duplicate lanes, 0-row packs, clusters
-// on all-missing columns (zero-volume lanes) and, on every other
-// matrix, entries near ±1e308. It logs whether the AVX2 kernel ran;
-// without it only the portable kernel is checked against real
-// insertions.
-func TestRowInsertionKernelsAgree(t *testing.T) {
-	rng := stats.NewRNG(77)
+// checkKernelWidths runs checkKernels on c at every batch width 1…16,
+// under both means, drawing the lanes from cands, a duplicate lane in
+// about a third of the batches.
+func checkKernelWidths(t *testing.T, rng *stats.RNG, c *Cluster, isRow bool, cands []int) (nonFinite int) {
+	t.Helper()
+	if len(cands) == 0 {
+		return 0
+	}
+	for n := 1; n <= Lanes; n++ {
+		idxs := make([]int, n)
+		for q := range idxs {
+			idxs[q] = cands[rng.Intn(len(cands))]
+		}
+		if n > 1 && rng.Bool(0.3) {
+			idxs[n-1] = idxs[0] // a duplicate lane
+		}
+		for _, mean := range []ResidueMean{ArithmeticMean, SquaredMean} {
+			nonFinite += checkKernels(t, c, isRow, idxs, mean)
+		}
+	}
+	return nonFinite
+}
+
+// checkKernelKind runs checkKernelWidths for one batched kind over
+// every member-column count 0…width for pack strides 4, 8, 16 and 32,
+// with 0-row packs among the clusters (for removals, at least one row)
+// and, on every other matrix, entries near ±1e308. It fails unless the
+// overflow legs produced at least minNonFinite infinite or NaN lane
+// sums, and logs whether the AVX2 kernels ran; without them only the
+// portable kernels are checked against real toggles.
+func checkKernelKind(t *testing.T, seed int64, isRow, ins bool, minNonFinite int) {
+	rng := stats.NewRNG(seed)
 	nonFinite := 0
 	for trial := 0; trial < 8; trial++ {
-		m := kernelMatrix(rng, 24, 22, trial%2 == 0)
+		m := kernelMatrix(rng, 24, 30, trial%2 == 0)
 		for _, width := range []int{4, 8, 16, 20} {
 			for nc := 0; nc <= width; nc++ {
-				nRows := []int{0, 1, 5, 12}[rng.Intn(4)]
-				c := kernelCluster(rng, m, nRows, width, nc)
-				cands := nonMembers(c)
-				for n := 1; n <= RowInsertionLanes; n++ {
-					rows := make([]int, n)
-					for q := range rows {
-						rows[q] = cands[rng.Intn(len(cands))]
-					}
-					if n > 1 && rng.Bool(0.3) {
-						rows[n-1] = rows[0] // a duplicate lane
-					}
-					for _, mean := range []ResidueMean{ArithmeticMean, SquaredMean} {
-						nonFinite += checkKernels(t, c, rows, mean)
-					}
+				rowChoices := []int{0, 1, 5, 12}
+				if !ins && isRow {
+					rowChoices = []int{1, 2, 5, 12, 20}
 				}
+				nRows := rowChoices[rng.Intn(len(rowChoices))]
+				c := kernelCluster(rng, m, nRows, width, nc)
+				nonFinite += checkKernelWidths(t, rng, c, isRow, candidates(c, isRow, !ins))
 			}
 		}
 	}
-	// Zero-volume lanes: a cluster on all-missing columns, and
-	// insertions of all-missing rows into a cluster without entries.
+	// The overflow legs must keep overflowing, or they check nothing.
+	if nonFinite < minNonFinite {
+		t.Errorf("%d infinite or NaN lane sums; want at least %d", nonFinite, minNonFinite)
+	}
+	t.Logf("AVX2 kernel checked: %v; %d infinite or NaN lane sums", useAVX2, nonFinite)
+}
+
+// TestRowInsertionKernelsAgree checks the row kernel with its own-row
+// epilogue, and zero-volume lanes: a cluster on all-missing columns,
+// and insertions of all-missing rows into a cluster without entries.
+func TestRowInsertionKernelsAgree(t *testing.T) {
+	checkKernelKind(t, 77, true, true, 1000)
+	rng := stats.NewRNG(78)
 	m := kernelMatrix(rng, 24, 22, true)
 	nanCols := FromSpec(m, []int{0, 1, 2}, []int{4, 9, 14})
 	nanCols.EnablePack()
 	nanRows := FromSpec(m, []int{22}, []int{0, 1, 2, 3})
 	nanRows.EnablePack()
 	for _, mean := range []ResidueMean{ArithmeticMean, SquaredMean} {
-		checkKernels(t, nanCols, []int{3, 5, 23, 7, 8}, mean)
-		checkKernels(t, nanRows, []int{23, 0, 23, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 23}, mean)
+		checkKernels(t, nanCols, true, []int{3, 5, 23, 7, 8}, mean)
+		checkKernels(t, nanRows, true, []int{23, 0, 23, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 23}, mean)
 	}
-	// The overflow legs must keep overflowing, or they check nothing.
-	if nonFinite < 1000 {
-		t.Errorf("%d infinite or NaN lane sums; want at least 1000", nonFinite)
-	}
-	t.Logf("AVX2 kernel checked: %v; %d infinite or NaN lane sums", useAVX2, nonFinite)
 }
 
-// FuzzRowInsertionKernel checks the kernels' contract on fuzzed
-// clusters: seed picks the shape, the members and the lanes; raw, read
-// eight bytes at a time as float64 bits, supplies the entries (NaNs are
+// TestRowRemovalKernelsAgree checks the row kernel run from given sums
+// over the segments between removed positions, the last position and
+// repeated positions included, and removals that leave no entry.
+func TestRowRemovalKernelsAgree(t *testing.T) {
+	checkKernelKind(t, 79, true, false, 1000)
+	rng := stats.NewRNG(80)
+	m := kernelMatrix(rng, 24, 22, true)
+	nanCols := FromSpec(m, []int{0, 1, 2}, []int{4, 9, 14})
+	nanCols.EnablePack()
+	lastOnly := FromSpec(m, []int{5, 22}, []int{0, 1, 2, 3})
+	lastOnly.EnablePack()
+	for _, mean := range []ResidueMean{ArithmeticMean, SquaredMean} {
+		checkKernels(t, nanCols, true, []int{0, 2, 1, 2, 0}, mean)
+		checkKernels(t, lastOnly, true, []int{22, 5, 22, 5, 5}, mean)
+	}
+}
+
+// TestColInsertionKernelsAgree checks the column kernel, whose lanes
+// carry toggled row bases and a masked inserted entry per row,
+// insertions of all-missing columns and into all-missing rows
+// included.
+func TestColInsertionKernelsAgree(t *testing.T) {
+	checkKernelKind(t, 81, false, true, 1000)
+	rng := stats.NewRNG(82)
+	m := kernelMatrix(rng, 24, 22, true)
+	nanRows := FromSpec(m, []int{22, 23}, []int{0, 1})
+	nanRows.EnablePack()
+	mixed := FromSpec(m, []int{0, 22, 3}, []int{4, 9})
+	mixed.EnablePack()
+	for _, mean := range []ResidueMean{ArithmeticMean, SquaredMean} {
+		checkKernels(t, nanRows, false, []int{2, 3, 4, 14, 2}, mean)
+		checkKernels(t, mixed, false, []int{14, 19, 0, 1, 2, 3, 5, 6, 7, 8, 10, 11, 12, 13, 15, 16}, mean)
+	}
+}
+
+// fuzzKernel checks one batched kind's contract on fuzzed clusters:
+// seed picks the shape, the members and the lanes; raw, read eight
+// bytes at a time as float64 bits, supplies the entries (NaNs are
 // missing, infinities clamp to ±MaxFloat64, as matrix.Read rejects
 // them).
-func FuzzRowInsertionKernel(f *testing.F) {
+func fuzzKernel(f *testing.F, isRow, ins bool) {
 	f.Add(int64(1), false, []byte{})
 	f.Add(int64(2), true, []byte{0x80, 0, 0, 0, 0, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0})
 	huge := binary.LittleEndian.AppendUint64(nil, math.Float64bits(1.7e308))
@@ -203,15 +272,28 @@ func FuzzRowInsertionKernel(f *testing.F) {
 		}
 		width := rng.Intn(cols + 1)
 		c := kernelCluster(rng, m, rng.Intn(rows), width, rng.Intn(width+1))
-		cands := nonMembers(c)
-		rowsIn := make([]int, 1+rng.Intn(RowInsertionLanes))
-		for q := range rowsIn {
-			rowsIn[q] = cands[rng.Intn(len(cands))]
+		cands := candidates(c, isRow, !ins)
+		if len(cands) == 0 {
+			return
+		}
+		idxs := make([]int, 1+rng.Intn(Lanes))
+		for q := range idxs {
+			idxs[q] = cands[rng.Intn(len(cands))]
 		}
 		mean := ArithmeticMean
 		if squared {
 			mean = SquaredMean
 		}
-		checkKernels(t, c, rowsIn, mean)
+		checkKernels(t, c, isRow, idxs, mean)
 	})
 }
+
+// FuzzRowInsertionKernel fuzzes the row kernel with its own-row
+// epilogue.
+func FuzzRowInsertionKernel(f *testing.F) { fuzzKernel(f, true, true) }
+
+// FuzzRowRemovalKernel fuzzes the segmented row-removal passes.
+func FuzzRowRemovalKernel(f *testing.F) { fuzzKernel(f, true, false) }
+
+// FuzzColInsertionKernel fuzzes the column kernel.
+func FuzzColInsertionKernel(f *testing.F) { fuzzKernel(f, false, true) }

@@ -147,7 +147,7 @@ func TestProbeMatchesToggledClone(t *testing.T) {
 		for seed := int64(1); seed <= 4; seed++ {
 			m := probeMatrix(seed*13+int64(missing*10), 11, 9, missing)
 			other := FromSpec(m, []int{0, 2, 4, 6, 8, 10}, []int{1, 2, 3, 8})
-			var p Probe
+			var b Batch
 			state := 0
 			probeStates(t, m, seed, 60, func(c *Cluster) {
 				state++
@@ -158,10 +158,11 @@ func TestProbeMatchesToggledClone(t *testing.T) {
 						n = m.Rows()
 					}
 					for idx := 0; idx < n; idx++ {
-						p.Load(c, isRow, idx)
+						b.Load(c, isRow, idx)
+						p := b.Probe(0)
 						what := fmt.Sprintf("missing=%v seed=%d state=%d isRow=%v idx=%d member=%v",
 							missing, seed, state, isRow, idx, !p.Inserts())
-						checkProbe(t, &p, toggled(c, isRow, idx), other, what)
+						checkProbe(t, p, toggled(c, isRow, idx), other, what)
 					}
 				}
 				if after := exactBits(c); after != before {
@@ -173,46 +174,48 @@ func TestProbeMatchesToggledClone(t *testing.T) {
 	}
 }
 
-// TestRowInsertionResiduesBatches checks the batched kernel at every
-// width from 1 to RowInsertionLanes, duplicate candidates included,
-// against the residue of each candidate really inserted.
-func TestRowInsertionResiduesBatches(t *testing.T) {
+// checkBatchStates walks probeStates and checks batches of one kind
+// (isRow, ins) at every width from 1 to Lanes, duplicate candidates
+// included, against the residue of each candidate really toggled.
+// Every fourth batch is built in two Appends with a lane dropped in
+// between, the way the decide phase drops inadmissible lanes.
+func checkBatchStates(t *testing.T, isRow, ins bool) {
 	for _, missing := range []float64{0, 0.3, 0.9} {
 		for seed := int64(1); seed <= 3; seed++ {
 			m := probeMatrix(seed*7+int64(missing*10), 12, 8, missing)
 			rng := stats.NewRNG(seed * 101)
-			var ps [RowInsertionLanes]Probe
-			var out [RowInsertionLanes]float64
+			var b Batch
+			var out [Lanes]float64
 			probeStates(t, m, seed+50, 50, func(c *Cluster) {
-				var cands []int
-				for i := 0; i < m.Rows(); i++ {
-					if !c.HasRow(i) {
-						cands = append(cands, i)
-					}
-				}
+				cands := candidates(c, isRow, !ins)
 				if len(cands) == 0 {
 					return
 				}
 				before := exactBits(c)
-				for trial := 0; trial < RowInsertionLanes; trial++ {
+				for trial := 0; trial < Lanes; trial++ {
 					w := 1 + trial
-					rows := make([]int, w)
-					for q := range rows {
-						rows[q] = cands[rng.Intn(len(cands))]
+					idxs := make([]int, w)
+					for q := range idxs {
+						idxs[q] = cands[rng.Intn(len(cands))]
 					}
 					if w > 1 && trial%4 == 3 {
-						rows[1] = rows[0] // a duplicate candidate
+						idxs[1] = idxs[0] // a duplicate candidate
 					}
 					for _, mean := range []ResidueMean{ArithmeticMean, SquaredMean} {
-						for q, i := range rows {
-							ps[q].Load(c, true, i)
+						if w > 2 && trial%4 == 1 {
+							// Load a stray lane, drop it and append the rest.
+							b.Load(c, isRow, idxs[0], cands[rng.Intn(len(cands))])
+							b.Drop(1)
+							b.Append(c, isRow, idxs[1:]...)
+						} else {
+							b.Load(c, isRow, idxs...)
 						}
-						RowInsertionResidues(ps[:w], mean, out[:w])
-						for q, i := range rows {
-							want := toggled(c, true, i).ResidueWith(mean)
+						b.Residues(mean, out[:w])
+						for q, x := range idxs {
+							want := toggled(c, isRow, x).ResidueWith(mean)
 							if math.Float64bits(out[q]) != math.Float64bits(want) {
-								t.Fatalf("missing=%v seed=%d rows=%v mean=%v lane %d: batched %v, toggled %v",
-									missing, seed, rows, mean, q, out[q], want)
+								t.Fatalf("missing=%v seed=%d isRow=%v ins=%v lanes=%v mean=%v lane %d: batched %v, toggled %v",
+									missing, seed, isRow, ins, idxs, mean, q, out[q], want)
 							}
 						}
 					}
@@ -222,6 +225,40 @@ func TestRowInsertionResiduesBatches(t *testing.T) {
 				}
 			})
 		}
+	}
+}
+
+// TestRowInsertionResiduesBatches checks batched row insertions.
+func TestRowInsertionResiduesBatches(t *testing.T) { checkBatchStates(t, true, true) }
+
+// TestBatchResiduesEveryKind checks batched row removals, column
+// insertions and column removals.
+func TestBatchResiduesEveryKind(t *testing.T) {
+	checkBatchStates(t, true, false)
+	checkBatchStates(t, false, true)
+	checkBatchStates(t, false, false)
+}
+
+// TestBatchDrop pins Drop's swap-with-last: the last lane's probe
+// takes the dropped lane's place with every answer intact.
+func TestBatchDrop(t *testing.T) {
+	m := probeMatrix(3, 10, 8, 0.3)
+	c := FromSpec(m, []int{0, 1, 2, 3}, []int{0, 2, 4, 6})
+	c.EnablePack()
+	other := FromSpec(m, []int{1, 5, 7}, []int{1, 2, 3})
+	var b Batch
+	b.Load(c, true, 5, 6, 7, 9)
+	b.Drop(1)
+	b.Drop(2)
+	if b.Len() != 2 {
+		t.Fatalf("Len %d after two drops of four, want 2", b.Len())
+	}
+	for q, i := range []int{5, 9} {
+		p := b.Probe(q)
+		if _, idx := p.Item(); idx != i {
+			t.Fatalf("lane %d probes row %d, want %d", q, idx, i)
+		}
+		checkProbe(t, p, toggled(c, true, i), other, fmt.Sprintf("lane %d", q))
 	}
 }
 
@@ -247,7 +284,7 @@ func TestProbeHandPicked(t *testing.T) {
 		return c
 	}
 	other := build([]int{0, 3}, []int{0, 4})
-	var p Probe
+	var b Batch
 	for _, tc := range []struct {
 		name       string
 		rows, cols []int
@@ -271,8 +308,8 @@ func TestProbeHandPicked(t *testing.T) {
 	} {
 		c := build(tc.rows, tc.cols)
 		before := exactBits(c)
-		p.Load(c, tc.isRow, tc.idx)
-		checkProbe(t, &p, toggled(c, tc.isRow, tc.idx), other, tc.name)
+		b.Load(c, tc.isRow, tc.idx)
+		checkProbe(t, b.Probe(0), toggled(c, tc.isRow, tc.idx), other, tc.name)
 		if after := exactBits(c); after != before {
 			t.Errorf("%s: probing changed the cluster", tc.name)
 		}
@@ -289,6 +326,6 @@ func TestProbeNeedsPack(t *testing.T) {
 		}
 	}()
 	m := probeMatrix(1, 4, 4, 0)
-	var p Probe
-	p.Load(FromSpec(m, []int{0}, []int{0}), true, 1)
+	var b Batch
+	b.Load(FromSpec(m, []int{0}, []int{0}), true, 1)
 }

@@ -15,7 +15,7 @@ import (
 // (500+60)·K candidate actions per call, the workload the parallel
 // sharding targets. Seeding is deterministic, so every benchmark run
 // decides over the identical state.
-func benchEngine(b *testing.B, workers int) *engine {
+func benchEngine(b testing.TB, workers int) *engine {
 	b.Helper()
 	m := plantedMissingMatrix(b, 97, 500, 60, 5, 800, 0.05)
 	cfg := Config{
@@ -30,24 +30,57 @@ func benchEngine(b *testing.B, workers int) *engine {
 	return newEngine(m, &cfg)
 }
 
+// syntheticEngine builds a randomly seeded engine at the shape of the
+// synthetic-iterate benchmark workload: a 2000×100 Table-3 synthetic
+// matrix (30 planted clusters of mean volume 800), k = 30, δ = 15,
+// rows seeded with probability 0.05 and columns with 0.2, workers = 1.
+// Its clusters are narrow and tall, so column insertions and row
+// removals weigh more in its decide phase than in benchEngine's.
+func syntheticEngine(tb testing.TB) *engine {
+	tb.Helper()
+	const rows, cols = 2000, 100
+	ds, err := synth.Generate(synth.Config{
+		Rows: rows, Cols: cols, NumClusters: 30,
+		VolumeMean:    800,
+		RowColRatio:   (0.04 * rows) / (0.1 * cols),
+		TargetResidue: 5,
+	}, 1)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	cfg := DefaultConfig(30, 15)
+	cfg.SeedMode = SeedRandom
+	cfg.SeedRowProbability = 0.05
+	cfg.SeedColProbability = 0.2
+	cfg.Workers = 1
+	cfg.Seed = 1
+	if err := cfg.validate(ds.Matrix.Rows(), ds.Matrix.Cols()); err != nil {
+		tb.Fatal(err)
+	}
+	return newEngine(ds.Matrix, &cfg)
+}
+
 // BenchmarkDecideAll measures one decide phase — the embarrassingly
-// parallel (M+N)·K gain sweep — at several worker counts. decideAll
-// never disturbs engine state (its evaluations reverse every toggle
-// exactly), so back-to-back calls measure identical work, and the
-// serial/parallel pair shares one engine per worker count. Results
-// are recorded in BENCH_floc.json; cmd/benchdiff compares fresh runs
-// against them.
+// parallel (M+N)·K gain sweep — at several worker counts, and at the
+// synthetic-iterate workload's shape on one worker. decideAll writes
+// nothing but its decisions and probe scratch (every evaluation is a
+// read-only probe), so back-to-back calls measure identical work.
+// Results are recorded in BENCH_floc.json; cmd/benchdiff compares
+// fresh runs against them.
 func BenchmarkDecideAll(b *testing.B) {
-	for _, workers := range []int{1, 2, 4} {
-		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
-			e := benchEngine(b, workers)
+	run := func(e *engine) func(b *testing.B) {
+		return func(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				_ = e.decideAll()
 			}
-		})
+		}
 	}
+	for _, workers := range []int{1, 2, 4} {
+		b.Run(fmt.Sprintf("workers=%d", workers), run(benchEngine(b, workers)))
+	}
+	b.Run("synthetic-iterate", run(syntheticEngine(b)))
 }
 
 // BenchmarkIterate measures a full phase-2 iteration — decide, order,

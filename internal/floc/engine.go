@@ -94,14 +94,16 @@ type engine struct {
 	// decisions backs decideAll's result (overwritten every call — the
 	// caller must not retain it across calls), shadows pools the
 	// decide-phase workers across iterations, applied and snap back
-	// iterate's bookkeeping, and idxScratch holds approximateGain's
-	// sorted membership view. Together they take the steady-state
-	// decide phase to zero heap allocations.
-	decisions  []decision
-	shadows    []*engine
-	applied    []appliedAction
-	snap       *snapshot
-	idxScratch []int
+	// iterate's bookkeeping, idxScratch holds approximateGain's sorted
+	// membership view, and polishCands polish's candidate removals.
+	// Together they take the steady-state decide phase to zero heap
+	// allocations.
+	decisions   []decision
+	shadows     []*engine
+	applied     []appliedAction
+	snap        *snapshot
+	idxScratch  []int
+	polishCands []decision
 }
 
 // cost maps a cluster's shape and residue to the objective FLOC
@@ -307,15 +309,18 @@ func (e *engine) iterate(bestCost float64) (float64, bool) {
 	if minAt < 0 {
 		return bestCost, false
 	}
-	// Replay the winning prefix onto the checkpoint.
+	// Replay the winning prefix onto the checkpoint. The boundary
+	// recompute below rescores every cluster, so the replay only
+	// mutates membership and coverage.
 	for t := 0; t <= minAt; t++ {
 		a := applied[t]
 		if a.skipped {
 			continue
 		}
-		e.apply(a.isRow, a.idx, a.clusterIdx)
+		e.toggle(a.isRow, a.idx, a.clusterIdx)
 	}
-	// Kill incremental floating-point drift at the iteration boundary.
+	// Kill incremental floating-point drift at the iteration boundary;
+	// Recompute also re-anchors the incremental tier's residue masses.
 	e.resSum = 0
 	e.costSum = 0
 	for c, cl := range e.clusters {
@@ -350,14 +355,41 @@ func improveEps(x float64) float64 {
 // removal decided against the iteration-start state now breaks
 // occupancy.
 func (e *engine) blockedNow(d decision) bool {
-	return !e.admits(&e.probes.one, d.isRow, d.idx, d.clusterIdx)
+	_, ok := e.admits(d.isRow, d.idx, d.clusterIdx)
+	return !ok
 }
 
-// apply performs a toggle, updating the residue cache and coverage
-// counts. It is the single incremental writer of the guarded caches
-// (deltavet:writer); everything else either reads them or rebuilds
-// them wholesale at checkpoints.
+// apply performs a toggle and rescores its cluster, updating the
+// residue and cost caches. It is the single incremental writer of the
+// guarded caches (deltavet:writer); everything else either reads them
+// or rebuilds them wholesale at checkpoints.
 func (e *engine) apply(isRow bool, idx, c int) {
+	e.toggle(isRow, idx, c)
+	cl := e.clusters[c]
+	newRes := cl.ResidueWith(e.cfg.ResidueMean)
+	if e.cfg.GainMode == GainIncremental {
+		// Re-anchor the residue masses beside the exact rescan this
+		// apply just paid for. Without this, estimates read between
+		// applies (polish's evaluate-apply-evaluate loop in particular)
+		// would compound one fold of drift per applied action; with it,
+		// every estimate reads masses anchored at the last apply.
+		cl.RefreshResidueAggregates()
+	}
+	e.resSum += newRes - e.residues[c]
+	e.residues[c] = newRes
+	newCost := e.cost(newRes, cl.Volume(), cl.NumRows(), cl.NumCols())
+	e.costSum += newCost - e.costs[c]
+	e.costs[c] = newCost
+	if debugInvariants {
+		e.assertInvariants("apply")
+	}
+}
+
+// toggle performs the membership change of an applied action and
+// keeps the coverage counts (deltavet:writer): all a replayed action
+// needs, because the iteration boundary rescores every cluster after
+// the replay. The residue and cost caches are stale until then.
+func (e *engine) toggle(isRow bool, idx, c int) {
 	if chaosEnabled {
 		if err := chaos("pre-apply"); err != nil {
 			panic(err)
@@ -381,24 +413,7 @@ func (e *engine) apply(isRow bool, idx, c int) {
 			e.coverCol[idx]++
 		}
 	}
-	newRes := cl.ResidueWith(e.cfg.ResidueMean)
-	if e.cfg.GainMode == GainIncremental {
-		// Re-anchor the residue masses beside the exact rescan this
-		// apply just paid for. Without this, estimates read between
-		// applies (polish's evaluate-apply-evaluate loop in particular)
-		// would compound one fold of drift per applied action; with it,
-		// every estimate reads masses anchored at the last apply.
-		cl.RefreshResidueAggregates()
-	}
-	e.resSum += newRes - e.residues[c]
-	e.residues[c] = newRes
-	newCost := e.cost(newRes, cl.Volume(), cl.NumRows(), cl.NumCols())
-	e.costSum += newCost - e.costs[c]
-	e.costs[c] = newCost
 	e.actions++
-	if debugInvariants {
-		e.assertInvariants("apply")
-	}
 }
 
 // snapshot captures the engine's cluster state for rollback.

@@ -18,15 +18,17 @@ import (
 // An evaluation is therefore a pure function of the engine state, and
 // the decide workers read the engine's clusters directly (parallel.go).
 //
-// admits is the one admission test: the size-floor and coverage
-// pre-checks, then violatesToggled on the probe. evalAction adds the
-// gain of one tier. decideRange scores a whole range of items cluster
-// by cluster; under the exact tier it batches each cluster's row
-// insertions sixteen at a time (cluster.RowInsertionLanes), one pass
-// over the cluster's pack with the AVX2 kernel, one per four with the
-// portable one. Row insertions are where the exact tier's time goes:
-// 91% of the entries scanned on the synthetic-iterate benchmark
-// workload.
+// Admission is two steps: preAdmits, the size-floor and coverage
+// checks that need no toggled state, then violatesToggled on the
+// probe. admits runs both for a single evaluation, and evalAction adds
+// the gain of one tier. decideRange scores a whole range of items
+// cluster by cluster. Under the exact tier it queues each cluster's
+// row insertions, row removals and column insertions by kind, loads
+// each kind cluster.Lanes candidates at a time in one stream, drops
+// the lanes the constraints block, and scores every full batch of
+// admitted lanes in one pass over the cluster's pack (one per four
+// lanes on the portable kernels). Column removals, a few percent of
+// the scanned entries, are evaluated one at a time.
 
 // decision records the chosen action for one row or column: toggling
 // its membership in cluster clusterIdx, expected to change that
@@ -43,14 +45,34 @@ type decision struct {
 // to −∞").
 var negInf = math.Inf(-1)
 
-// probeScratch is one evaluator's read-only probe scratch: a probe for
-// single evaluations, and a batch of row-insertion probes with the
-// decision slot each one serves and its scored residue.
+// probeScratch is one evaluator's read-only probe scratch: a batch for
+// single evaluations, and the queues of the batched probe kinds with
+// their scored residues.
 type probeScratch struct {
-	one   cluster.Probe
-	batch [cluster.RowInsertionLanes]cluster.Probe
-	at    [cluster.RowInsertionLanes]int
-	res   [cluster.RowInsertionLanes]float64
+	one   cluster.Batch
+	queue [batchedKinds]probeQueue
+	res   [cluster.Lanes]float64
+}
+
+// The probe kinds decideRange batches, indexing probeScratch.queue.
+// Column removals are evaluated one at a time.
+const (
+	rowInsertions = iota
+	rowRemovals
+	colInsertions
+	batchedKinds
+)
+
+// probeQueue is one batched kind's candidates in the cluster being
+// decided: the n admitted lanes loaded into b, then nWait items waiting
+// to be loaded. at holds the decision slot each one serves, in that
+// order.
+type probeQueue struct {
+	b     cluster.Batch
+	n     int
+	wait  [cluster.Lanes]int
+	nWait int
+	at    [cluster.Lanes]int
 }
 
 // evalAction returns the gain of toggling item (isRow, idx) in cluster
@@ -63,8 +85,8 @@ type probeScratch struct {
 // allocs/op.
 func (e *engine) evalAction(isRow bool, idx, c int) float64 {
 	e.gainEvals++
-	p := &e.probes.one
-	if !e.admits(p, isRow, idx, c) {
+	p, ok := e.admits(isRow, idx, c)
+	if !ok {
 		return negInf
 	}
 	// Estimator tiers score against the *pre-toggle* state: judging a
@@ -90,29 +112,38 @@ func (e *engine) exactGain(c int, p *cluster.Probe, res float64) float64 {
 	return e.costs[c] - e.cost(res, p.Volume(), p.NumRows(), p.NumCols())
 }
 
-// admits loads p with toggling item (isRow, idx) in cluster c and
-// reports whether the configured constraints allow the toggle: the
-// size floor and coverage pre-checks, then the toggled-state checks.
-// It is the one admission test of every evaluation and of blockedNow.
-func (e *engine) admits(p *cluster.Probe, isRow bool, idx, c int) bool {
+// admits probes toggling item (isRow, idx) in cluster c with the
+// single-evaluation batch and reports whether the configured
+// constraints allow the toggle: the pre-checks, then the toggled-state
+// checks. It is the admission test of every evaluation outside the
+// decide phase's batches and of blockedNow; the probe is nil when a
+// pre-check fails.
+func (e *engine) admits(isRow bool, idx, c int) (*cluster.Probe, bool) {
 	cl := e.clusters[c]
-	cons := &e.cfg.Constraints
-	// Pre-checks that do not need the toggled state.
-	if isRow && cl.HasRow(idx) {
-		if cl.NumRows()-1 < cons.MinRows || cons.RequireRowCoverage && e.coverRow[idx] <= 1 {
-			return false
-		}
+	if !e.preAdmits(cl, isRow, idx) {
+		return nil, false
 	}
-	if !isRow && cl.HasCol(idx) {
-		if cl.NumCols()-1 < cons.MinCols || cons.RequireColCoverage && e.coverCol[idx] <= 1 {
-			return false
-		}
-	}
-	p.Load(cl, isRow, idx)
+	b := &e.probes.one
+	b.Load(cl, isRow, idx)
+	p := b.Probe(0)
 	if debugInvariants {
 		e.checkProbe(p, c, 0, false)
 	}
-	return !e.violatesToggled(p, c)
+	return p, !e.violatesToggled(p, c)
+}
+
+// preAdmits runs the admission checks that need no toggled state: a
+// removal must keep the size floor and, where coverage is required,
+// leave the item covered by another cluster.
+func (e *engine) preAdmits(cl *cluster.Cluster, isRow bool, idx int) bool {
+	cons := &e.cfg.Constraints
+	if isRow && cl.HasRow(idx) {
+		return cl.NumRows()-1 >= cons.MinRows && !(cons.RequireRowCoverage && e.coverRow[idx] <= 1)
+	}
+	if !isRow && cl.HasCol(idx) {
+		return cl.NumCols()-1 >= cons.MinCols && !(cons.RequireColCoverage && e.coverCol[idx] <= 1)
+	}
+	return true
 }
 
 // incrementalGain scores toggling item (isRow, idx) in cluster c from
@@ -366,13 +397,11 @@ func (e *engine) decideOne(isRow bool, idx int) decision {
 
 // decideRange determines the best action of items lo..hi−1 (itemOf
 // numbering) into out[0:hi−lo] against the current state. It walks
-// the clusters in ascending order and, within each, every item; an
-// item keeps a cluster's gain only if it is strictly greater than the
-// best so far, so the lowest cluster index wins ties and every
-// decision — and the gainEvals tally — is the one an item-by-item loop
-// over the clusters produces. Under the exact tier the non-member rows
-// of a cluster are scored in batches of cluster.RowInsertionLanes
-// (cluster.RowInsertionResidues).
+// the clusters in ascending order and, within each, every item
+// (decideCluster); an item keeps a cluster's gain only if it is
+// strictly greater than the best so far, so the lowest cluster index
+// wins ties and every decision — and the gainEvals tally — is the one
+// an item-by-item loop over the clusters produces.
 //
 // deltavet:hotpath — the decide phase's kernel; everything it
 // statically calls inherits the allocation-free discipline.
@@ -382,50 +411,105 @@ func (e *engine) decideRange(lo, hi int, out []decision) {
 		isRow, idx := e.itemOf(lo + t)
 		out[t] = decision{isRow: isRow, idx: idx, clusterIdx: -1, gain: negInf}
 	}
-	batched := e.cfg.GainMode == GainExact && !e.cfg.ApproximateGain
-	ps := &e.probes
-	for c, cl := range e.clusters {
-		n := 0
-		for t := range out {
-			d := &out[t]
-			if !batched || !d.isRow || cl.HasRow(d.idx) {
-				if g := e.evalAction(d.isRow, d.idx, c); g > d.gain {
-					d.gain, d.clusterIdx = g, c
-				}
-				continue
-			}
-			e.gainEvals++
-			if !e.admits(&ps.batch[n], true, d.idx, c) {
-				continue // −∞ never beats the best so far
-			}
-			ps.at[n] = t
-			n++
-			if n == len(ps.batch) {
-				e.scoreBatch(c, n, out)
-				n = 0
-			}
-		}
-		if n > 0 {
-			e.scoreBatch(c, n, out)
-		}
+	for c := range e.clusters {
+		e.decideCluster(c, out)
 	}
 }
 
-// scoreBatch scores the first n batched row insertions into cluster c
-// in one pass and offers each gain to the decision it serves.
-func (e *engine) scoreBatch(c, n int, out []decision) {
-	ps := &e.probes
-	cluster.RowInsertionResidues(ps.batch[:n], e.cfg.ResidueMean, ps.res[:n])
-	for q := 0; q < n; q++ {
-		p := &ps.batch[q]
-		if debugInvariants {
-			e.checkProbe(p, c, ps.res[q], true)
+// decideCluster offers every decision in out the gain of toggling its
+// item in cluster c, which it keeps if strictly greater than its best
+// so far. Under the exact tier the row insertions, row removals and
+// column insertions are queued by kind, loaded cluster.Lanes at a
+// time, and scored a full batch of admitted lanes per pass
+// (cluster.Batch); column removals and the estimator tiers are
+// evaluated one at a time.
+func (e *engine) decideCluster(c int, out []decision) {
+	cl := e.clusters[c]
+	batched := e.cfg.GainMode == GainExact && !e.cfg.ApproximateGain
+	for t := range out {
+		d := &out[t]
+		var member bool
+		if d.isRow {
+			member = cl.HasRow(d.idx)
+		} else {
+			member = cl.HasCol(d.idx)
 		}
-		d := &out[ps.at[q]]
-		if g := e.exactGain(c, p, ps.res[q]); g > d.gain {
+		if !batched || !d.isRow && member {
+			if g := e.evalAction(d.isRow, d.idx, c); g > d.gain {
+				d.gain, d.clusterIdx = g, c
+			}
+			continue
+		}
+		e.gainEvals++
+		if member && !e.preAdmits(cl, d.isRow, d.idx) {
+			continue // −∞ never beats the best so far
+		}
+		kind := colInsertions
+		switch {
+		case d.isRow && member:
+			kind = rowRemovals
+		case d.isRow:
+			kind = rowInsertions
+		}
+		qu := &e.probes.queue[kind]
+		qu.wait[qu.nWait], qu.at[qu.n+qu.nWait] = d.idx, t
+		qu.nWait++
+		if qu.n+qu.nWait == cluster.Lanes {
+			e.flushQueue(c, kind, false, out)
+		}
+	}
+	for kind := range e.probes.queue {
+		e.flushQueue(c, kind, true, out)
+	}
+}
+
+// flushQueue loads the waiting items of queue kind in one stream,
+// drops the lanes the constraints block, and scores the batch once it
+// is full of admitted lanes, or whatever it holds when last is set
+// (the cluster's items are all queued).
+func (e *engine) flushQueue(c, kind int, last bool, out []decision) {
+	qu := &e.probes.queue[kind]
+	b := &qu.b
+	if qu.nWait > 0 {
+		cl, isRow := e.clusters[c], kind != colInsertions
+		if qu.n == 0 {
+			b.Load(cl, isRow, qu.wait[:qu.nWait]...)
+		} else {
+			b.Append(cl, isRow, qu.wait[:qu.nWait]...)
+		}
+		qu.nWait = 0
+		for q := qu.n; q < b.Len(); {
+			p := b.Probe(q)
+			if debugInvariants {
+				e.checkProbe(p, c, 0, false)
+			}
+			if !e.violatesToggled(p, c) {
+				q++
+				continue
+			}
+			// −∞ never beats the best so far. The last lane moves into
+			// q and is checked next.
+			qu.at[q] = qu.at[b.Len()-1]
+			b.Drop(q)
+		}
+		qu.n = b.Len()
+	}
+	if qu.n == 0 || qu.n < cluster.Lanes && !last {
+		return
+	}
+	res := e.probes.res[:qu.n]
+	b.Residues(e.cfg.ResidueMean, res)
+	for q, r := range res {
+		p := b.Probe(q)
+		if debugInvariants {
+			e.checkProbe(p, c, r, true)
+		}
+		d := &out[qu.at[q]]
+		if g := e.exactGain(c, p, r); g > d.gain {
 			d.gain, d.clusterIdx = g, c
 		}
 	}
+	qu.n = 0
 }
 
 // decideAll (parallel.go) determines the best action for every row

@@ -558,11 +558,70 @@ func TestViolatesToggledBruteForce(t *testing.T) {
 
 			// Drive the engine's check on a probe of the toggle, the way
 			// evalAction invokes it.
-			var p cluster.Probe
-			p.Load(e.clusters[tc.c], tc.isRow, tc.idx)
-			got := e.violatesToggled(&p, tc.c)
+			var b cluster.Batch
+			b.Load(e.clusters[tc.c], tc.isRow, tc.idx)
+			got := e.violatesToggled(b.Probe(0), tc.c)
 			if got != want {
 				t.Fatalf("violatesToggled = %v, brute-force constraint predicate = %v", got, want)
+			}
+		})
+	}
+}
+
+// TestDecideAllocations pins the exact decide phase at zero heap
+// allocations once its scratch is warm, on the bench engine and at the
+// synthetic-iterate workload's shape: one decideAll on one worker, and
+// each batched probe call — Load, Drop, Append and Residues of sixteen
+// row insertions, row removals and column insertions — on every
+// cluster. benchdiff gates the same figure on BenchmarkDecideAll, but
+// only to its tolerance.
+func TestDecideAllocations(t *testing.T) {
+	for _, leg := range []struct {
+		name string
+		e    *engine
+	}{
+		{"bench", benchEngine(t, 1)},
+		{"synthetic-iterate", syntheticEngine(t)},
+	} {
+		t.Run(leg.name, func(t *testing.T) {
+			e := leg.e
+			if a := testing.AllocsPerRun(2, func() { e.decideAll() }); a != 0 {
+				t.Errorf("decideAll: %v allocations per call, want 0", a)
+			}
+			var b cluster.Batch
+			var out [cluster.Lanes]float64
+			for c, cl := range e.clusters {
+				for _, kind := range []struct {
+					name          string
+					isRow, member bool
+				}{
+					{"row insertions", true, false},
+					{"row removals", true, true},
+					{"column insertions", false, false},
+				} {
+					var idxs []int
+					n, has := e.m.Cols(), cl.HasCol
+					if kind.isRow {
+						n, has = e.m.Rows(), cl.HasRow
+					}
+					for x := 0; x < n && len(idxs) < cluster.Lanes+1; x++ {
+						if has(x) == kind.member {
+							idxs = append(idxs, x)
+						}
+					}
+					if len(idxs) < 2 {
+						continue
+					}
+					a := testing.AllocsPerRun(2, func() {
+						b.Load(cl, kind.isRow, idxs[:len(idxs)-1]...)
+						b.Drop(0)
+						b.Append(cl, kind.isRow, idxs[len(idxs)-1])
+						b.Residues(e.cfg.ResidueMean, out[:b.Len()])
+					})
+					if a != 0 {
+						t.Errorf("cluster %d, %s: %v allocations per batch, want 0", c, kind.name, a)
+					}
+				}
 			}
 		})
 	}

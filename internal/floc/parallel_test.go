@@ -388,7 +388,9 @@ func TestWorkersValidation(t *testing.T) {
 // gains. Clusters 0 and 1 are identical, so each item's gains tie
 // across them and the lower index must win. Every gain tier and every
 // toggled-state constraint runs through the same comparison; under the
-// exact tier the row insertions take the batched path.
+// exact tier the row insertions, row removals and column insertions
+// take the batched path, and the constrained leg drops blocked lanes
+// from its batches.
 func TestDecideRangeMatchesItemMajorLoop(t *testing.T) {
 	m := plantedMissingMatrix(t, 5, 40, 12, 2, 40, 0.1)
 	specs := []cluster.Spec{

@@ -21,26 +21,21 @@ func (e *engine) polish() {
 	}
 }
 
+// polishCluster scores every admissible removal from cluster c — its
+// rows, then its columns, in ascending order — through decideCluster,
+// which batches the row removals, and applies the first one with the
+// largest positive gain, until none remains.
 func (e *engine) polishCluster(c int) {
 	cl := e.clusters[c]
 	cons := &e.cfg.Constraints
 	for {
-		bestGain := 0.0
-		bestIsRow := false
-		bestIdx := -1
-		consider := func(isRow bool, idx int) {
-			if g := e.evalAction(isRow, idx, c); g > bestGain {
-				bestGain = g
-				bestIsRow = isRow
-				bestIdx = idx
-			}
-		}
+		cands := e.polishCands[:0]
 		if cl.NumRows() > cons.MinRows {
 			for _, i := range cl.Rows() {
 				if cons.RequireRowCoverage && e.coverRow[i] <= 1 {
 					continue
 				}
-				consider(true, i)
+				cands = append(cands, decision{isRow: true, idx: i, clusterIdx: -1, gain: negInf})
 			}
 		}
 		if cl.NumCols() > cons.MinCols {
@@ -48,13 +43,21 @@ func (e *engine) polishCluster(c int) {
 				if cons.RequireColCoverage && e.coverCol[j] <= 1 {
 					continue
 				}
-				consider(false, j)
+				cands = append(cands, decision{isRow: false, idx: j, clusterIdx: -1, gain: negInf})
 			}
 		}
-		if bestIdx < 0 {
+		e.polishCands = cands
+		e.decideCluster(c, cands)
+		best, bestGain := -1, 0.0
+		for t, d := range cands {
+			if d.gain > bestGain {
+				best, bestGain = t, d.gain
+			}
+		}
+		if best < 0 {
 			return
 		}
-		e.apply(bestIsRow, bestIdx, c)
+		e.apply(cands[best].isRow, cands[best].idx, c)
 	}
 }
 

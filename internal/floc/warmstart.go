@@ -125,7 +125,7 @@ func warmStartEngine(m *matrix.Matrix, cfg *Config, ws *WarmStart, msum uint64) 
 	// residue. The row joins the admissible cluster whose residue stays
 	// lowest (ties to the lowest cluster index); with no admissible
 	// cluster it stays unassigned and phase 2 may still adopt it.
-	p := &e.probes.one
+	b := &e.probes.one
 	for i := parentRows; i < m.Rows(); i++ {
 		best := -1
 		bestRes := 0.0
@@ -133,7 +133,8 @@ func warmStartEngine(m *matrix.Matrix, cfg *Config, ws *WarmStart, msum uint64) 
 			if cl.NumCols() == 0 {
 				continue
 			}
-			p.Load(cl, true, i)
+			b.Load(cl, true, i)
+			p := b.Probe(0)
 			if e.violatesToggled(p, c) {
 				continue
 			}
