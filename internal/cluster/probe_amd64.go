@@ -2,38 +2,13 @@
 
 package cluster
 
+import "deltacluster/internal/cpu"
+
 // useAVX2 reports whether the sixteen-lane AVX2 kernels serve the
-// batched probes. It is decided once, at package init, from the CPU's
-// feature flags; the purego build tag and every other GOARCH compile
-// the portable four-lane kernels only (probe_generic.go).
-var useAVX2 = hasAVX2()
-
-// hasAVX2 reports whether the CPU implements AVX2 and the OS saves the
-// YMM registers across context switches: CPUID leaf 1 for OSXSAVE and
-// AVX, XGETBV for the XMM and YMM state bits of XCR0, CPUID leaf 7 for
-// AVX2.
-func hasAVX2() bool {
-	maxLeaf, _, _, _ := cpuid(0, 0)
-	if maxLeaf < 7 {
-		return false
-	}
-	const osxsave, avx = 1 << 27, 1 << 28
-	if _, _, ecx1, _ := cpuid(1, 0); ecx1&(osxsave|avx) != osxsave|avx {
-		return false
-	}
-	if xcr0, _ := xgetbv(); xcr0&6 != 6 {
-		return false
-	}
-	const avx2 = 1 << 5
-	_, ebx7, _, _ := cpuid(7, 0)
-	return ebx7&avx2 != 0
-}
-
-// cpuid executes CPUID with EAX = eaxArg and ECX = ecxArg.
-func cpuid(eaxArg, ecxArg uint32) (eax, ebx, ecx, edx uint32)
-
-// xgetbv reads extended control register XCR0.
-func xgetbv() (eax, edx uint32)
+// batched probes: on every CPU with AVX2 (cpu.AVX2). The purego build
+// tag and every other GOARCH compile the portable four-lane kernels
+// only (probe_generic.go).
+var useAVX2 = cpu.AVX2
 
 // rowLanesAVX2 adds to sums[q], for all sixteen lanes, lane q's
 // residue terms over the first nc entries of each of the rows pack

@@ -1,7 +1,7 @@
 //go:build !purego
 
 // The sixteen-lane probe kernels (see rowLanesAVX2 and colLanesAVX2 in
-// probe_amd64.go) and the CPUID/XGETBV stubs their dispatch needs.
+// probe_amd64.go).
 //
 // Bit identity with the Go kernels (rowSums4, ownSums and colSums4 in
 // probe_kernel.go): the kernels vectorise across lanes, never across
@@ -35,25 +35,6 @@
 // precedes RET, so no SSE/AVX transition penalty leaks into Go code.
 
 #include "textflag.h"
-
-// func cpuid(eaxArg, ecxArg uint32) (eax, ebx, ecx, edx uint32)
-TEXT ·cpuid(SB), NOSPLIT, $0-24
-	MOVL eaxArg+0(FP), AX
-	MOVL ecxArg+4(FP), CX
-	CPUID
-	MOVL AX, eax+8(FP)
-	MOVL BX, ebx+12(FP)
-	MOVL CX, ecx+16(FP)
-	MOVL DX, edx+20(FP)
-	RET
-
-// func xgetbv() (eax, edx uint32)
-TEXT ·xgetbv(SB), NOSPLIT, $0-8
-	MOVL $0, CX
-	XGETBV
-	MOVL AX, eax+0(FP)
-	MOVL DX, edx+4(FP)
-	RET
 
 // ABS and SQ apply φ to a group's four terms in T.
 #define ABS(T) VANDPD Y8, T, T

@@ -2,6 +2,7 @@ package floc
 
 import (
 	"fmt"
+	"slices"
 	"testing"
 
 	"deltacluster/internal/cluster"
@@ -87,15 +88,33 @@ func BenchmarkDecideAll(b *testing.B) {
 // sequential apply with rollback, cache rebuild — the unit of work
 // the run loop repeats until convergence. The apply loop is
 // inherently serial (each action observes its predecessors), so this
-// bounds the overall speedup parallel decide can deliver.
+// bounds the overall speedup parallel decide can deliver. The engine
+// is warmed first (warmIterate), so every timed iteration repeats the
+// same work and allocs/op reads 0 at any b.N.
 func BenchmarkIterate(b *testing.B) {
 	e := benchEngine(b, 1)
+	best := warmIterate(e)
 	b.ReportAllocs()
 	b.ResetTimer()
-	best := e.costSum
 	for i := 0; i < b.N; i++ {
 		best, _ = e.iterate(best)
 	}
+}
+
+// warmIterate runs e's phase-2 iterations until one does not improve
+// the clustering, and then one more, and returns the best cost to
+// pass on. The improving iterations grow the clusters' membership,
+// pack and checkpoint slices, and the first rollback sizes its own
+// scratch; from then on each iteration applies and rolls back the
+// same actions without allocating. On the bench engine that takes
+// three iterations.
+func warmIterate(e *engine) float64 {
+	best := e.costSum
+	for improved := true; improved; {
+		best, improved = e.iterate(best)
+	}
+	best, _ = e.iterate(best)
+	return best
 }
 
 // BenchmarkDecideAllIncremental is BenchmarkDecideAll under
@@ -171,4 +190,115 @@ func BenchmarkSeedAnchored(b *testing.B) {
 			}
 		})
 	}
+}
+
+// seedKernelCase is one column-major carve of the yeast stand-in's
+// seeding, with what refine's first round reads after it: the anchor
+// row, the carved columns and their slack, the carved rows, and their
+// column adjustments.
+type seedKernelCase struct {
+	row1  []float64
+	cols  []int
+	slack int
+	rows  []int
+	adj   []float64
+}
+
+// seedKernelCases draws anchor pairs from run seed 1 as anchoredSeeds
+// does on m (δ = delta, at least three rows and columns) and keeps, for
+// slack 0 and slack 1 each, the first n column-major carves that carve
+// at least three rows: a fixed set of inputs for the seeding kernels.
+func seedKernelCases(tb testing.TB, m *matrix.Matrix, delta float64, n int) (cases [2][]seedKernelCase) {
+	tb.Helper()
+	scr := newSeedScratch(m)
+	rng := stats.NewRNG(1)
+	const minRows, minCols = 3, 3
+	for a := 0; a < 100000 && (len(cases[0]) < n || len(cases[1]) < n); a++ {
+		i1, i2 := rng.Intn(m.Rows()), rng.Intn(m.Rows())
+		if i1 == i2 {
+			continue
+		}
+		cols := scr.carveCols(m, i1, i2, delta, minCols)
+		if len(cols) < minCols {
+			continue
+		}
+		need := maxInt(minCols, (2*len(cols)+2)/3)
+		slack := len(cols) - need
+		if slack > 1 || len(cases[slack]) == n {
+			continue
+		}
+		rows := scr.carveRows(m, i1, cols, delta, need)
+		if len(rows) < minRows {
+			continue
+		}
+		c := seedKernelCase{row1: m.RowView(i1), cols: slices.Clone(cols), slack: slack, rows: slices.Clone(rows)}
+		scr.columnAdjustments(m, rows, false)
+		c.adj = slices.Clone(scr.colAdj)
+		cases[slack] = append(cases[slack], c)
+	}
+	if len(cases[0]) < n || len(cases[1]) < n {
+		tb.Fatalf("%d slack-0 and %d slack-1 carves, want %d of each", len(cases[0]), len(cases[1]), n)
+	}
+	return cases
+}
+
+// BenchmarkSeedKernels times anchored seeding's complete-matrix kernels
+// one by one on the full yeast stand-in (2884×17, δ = 20), each over
+// the same 64 slack-0 and 64 slack-1 carves (seedKernelCases), so a
+// seeding regression shows in a named kernel. Each runs as seeding
+// dispatches it: the AVX2 kernels where the CPU has them, the Go loops
+// otherwise. One op is one pass over the cases:
+//
+//   - carve-slack0, carve-slack1: carveRowsColumns on the 64 carves of
+//     that slack;
+//   - select-rows: refine's row re-selection (selectRowsComplete) on
+//     all 128 carves' columns, under their rows' column adjustments;
+//   - col-stats: a refine round's column statistics over all 128
+//     carves' rows: the adjustments' sums, then the offset-corrected
+//     means and deviations (columnSums).
+func BenchmarkSeedKernels(b *testing.B) {
+	yeast, err := synth.Yeast(synth.DefaultYeastConfig(), 1)
+	if err != nil {
+		b.Fatal(err)
+	}
+	m := yeast.Matrix
+	m.EnsureDerived()
+	const delta = 20
+	cases := seedKernelCases(b, m, delta, 64)
+	all := append(slices.Clone(cases[0]), cases[1]...)
+	scr := newSeedScratch(m)
+	nr := m.Rows()
+	bench := func(name string, op func()) {
+		b.Run(name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				op()
+			}
+		})
+	}
+	for slack := 0; slack <= 1; slack++ {
+		bench(fmt.Sprintf("carve-slack%d", slack), func() {
+			for _, c := range cases[slack] {
+				scr.carveRowsColumns(m, c.row1, c.cols, 2*delta, slack, scr.vector, scr.carvedRow[:nr])
+			}
+		})
+	}
+	bench("select-rows", func() {
+		for _, c := range all {
+			copy(scr.colAdj, c.adj)
+			scr.selectRowsComplete(m, c.cols, delta, scr.vector)
+		}
+	})
+	bench("col-stats", func() {
+		for _, c := range all {
+			scr.columnAdjustments(m, c.rows, scr.vector)
+			clear(scr.colMean)
+			clear(scr.colDev)
+			scr.columnSums(m, c.rows, colCentered, scr.colMean, scr.vector)
+			for j, n := range scr.colCnt {
+				scr.colMean[j] /= float64(n)
+			}
+			scr.columnSums(m, c.rows, colDeviations, scr.colDev, scr.vector)
+		}
+	})
 }

@@ -21,3 +21,9 @@ func (e *engine) checkProbe(*cluster.Probe, int, float64, bool) {}
 
 // checkRowSelection is a no-op without the deltadebug tag.
 func (*seedScratch) checkRowSelection(*matrix.Matrix, []int, float64, int, []int) {}
+
+// checkCarve is a no-op without the deltadebug tag.
+func (*seedScratch) checkCarve(*matrix.Matrix, []float64, []int, float64, int, []int) {}
+
+// checkColumnSums is a no-op without the deltadebug tag.
+func (*seedScratch) checkColumnSums(*matrix.Matrix, []int, int, []float64) {}

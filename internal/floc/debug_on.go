@@ -174,3 +174,39 @@ func (scr *seedScratch) checkRowSelection(m *matrix.Matrix, cols []int, delta fl
 			len(cols), delta, got, want))
 	}
 }
+
+// checkCarve cross-checks the AVX2 column-major row carve against the
+// Go loops: got must be exactly the rows carveRowsColumns returns on
+// the same columns without vector. The rerun writes into scr.rows,
+// refine's row list, which holds nothing live during a carve (the
+// previous candidate's rows are already copied into the arena), and
+// overwrites the carve's extremes in lo/hi/lo2/hi2, which are scratch;
+// so the check allocates nothing.
+func (scr *seedScratch) checkCarve(m *matrix.Matrix, row1 []float64, cols []int, width float64, slack int, got []int) {
+	want := scr.carveRowsColumns(m, row1, cols, width, slack, false, scr.rows[:m.Rows()])
+	if !slices.Equal(got, want) {
+		panic(fmt.Sprintf("floc: deltadebug AVX2 carve at slack %d on %d columns (width %v) kept rows %v, the Go loops %v",
+			slack, len(cols), width, got, want))
+	}
+}
+
+// checkColumnSums cross-checks refine's AVX2 column sums of the given
+// kind against the Go loops over the member rows' lists, bit for bit,
+// and for colValues the counts they set against the counted ones. The
+// reference sums go to devBuf, whose cap is m.Cols() and which holds
+// nothing live outside the median pass, and the recount to colCnt,
+// which ends with the same values; so the check allocates nothing.
+func (scr *seedScratch) checkColumnSums(m *matrix.Matrix, rows []int, kind int, got []float64) {
+	want := scr.devBuf[:len(got)]
+	clear(want)
+	if kind == colValues {
+		clear(scr.colCnt)
+	}
+	scr.columnSums(m, rows, kind, want, false)
+	for j := range got {
+		if math.Float64bits(got[j]) != math.Float64bits(want[j]) || kind == colValues && scr.colCnt[j] != len(rows) {
+			panic(fmt.Sprintf("floc: deltadebug AVX2 column sums (kind %d) over %d rows: column %d has %v over %d terms, the Go loops %v over %d",
+				kind, len(rows), j, got[j], len(rows), want[j], scr.colCnt[j]))
+		}
+	}
+}

@@ -568,6 +568,23 @@ func TestViolatesToggledBruteForce(t *testing.T) {
 	}
 }
 
+// TestIterateAllocations pins a full phase-2 iteration of the bench
+// engine at zero heap allocations once warmIterate has grown its
+// slices, the figure BenchmarkIterate records: without the warm-up
+// the first iterations' growth, amortized over a small b.N, reads as
+// allocations per op. The deltadebug build's invariant checks clone
+// every cluster after each applied action, so it is skipped there.
+func TestIterateAllocations(t *testing.T) {
+	if debugInvariants {
+		t.Skip("the deltadebug invariant checks allocate")
+	}
+	e := benchEngine(t, 1)
+	best := warmIterate(e)
+	if a := testing.AllocsPerRun(20, func() { best, _ = e.iterate(best) }); a != 0 {
+		t.Errorf("iterate: %v allocations per call after warm-up, want 0", a)
+	}
+}
+
 // TestDecideAllocations pins the exact decide phase at zero heap
 // allocations once its scratch is warm, on the bench engine and at the
 // synthetic-iterate workload's shape: one decideAll on one worker, and

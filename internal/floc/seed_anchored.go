@@ -6,6 +6,7 @@ import (
 	"sort"
 
 	"deltacluster/internal/cluster"
+	"deltacluster/internal/cpu"
 	"deltacluster/internal/matrix"
 	"deltacluster/internal/stats"
 )
@@ -140,10 +141,17 @@ type seedCandidate struct {
 // extra bytes.
 type seedScratch struct {
 	// complete records that m has no missing entries, which lets the
-	// row carve and refine's row re-selection run column by column over
-	// a list of the rows still alive (carveRowsColumns,
-	// selectRowsComplete).
+	// row carve and refine's row re-selection stream the column-major
+	// mirror (carveRowsColumns, selectRowsComplete) and refine's column
+	// sums run over whole rows (columnSums).
 	complete bool
+
+	// vector selects the AVX2 kernels (seed_amd64.s) for the
+	// complete-matrix streams: the column-major carve, the row
+	// re-selection's range filter and refine's column sums. It is
+	// cpu.AVX2; the Go loops serve when it is false, and tests clear it
+	// to run them as the reference.
+	vector bool
 
 	// The sparse index: row i is specified in columns
 	// rowIdx[rowPtr[i]:rowPtr[i+1]], column j in rows
@@ -168,7 +176,7 @@ type seedScratch struct {
 	rowSum  []float64 // per matrix row: offset, then deviation sum, of the row re-selection
 	rowCnt  []int     // per matrix row: specified entries behind rowSum, or among the carve's columns (row-wise carve)
 	cols    []int     // refined column set, reused across rounds and calls
-	rows    []int     // refined row set, reused across rounds and calls; selectRowsComplete's alive list
+	rows    []int     // refined row set, reused across rounds and calls; selectRowsComplete's alive list; the deltadebug carve rerun's
 
 	cl       *cluster.Cluster // the one cluster every candidate is scored in
 	cands    []seedCandidate
@@ -179,6 +187,7 @@ type seedScratch struct {
 func newSeedScratch(m *matrix.Matrix) *seedScratch {
 	scr := &seedScratch{
 		complete:  m.SpecifiedCount() == m.Rows()*m.Cols(),
+		vector:    cpu.AVX2,
 		diffs:     make([]float64, 0, m.Cols()),
 		carvedCol: make([]int, 0, m.Cols()),
 		carvedRow: make([]int, 0, m.Rows()),
@@ -302,11 +311,11 @@ func (scr *seedScratch) carveCols(m *matrix.Matrix, i1, i2 int, delta float64, m
 //
 // The test is clumps, densestWindow(offsets, 2δ) ≥ need without the
 // sort. On a complete matrix with at most one offset allowed outside
-// the clump, carveRowsColumns runs it column by column instead; on
-// the yeast stand-in that is 95% of the carves, about half each with
-// slack 0 and slack 1. Larger slacks, and matrices with missing
-// entries, gather each row's offsets. With missing entries, a row
-// specified in fewer than need of cols cannot clump, so the column
+// the clump, carveRowsColumns runs it on each row's extreme offsets
+// instead; on the yeast stand-in that is 95% of the carves, about half
+// each with slack 0 and slack 1. Larger slacks, and matrices with
+// missing entries, gather each row's offsets. With missing entries, a
+// row specified in fewer than need of cols cannot clump, so the column
 // lists first count each row's entries among cols and only rows
 // reaching need are gathered.
 //
@@ -318,7 +327,11 @@ func (scr *seedScratch) carveRows(m *matrix.Matrix, i1 int, cols []int, delta fl
 	row1 := m.RowView(i1)
 	width := 2 * delta
 	if slack := len(cols) - need; scr.complete && slack <= 1 {
-		return scr.carveRowsColumns(m, row1, cols, width, slack)
+		rows := scr.carveRowsColumns(m, row1, cols, width, slack, scr.vector, scr.carvedRow[:m.Rows()])
+		if debugInvariants && scr.vector {
+			scr.checkCarve(m, row1, cols, width, slack, rows)
+		}
+		return rows
 	}
 	cnt := scr.rowCnt
 	if !scr.complete {
@@ -350,39 +363,53 @@ func (scr *seedScratch) carveRows(m *matrix.Matrix, i1 int, cols []int, delta fl
 
 // carveRowsColumns is carveRows on a complete matrix when all
 // len(cols) offsets of a row (slack 0) or all but one (slack 1) must
-// clump. Sorted, a row's offsets x₀ ≤ … ≤ xₙ₋₁ then clump iff
-// xₙ₋₁ − x₀ ≤ width, respectively xₙ₋₂ − x₀ ≤ width or xₙ₋₁ − x₁ ≤
-// width — a test on the row's two (four) extreme offsets, which are
-// kept running while the columns stream through the column-major
-// mirror. Both spans only widen as offsets arrive, so a row is
-// dropped as soon as they exceed the width: the first two (three)
-// columns are scanned for every row, the rest only for the few rows
-// still alive, in place over the alive list. cols holds at least
-// three columns, as every carve does. Slack 0 keeps its own
+// clump, written to buf (m.Rows() long). Sorted, a row's offsets
+// x₀ ≤ … ≤ xₙ₋₁ then clump iff xₙ₋₁ − x₀ ≤ width, respectively
+// xₙ₋₂ − x₀ ≤ width or xₙ₋₁ − x₁ ≤ width — a test on the row's two
+// (four) extreme offsets, kept running while the columns stream
+// through the column-major mirror. Both spans only widen as offsets
+// arrive, so a row is dropped as soon as they exceed the width, and
+// only the first two (three) columns are read for every row. cols
+// holds at least three columns, as every carve does.
+//
+// With vector set, the AVX2 kernels (rangeRowsAVX2 at slack 0,
+// carve1AVX2 at slack 1) take the rows four per register, block by
+// block, carrying each block's extremes through the columns until no
+// row of it is alive; the Go loops below take the last m.Rows() mod 4
+// rows, and every row without vector. They run column by column over
+// a list of the rows still alive, in place. The first pass keeps 12%
+// of the yeast stand-in's rows at slack 0 and 31% at slack 1, too many
+// for a well-predicted branch, so it runs without a branch on the
+// outcome: each row index is written to the list unconditionally and
+// the list advances when the row passes, and only the survivors'
+// extremes are then sorted into lo/hi (lo2/hi2). The tests are the
+// sorted ones: with slack 0, |y − x| ≤ width equals the sorted y − x ≤
+// width because negation is exact; with slack 1, min(|y−x|, |z−y|,
+// |z−x|) ≤ width equals "an adjacent sorted gap ≤ width", because the
+// outer gap rounds to at least either inner one. Offsets that overflow
+// to ±Inf give the same verdicts both ways. Slack 0 keeps its own
 // two-extreme loop: answering it from the four-extreme tracker is
 // measurably slower on the yeast stand-in.
 //
-// On the yeast stand-in the first pass keeps 12% of the rows at slack
-// 0 and 31% at slack 1, too many for a well-predicted branch, so it
-// runs without a branch on the outcome: each row index is written to the alive
-// list unconditionally and the list advances when the row passes, and
-// only the survivors' extremes are then sorted into lo/hi (lo2/hi2).
-// The tests are the sorted ones: with slack 0, |y − x| ≤ width equals
-// the sorted y − x ≤ width because negation is exact; with slack 1,
-// min(|y−x|, |z−y|, |z−x|) ≤ width equals "an adjacent sorted gap ≤
-// width", because the outer gap rounds to at least either inner one.
-// Offsets that overflow to ±Inf give the same verdicts both ways.
-//
 // deltavet:hotpath — see carveRows.
-func (scr *seedScratch) carveRowsColumns(m *matrix.Matrix, row1 []float64, cols []int, width float64, slack int) []int {
+func (scr *seedScratch) carveRowsColumns(m *matrix.Matrix, row1 []float64, cols []int, width float64, slack int, vector bool, buf []int) []int {
 	n := m.Rows()
-	alive := scr.carvedRow[:n]
+	done, from := 0, 0
+	if vector {
+		kernel := rangeRowsAVX2
+		if slack == 1 {
+			kernel = carve1AVX2
+		}
+		done = kernel(&m.ColView(0)[0], n, &cols[0], len(cols), &row1[0], width, &buf[0])
+		from = n &^ 3
+	}
+	alive := buf[done : done+n-from]
 	lo, hi := scr.lo, scr.hi // per alive row: smallest and largest offset
 	c0, a0 := m.ColView(cols[0])[:n], row1[cols[0]]
 	c1, a1 := m.ColView(cols[1])[:n], row1[cols[1]]
 	if slack == 0 {
 		k := 0
-		for r := range c0 {
+		for r := from; r < len(c0); r++ {
 			alive[k] = r
 			if math.Abs((c1[r]-a1)-(c0[r]-a0)) <= width {
 				k++
@@ -413,12 +440,12 @@ func (scr *seedScratch) carveRowsColumns(m *matrix.Matrix, row1 []float64, cols 
 			}
 			alive = kept
 		}
-		return alive
+		return buf[:done+len(alive)]
 	}
 	lo2, hi2 := scr.lo2, scr.hi2 // per alive row: second-smallest and second-largest offset
 	c2, a2 := m.ColView(cols[2])[:n], row1[cols[2]]
 	k := 0
-	for r := range c0 {
+	for r := from; r < len(c0); r++ {
 		x, y, z := c0[r]-a0, c1[r]-a1, c2[r]-a2
 		alive[k] = r
 		if min(math.Abs(y-x), math.Abs(z-y), math.Abs(z-x)) <= width {
@@ -467,7 +494,7 @@ func (scr *seedScratch) carveRowsColumns(m *matrix.Matrix, row1 []float64, cols 
 		}
 		alive = kept
 	}
-	return alive
+	return buf[:done+len(alive)]
 }
 
 // clumps reports whether at least need ≥ 1 values of xs lie in one
@@ -527,14 +554,15 @@ func refineCandidate(m *matrix.Matrix, rows, cols []int, delta float64, minRows,
 // rounds reach the coherent fixed point.
 //
 // Neither re-selection gathers at a stride: the column statistics
-// accumulate row by row over the member rows' lists into per-column
-// sums, and the row statistics column by column over the refined
-// columns' lists into per-row sums (selectRows). Each sum still takes
-// its terms in the order of a direct scan — a column's over rows in
-// row order, a row's over columns in column order — so every operand
-// and rounding step is unchanged. On a complete matrix the row
-// re-selection first rules rows out by the range of their adjusted
-// values and sums only for the survivors (selectRowsComplete).
+// accumulate row by row into per-column sums (columnSums), and the row
+// statistics column by column over the refined columns' lists into
+// per-row sums (selectRows). Each sum still takes its terms in the
+// order of a direct scan — a column's over rows in row order, a row's
+// over columns in column order — so every operand and rounding step is
+// unchanged. On a complete matrix the column sums run four columns per
+// register (columnSumsAVX2), and the row re-selection first rules rows
+// out by the range of their adjusted values and sums only for the
+// survivors (selectRowsComplete).
 //
 // The returned slices are backed by the scratch and stay valid only
 // until the next refine call; callers keeping a result must copy it
@@ -542,35 +570,12 @@ func refineCandidate(m *matrix.Matrix, rows, cols []int, delta float64, minRows,
 //
 // deltavet:hotpath — once per attempt that survives the carve.
 func (scr *seedScratch) refine(m *matrix.Matrix, rows, cols []int, delta float64, minRows, minCols int) ([]int, []int) {
+	vector := scr.vector && scr.complete
 	for round := 0; round < 2; round++ {
-		// Column adjustments from the current rows: c_j is column j's
-		// mean over member rows relative to the overall level.
-		colAdj := scr.colAdj
-		colCnt := scr.colCnt
-		clear(colAdj)
-		clear(colCnt)
-		grand, grandN := 0.0, 0
-		for _, i := range rows {
-			row := m.RowView(i)
-			for _, j := range scr.rowEntries(i) {
-				colAdj[j] += row[j]
-				colCnt[j]++
-			}
-		}
-		for j := range colAdj {
-			if colCnt[j] > 0 {
-				colAdj[j] /= float64(colCnt[j])
-				grand += colAdj[j]
-				grandN++
-			}
-		}
-		if grandN == 0 {
+		if !scr.columnAdjustments(m, rows, vector) {
 			return nil, nil
 		}
-		level := grand / float64(grandN)
-		for j := range colAdj {
-			colAdj[j] -= level
-		}
+		colAdj, colCnt := scr.colAdj, scr.colCnt
 
 		// Row offsets against the current columns, computed robustly
 		// (median) so a stray background column cannot poison them.
@@ -601,30 +606,16 @@ func (scr *seedScratch) refine(m *matrix.Matrix, rows, cols []int, delta float64
 		// they must go before rows are scored, or their deviation
 		// would reject every true row. In round two cols aliases
 		// scr.cols; the selection reads only rows and rowOffV, so
-		// appending over the old set in place is safe. Both passes run
-		// row by row over the member rows, so each column's sums take
-		// their terms in row order, as a scan down the column would;
-		// colCnt counts the same entries.
+		// appending over the old set in place is safe. Both sums take
+		// the entries colCnt counts.
 		colMean, colDev := scr.colMean, scr.colDev
 		clear(colMean)
 		clear(colDev)
-		for _, i := range rows {
-			off := rowOffV[i]
-			row := m.RowView(i)
-			for _, j := range scr.rowEntries(i) {
-				colMean[j] += row[j] - off
-			}
-		}
+		scr.columnSums(m, rows, colCentered, colMean, vector)
 		for j, n := range colCnt {
 			colMean[j] /= float64(n)
 		}
-		for _, i := range rows {
-			off := rowOffV[i]
-			row := m.RowView(i)
-			for _, j := range scr.rowEntries(i) {
-				colDev[j] += math.Abs(row[j] - off - colMean[j])
-			}
-		}
+		scr.columnSums(m, rows, colDeviations, colDev, vector)
 		newCols := scr.cols[:0]
 		for j, n := range colCnt {
 			if n >= minRows && n*2 >= len(rows) && colDev[j]/float64(n) <= delta {
@@ -642,7 +633,7 @@ func (scr *seedScratch) refine(m *matrix.Matrix, rows, cols []int, delta float64
 		// rebuilt in place.
 		var newRows []int
 		if scr.complete {
-			newRows = scr.selectRowsComplete(m, cols, delta)
+			newRows = scr.selectRowsComplete(m, cols, delta, scr.vector)
 			if debugInvariants {
 				scr.checkRowSelection(m, cols, delta, minCols, newRows)
 			}
@@ -655,6 +646,97 @@ func (scr *seedScratch) refine(m *matrix.Matrix, rows, cols []int, delta float64
 		rows = newRows
 	}
 	return rows, cols
+}
+
+// columnAdjustments sets refine's column adjustments from the current
+// rows: colAdj[j] is column j's mean over the rows relative to the
+// overall level, the mean of the column means, and colCnt[j] the
+// number of entries behind it. It reports false when no column has an
+// entry among the rows.
+func (scr *seedScratch) columnAdjustments(m *matrix.Matrix, rows []int, vector bool) bool {
+	colAdj, colCnt := scr.colAdj, scr.colCnt
+	clear(colAdj)
+	clear(colCnt)
+	scr.columnSums(m, rows, colValues, colAdj, vector)
+	grand, grandN := 0.0, 0
+	for j := range colAdj {
+		if colCnt[j] > 0 {
+			colAdj[j] /= float64(colCnt[j])
+			grand += colAdj[j]
+			grandN++
+		}
+	}
+	if grandN == 0 {
+		return false
+	}
+	level := grand / float64(grandN)
+	for j := range colAdj {
+		colAdj[j] -= level
+	}
+	return true
+}
+
+// The terms columnSums adds up, per member row i and column j: the
+// entry v = m[i][j], v − rowOff[i], or |v − rowOff[i] − colMean[j]|.
+const (
+	colValues = iota
+	colCentered
+	colDeviations
+)
+
+// columnSums sums into dst[j], for every column j, one term of the
+// given kind per member row specified in it, in row order, as a scan
+// down the column would; colValues also counts the terms in colCnt.
+// dst and, for colValues, colCnt start cleared. The
+// sums run row by row over the member rows' lists, or, with vector
+// set on a complete matrix, over whole rows four columns per register
+// (columnSumsAVX2), which adds the same terms in the same order.
+//
+// deltavet:hotpath — three calls per refine round.
+func (scr *seedScratch) columnSums(m *matrix.Matrix, rows []int, kind int, dst []float64, vector bool) {
+	if len(rows) == 0 {
+		return
+	}
+	if vector {
+		columnSumsAVX2(&m.RowView(0)[0], m.Cols(), &rows[0], len(rows), &scr.rowOff[0], &scr.colMean[0], &dst[0], kind)
+		if kind == colValues {
+			for j := range scr.colCnt {
+				scr.colCnt[j] = len(rows)
+			}
+		}
+		if debugInvariants {
+			scr.checkColumnSums(m, rows, kind, dst)
+		}
+		return
+	}
+	off, mean := scr.rowOff, scr.colMean
+	switch kind {
+	case colValues:
+		cnt := scr.colCnt
+		for _, i := range rows {
+			row := m.RowView(i)
+			for _, j := range scr.rowEntries(i) {
+				dst[j] += row[j]
+				cnt[j]++
+			}
+		}
+	case colCentered:
+		for _, i := range rows {
+			off := off[i]
+			row := m.RowView(i)
+			for _, j := range scr.rowEntries(i) {
+				dst[j] += row[j] - off
+			}
+		}
+	case colDeviations:
+		for _, i := range rows {
+			off := off[i]
+			row := m.RowView(i)
+			for _, j := range scr.rowEntries(i) {
+				dst[j] += math.Abs(row[j] - off - mean[j])
+			}
+		}
+	}
 }
 
 // selectRows is refine's row re-selection over the specified-entry
@@ -709,30 +791,36 @@ func (scr *seedScratch) selectRows(m *matrix.Matrix, cols []int, delta float64, 
 // With y_j = col_j[i] − colAdj[j], a row's deviation sum is
 // Σ_j |y_j − off| ≥ max_j y_j − min_j y_j for any offset off, so an
 // accepted row's range of y is at most n·δ up to rounding; rangeBound
-// gives the threshold that provably covers the rounding. The columns
-// stream through the column-major mirror as in carveRowsColumns: the
-// first pair is tested for every row without a branch (the row index
-// is written unconditionally and the list advances on the test), and
-// each later column updates the running min and max (in scr.lo/hi)
-// only of the rows still alive, dropping a row once its range exceeds
-// the bound (a range only grows as columns arrive, and rounds
-// monotonically, so a partial range past the bound rules the row out
-// as surely as the full one). The few survivors then take exactly selectRows'
-// arithmetic: the offset and the deviation sums over the same operands
-// in ascending column order, and the same dev/n ≤ δ test. The result
-// is written over the alive list in scr.rows.
+// gives the threshold that provably covers the rounding. The filter is
+// carveRowsColumns' slack-0 test with colAdj in place of the anchor
+// row and the bound in place of the width: the columns stream through
+// the column-major mirror, four rows per register in rangeRowsAVX2
+// with vector set, and the Go loops over an alive list in scr.rows
+// otherwise and for the last m.Rows() mod 4 rows (a range only grows
+// as columns arrive, and rounds monotonically, so a partial range past
+// the bound rules the row out as surely as the full one). The few
+// survivors then take exactly selectRows' arithmetic: the offset and
+// the deviation sums over the same operands in ascending column order,
+// and the same dev/n ≤ δ test. The result is written over the
+// survivors in scr.rows.
 //
 // deltavet:hotpath — refine's row re-selection on complete matrices.
-func (scr *seedScratch) selectRowsComplete(m *matrix.Matrix, cols []int, delta float64) []int {
+func (scr *seedScratch) selectRowsComplete(m *matrix.Matrix, cols []int, delta float64, vector bool) []int {
 	nr, n := m.Rows(), len(cols)
 	bound := rangeBound(n, delta)
 	colAdj := scr.colAdj
+	buf := scr.rows[:nr]
+	done, from := 0, 0
+	if vector {
+		done = rangeRowsAVX2(&m.ColView(0)[0], nr, &cols[0], n, &colAdj[0], bound, &buf[0])
+		from = nr &^ 3
+	}
 	lo, hi := scr.lo, scr.hi
 	c0, a0 := m.ColView(cols[0])[:nr], colAdj[cols[0]]
 	c1, a1 := m.ColView(cols[1])[:nr], colAdj[cols[1]]
-	alive := scr.rows[:nr]
+	alive := buf[done : done+nr-from]
 	k := 0
-	for r := range c0 {
+	for r := from; r < len(c0); r++ {
 		alive[k] = r
 		if math.Abs((c1[r]-a1)-(c0[r]-a0)) <= bound {
 			k++
@@ -759,8 +847,9 @@ func (scr *seedScratch) selectRowsComplete(m *matrix.Matrix, cols []int, delta f
 		}
 		alive = kept
 	}
-	rows := alive[:0]
-	for _, r := range alive {
+	survivors := buf[:done+len(alive)]
+	rows := survivors[:0]
+	for _, r := range survivors {
 		row := m.RowView(r)
 		s := 0.0
 		for _, j := range cols {

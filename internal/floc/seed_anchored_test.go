@@ -238,10 +238,11 @@ func carveRowsReference(m *matrix.Matrix, i1 int, cols []int, delta float64, nee
 	return rows
 }
 
-// TestCarveRowsPathsAgree checks the row carve's two paths against
-// its definition: on complete matrices the column-major path (slack 0
-// and 1) and the row-wise path must return the reference row set, and
-// on a matrix with missing entries the row-wise path must. Values sit
+// TestCarveRowsPathsAgree checks the row carve's paths against its
+// definition: on complete matrices the column-major path (slack 0 and
+// 1), in its Go loops and, where the CPU has them, its AVX2 kernels,
+// and the row-wise path must return the reference row set, and on a
+// matrix with missing entries the row-wise path must. Values sit
 // on a lattice with signed zeros, so offsets tie and the offsets of a
 // row's first carved columns differ by exactly the window width. Every
 // fifth matrix also holds values near ±1e308, whose offsets against
@@ -309,16 +310,19 @@ func TestCarveRowsPathsAgree(t *testing.T) {
 					}
 				}
 			}
-			paths := []bool{false}
+			type path struct{ complete, vector bool }
+			paths := []path{{false, false}}
 			if !missing {
-				paths = append(paths, true)
+				for _, vector := range vectorPaths() {
+					paths = append(paths, path{true, vector})
+				}
 			}
-			for _, complete := range paths {
-				scr.complete = complete
+			for _, p := range paths {
+				scr.complete, scr.vector = p.complete, p.vector
 				got := scr.carveRows(m, i1, carve, delta, need)
 				if !slices.Equal(got, want) {
-					t.Fatalf("trial %d (complete path %v, need %d of %d, delta %v): rows %v, reference %v",
-						trial, complete, need, n, delta, got, want)
+					t.Fatalf("trial %d (complete path %v, vector %v, need %d of %d, delta %v): rows %v, reference %v",
+						trial, p.complete, p.vector, need, n, delta, got, want)
 				}
 			}
 		}

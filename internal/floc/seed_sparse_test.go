@@ -258,7 +258,9 @@ func TestSeedIndexMatchesMatrix(t *testing.T) {
 // TestListKernelsMatchDense pins carveCols, carveRows and refine on
 // the specified-entry lists to the dense kernels they replaced, on
 // random matrices with no, 30% and 95% missing entries, a fully
-// missing row and column, lattice ties and signed zeros. Each kernel
+// missing row and column, lattice ties and signed zeros. On complete
+// matrices carveRows and refine run both their Go loops and, where the
+// CPU has them, their AVX2 kernels. Each kernel
 // is fed both the previous kernel's output, as in the seeding loop,
 // and random ascending row and column sets. At 0 and 30% missing the
 // test also requires that enough carves and refinements are non-empty
@@ -278,6 +280,7 @@ func TestListKernelsMatchDense(t *testing.T) {
 			delta *= 0.1
 		}
 		minCols, minRows := 3, 3
+		vectors := vectorPaths()
 
 		for pair := 0; pair < 4; pair++ {
 			i1, i2 := rng.Intn(m.Rows()), rng.Intn(m.Rows())
@@ -296,11 +299,14 @@ func TestListKernelsMatchDense(t *testing.T) {
 				continue
 			}
 			carved[leg]++
-			for _, need := range []int{maxInt(minCols, (2*len(want)+2)/3), len(want), len(want) - 1, minCols} {
-				wantRows := carveRowsReference(m, i1, want, delta, need)
-				gotRows := scr.carveRows(m, i1, want, delta, need)
-				if !slices.Equal(gotRows, wantRows) {
-					t.Fatalf("trial %d (missing %v): carveRows(%d, %v, need %d) = %v, dense %v", trial, missing, i1, want, need, gotRows, wantRows)
+			for _, vector := range vectors {
+				scr.vector = vector
+				for _, need := range []int{maxInt(minCols, (2*len(want)+2)/3), len(want), len(want) - 1, minCols} {
+					wantRows := carveRowsReference(m, i1, want, delta, need)
+					gotRows := scr.carveRows(m, i1, want, delta, need)
+					if !slices.Equal(gotRows, wantRows) {
+						t.Fatalf("trial %d (missing %v, vector %v): carveRows(%d, %v, need %d) = %v, dense %v", trial, missing, vector, i1, want, need, gotRows, wantRows)
+					}
 				}
 			}
 			rows := slices.Clone(scr.carveRows(m, i1, want, delta, maxInt(minCols, (2*len(want)+2)/3)))
@@ -308,9 +314,12 @@ func TestListKernelsMatchDense(t *testing.T) {
 				continue
 			}
 			wantR, wantC := denseRefine(m, rows, slices.Clone(want), delta, minRows, minCols)
-			gotR, gotC := scr.refine(m, rows, slices.Clone(want), delta, minRows, minCols)
-			if !slices.Equal(gotR, wantR) || !slices.Equal(gotC, wantC) {
-				t.Fatalf("trial %d (missing %v): refine of the carve = %v × %v, dense %v × %v", trial, missing, gotR, gotC, wantR, wantC)
+			for _, vector := range vectors {
+				scr.vector = vector
+				gotR, gotC := scr.refine(m, rows, slices.Clone(want), delta, minRows, minCols)
+				if !slices.Equal(gotR, wantR) || !slices.Equal(gotC, wantC) {
+					t.Fatalf("trial %d (missing %v, vector %v): refine of the carve = %v × %v, dense %v × %v", trial, missing, vector, gotR, gotC, wantR, wantC)
+				}
 			}
 			if wantR != nil {
 				refined[leg]++
@@ -321,9 +330,12 @@ func TestListKernelsMatchDense(t *testing.T) {
 			rows := ascendingSubset(rng, m.Rows(), 0.2+0.6*rng.Float64())
 			cols := ascendingSubset(rng, m.Cols(), 0.2+0.6*rng.Float64())
 			wantR, wantC := denseRefine(m, rows, cols, delta, minRows, minCols)
-			gotR, gotC := scr.refine(m, rows, cols, delta, minRows, minCols)
-			if !slices.Equal(gotR, wantR) || !slices.Equal(gotC, wantC) {
-				t.Fatalf("trial %d (missing %v): refine(%v, %v) = %v × %v, dense %v × %v", trial, missing, rows, cols, gotR, gotC, wantR, wantC)
+			for _, vector := range vectors {
+				scr.vector = vector
+				gotR, gotC := scr.refine(m, rows, cols, delta, minRows, minCols)
+				if !slices.Equal(gotR, wantR) || !slices.Equal(gotC, wantC) {
+					t.Fatalf("trial %d (missing %v, vector %v): refine(%v, %v) = %v × %v, dense %v × %v", trial, missing, vector, rows, cols, gotR, gotC, wantR, wantC)
+				}
 			}
 			if wantR != nil {
 				refined[leg]++
@@ -427,8 +439,10 @@ func testRowSelectionBoundaries(t *testing.T) {
 		if got := scr.selectRows(m, cols, delta, minCols, nil); !slices.Equal(got, want) {
 			t.Fatalf("trial %d: list row selection %v, dense %v", trial, got, want)
 		}
-		if got := scr.selectRowsComplete(m, cols, delta); !slices.Equal(got, want) {
-			t.Fatalf("trial %d (n=%d, δ=%v): pre-filtered row selection %v, dense %v", trial, n, delta, got, want)
+		for _, vector := range vectorPaths() {
+			if got := scr.selectRowsComplete(m, cols, delta, vector); !slices.Equal(got, want) {
+				t.Fatalf("trial %d (n=%d, δ=%v, vector %v): pre-filtered row selection %v, dense %v", trial, n, delta, vector, got, want)
+			}
 		}
 		for _, i := range want {
 			r, dev := adjustedRowStats(m.RowView(i), cols, adj)
@@ -449,9 +463,12 @@ func testRowSelectionBoundaries(t *testing.T) {
 
 		rows := ascendingSubset(rng, nr, 0.5)
 		wantR, wantC := denseRefine(m, rows, slices.Clone(cols), delta, minRows, minCols)
-		gotR, gotC := scr.refine(m, rows, slices.Clone(cols), delta, minRows, minCols)
-		if !slices.Equal(gotR, wantR) || !slices.Equal(gotC, wantC) {
-			t.Fatalf("trial %d: refine(%v, %v) = %v × %v, dense %v × %v", trial, rows, cols, gotR, gotC, wantR, wantC)
+		for _, vector := range vectorPaths() {
+			scr.vector = vector
+			gotR, gotC := scr.refine(m, rows, slices.Clone(cols), delta, minRows, minCols)
+			if !slices.Equal(gotR, wantR) || !slices.Equal(gotC, wantC) {
+				t.Fatalf("trial %d (vector %v): refine(%v, %v) = %v × %v, dense %v × %v", trial, vector, rows, cols, gotR, gotC, wantR, wantC)
+			}
 		}
 	}
 	if marginNeeded < 50 || atDelta < 50 || overflowed < 50 {

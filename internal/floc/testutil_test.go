@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"deltacluster/internal/cluster"
+	"deltacluster/internal/cpu"
 	"deltacluster/internal/matrix"
 	"deltacluster/internal/stats"
 	"deltacluster/internal/synth"
@@ -145,4 +146,13 @@ func clusterBits(cl *cluster.Cluster) string {
 		cl.OrderedRows(), cl.OrderedCols(), cl.Volume(),
 		math.Float64bits(cl.ResidueWith(cluster.ArithmeticMean)),
 		math.Float64bits(cl.ResidueWith(cluster.SquaredMean)))
+}
+
+// vectorPaths lists the seeding kernels' paths a test can run here:
+// the Go loops, and the AVX2 kernels where the CPU has them.
+func vectorPaths() []bool {
+	if cpu.AVX2 {
+		return []bool{false, true}
+	}
+	return []bool{false}
 }
