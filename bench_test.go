@@ -74,23 +74,6 @@ func benchFLOC(b *testing.B, mutate func(*floc.Config)) {
 	}
 }
 
-// Exact gain evaluation (paper) vs the O(n+m) approximation.
-func BenchmarkAblationGainExact(b *testing.B) {
-	benchFLOC(b, func(cfg *floc.Config) { cfg.ApproximateGain = false })
-}
-func BenchmarkAblationGainApproximate(b *testing.B) {
-	benchFLOC(b, func(cfg *floc.Config) { cfg.ApproximateGain = true })
-}
-
-// Decide-once-per-iteration (paper flowchart) vs re-deciding at apply
-// time.
-func BenchmarkAblationDecideOnce(b *testing.B) {
-	benchFLOC(b, func(cfg *floc.Config) { cfg.RecomputeOnApply = false })
-}
-func BenchmarkAblationRecomputeOnApply(b *testing.B) {
-	benchFLOC(b, func(cfg *floc.Config) { cfg.RecomputeOnApply = true })
-}
-
 // Action orders (Section 5.2).
 func BenchmarkAblationOrderFixed(b *testing.B) {
 	benchFLOC(b, func(cfg *floc.Config) { cfg.Order = floc.FixedOrder; cfg.SeedMode = floc.SeedRandom })

@@ -64,7 +64,6 @@ func main() {
 		seed      = flag.Int64("seed", 1, "random seed")
 		order     = flag.String("order", "weighted", "action order: fixed | random | weighted")
 		seedMode  = flag.String("seeding", "auto", "seeding: random | anchored | auto")
-		gainMode  = flag.String("gain-mode", "exact", "decide-phase scoring: exact (bit-identical baseline) | incremental (O(row) aggregate ranking, exact kernel still applies every action)")
 		maxIter   = flag.Int("maxiter", 200, "iteration cap")
 		workers   = flag.Int("workers", 0, "goroutines for the decide phase (0 = all cores); the result is bit-identical at any value")
 		tsv       = flag.Bool("tsv", false, "tab-separated input")
@@ -95,7 +94,7 @@ func main() {
 	if *maxIter < 1 {
 		usageError("-maxiter must be at least 1 (got %d)", *maxIter)
 	}
-	if *alpha < 0 || *alpha > 1 {
+	if !(*alpha >= 0 && *alpha <= 1) { // NaN fails both comparisons
 		usageError("-alpha must be within [0, 1] (got %g)", *alpha)
 	}
 	if *ckEvery < 1 {
@@ -148,14 +147,6 @@ func main() {
 		cfg.SeedMode = deltacluster.SeedAuto
 	default:
 		fatal(fmt.Errorf("unknown seeding %q", *seedMode))
-	}
-	switch *gainMode {
-	case "exact":
-		cfg.GainMode = deltacluster.GainExact
-	case "incremental":
-		cfg.GainMode = deltacluster.GainIncremental
-	default:
-		fatal(fmt.Errorf("unknown gain mode %q", *gainMode))
 	}
 
 	var runOpts deltacluster.FLOCRunOptions

@@ -191,18 +191,6 @@ const (
 	ResidueGain = floc.ResidueGain
 )
 
-// GainMode selects the decide phase's scoring tier; see the floc
-// package docs.
-type GainMode = floc.GainMode
-
-// Gain modes: exact O(volume) scoring (the bit-identical default) or
-// incremental O(row)/O(col) aggregate ranking with the exact kernel
-// retained for every applied action.
-const (
-	GainExact       = floc.GainExact
-	GainIncremental = floc.GainIncremental
-)
-
 // SeedMode selects the phase-1 seeding strategy.
 type SeedMode = floc.SeedMode
 

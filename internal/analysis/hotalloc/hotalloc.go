@@ -10,7 +10,7 @@
 // discipline, and hotpath-ness propagates transitively to everything
 // the function statically calls across all analyzed packages — the
 // cross-package fact mechanism in the framework — so annotating
-// floc's decideOne covers the cluster toggles and residue kernels it
+// floc's decideRange covers the cluster toggles and residue kernels it
 // drives without annotating every helper. Propagation stops at
 // functions marked deltavet:coldpath: code reachable from a hot path
 // in the source but never taken in steady state (one-time cache

@@ -120,37 +120,3 @@ func BenchmarkProbe(b *testing.B) {
 	b.Run("col-insert-x16", leg(false, 0, 3, 6, 9, 12, 15, 18, 21, 24, 27, 30, 33, 36, 39, 42, 45))
 	b.Run("col-remove", leg(false, 1)) // column 1 is a member
 }
-
-// BenchmarkInsertionMass measures the incremental gain tier's
-// insertion-side kernel: scoring a candidate row/column against the
-// cluster's current bases in one O(row)/O(col) pass — what replaces
-// the exact O(volume) rescan of BenchmarkResidueWith when ranking
-// insertions under GainMode=incremental. (Removals read the recorded
-// share in O(1) and need no benchmark.)
-func BenchmarkInsertionMass(b *testing.B) {
-	m := benchMatrix(b)
-	b.Run("row", func(b *testing.B) {
-		cl := benchCluster(b, m)
-		cl.EnableResidueAggregates(ArithmeticMean)
-		b.ReportAllocs()
-		b.ResetTimer()
-		var sink float64
-		for i := 0; i < b.N; i++ {
-			mass, _ := cl.RowInsertionMass(1, ArithmeticMean) // row 1 is not a member
-			sink += mass
-		}
-		_ = sink
-	})
-	b.Run("col", func(b *testing.B) {
-		cl := benchCluster(b, m)
-		cl.EnableResidueAggregates(ArithmeticMean)
-		b.ReportAllocs()
-		b.ResetTimer()
-		var sink float64
-		for i := 0; i < b.N; i++ {
-			mass, _ := cl.ColInsertionMass(0, ArithmeticMean) // column 0 is not a member
-			sink += mass
-		}
-		_ = sink
-	})
-}

@@ -83,19 +83,6 @@ type Cluster struct {
 	packBases  []float64 // r → rowSum/rowCnt of memberRows[r], recached on mutation // deltavet:guard
 	packStride int       // floats per pack block; 0 while disabled // deltavet:guard
 
-	// The residue-mass aggregates (incremental.go): absSum carries
-	// Σφ(r_ij) over the cluster's specified entries — φ = |·| under
-	// ArithmeticMean, squaring under SquaredMean — with rowAbs/colAbs
-	// each row's and column's share. Delta-maintained by the membership
-	// mutators under the fold convention documented in incremental.go
-	// once EnableResidueAggregates turns the tier on, and guarded like
-	// the sums: only deltavet:writer functions may assign them.
-	absTracked bool        // tier enabled; set only by EnableResidueAggregates/CopyFrom
-	absMean    ResidueMean // which φ the masses aggregate
-	rowAbs     []float64   // per matrix row: its share of absSum // deltavet:guard
-	colAbs     []float64   // per matrix col: its share of absSum // deltavet:guard
-	absSum     float64     // Σφ(r_ij) under the fold convention // deltavet:guard
-
 	// colBases is unguarded scratch reused by ResidueWith to hold the
 	// hoisted attribute bases for one scan. It carries no state between
 	// calls (fully overwritten before use) and is deliberately not
@@ -141,7 +128,7 @@ func FromSpec(m *matrix.Matrix, rows, cols []int) *Cluster {
 }
 
 // Reset returns c to the state New builds — no members, zero
-// aggregates, evaluation pack and residue-mass tier off — reusing its
+// aggregates, evaluation pack off — reusing its
 // matrix-sized slices (deltavet:writer). It costs O(members): the
 // per-row and per-column aggregates of non-members are zero by
 // invariant, so only the members' entries need clearing. A Reset
@@ -164,8 +151,6 @@ func (c *Cluster) Reset() {
 	c.total = 0
 	c.volume = 0
 	c.pack, c.packBases, c.packStride = nil, nil, 0
-	c.absTracked, c.absMean = false, ArithmeticMean
-	c.rowAbs, c.colAbs, c.absSum = nil, nil, 0
 }
 
 // FromOrdered returns a cluster over m whose internal member order is
@@ -236,24 +221,6 @@ func (c *Cluster) Cols() []int {
 	return out
 }
 
-// RowsInto overwrites dst with the member row indices in ascending
-// order, reusing dst's storage, and returns the result — the
-// zero-allocation counterpart of Rows for hot paths that scan the
-// membership every evaluation (see floc's approximate gain).
-func (c *Cluster) RowsInto(dst []int) []int {
-	dst = append(dst[:0], c.memberRows...)
-	sort.Ints(dst)
-	return dst
-}
-
-// ColsInto overwrites dst with the member column indices in ascending
-// order, reusing dst's storage; see RowsInto.
-func (c *Cluster) ColsInto(dst []int) []int {
-	dst = append(dst[:0], c.memberCols...)
-	sort.Ints(dst)
-	return dst
-}
-
 // OrderedRows returns a copy of the member row indices in internal
 // (insertion) order. Floating-point aggregates accumulate in this
 // order, so it — not the sorted view — is what a checkpoint must
@@ -296,9 +263,6 @@ func (c *Cluster) AddRow(i int) {
 		// Only the new row's sums changed; the other cached bases stand.
 		c.packRefreshBase(len(c.memberRows)-1, i)
 	}
-	if c.absTracked {
-		c.absAddRow(i)
-	}
 }
 
 // RemoveRow removes matrix row i, unwinding its entries from the
@@ -308,10 +272,6 @@ func (c *Cluster) RemoveRow(i int) {
 	pos := c.rowPos[i]
 	if pos < 0 {
 		panic(fmt.Sprintf("cluster: RemoveRow(%d): not a member", i))
-	}
-	if c.absTracked {
-		// Unwind the residue masses first, under the pre-removal bases.
-		c.absRemoveRow(i)
 	}
 	last := len(c.memberRows) - 1
 	moved := c.memberRows[last]
@@ -381,9 +341,6 @@ func (c *Cluster) AddCol(j int) {
 	if c.packStride > 0 {
 		c.packRefreshBases()
 	}
-	if c.absTracked {
-		c.absAddCol(j)
-	}
 }
 
 // RemoveCol removes matrix column j, unwinding its entries from the
@@ -393,10 +350,6 @@ func (c *Cluster) RemoveCol(j int) {
 	pos := c.colPos[j]
 	if pos < 0 {
 		panic(fmt.Sprintf("cluster: RemoveCol(%d): not a member", j))
-	}
-	if c.absTracked {
-		// Unwind the residue masses first, under the pre-removal bases.
-		c.absRemoveCol(j)
 	}
 	last := len(c.memberCols) - 1
 	moved := c.memberCols[last]
@@ -713,11 +666,6 @@ func (c *Cluster) Clone() *Cluster {
 		pack:       append([]float64(nil), c.pack...),
 		packBases:  append([]float64(nil), c.packBases...),
 		packStride: c.packStride,
-		absTracked: c.absTracked,
-		absMean:    c.absMean,
-		rowAbs:     append([]float64(nil), c.rowAbs...),
-		colAbs:     append([]float64(nil), c.colAbs...),
-		absSum:     c.absSum,
 	}
 }
 
@@ -747,21 +695,6 @@ func (c *Cluster) CopyFrom(o *Cluster) {
 		copy(c.packBases, o.packBases)
 	} else if c.packStride > 0 {
 		c.rebuildPack()
-	}
-	if o.absTracked {
-		// Adopt the source's residue masses bit-for-bit, same as the
-		// sums above.
-		c.absTracked = true
-		c.absMean = o.absMean
-		if len(c.rowAbs) == 0 {
-			c.rowAbs = make([]float64, len(c.rowPos))
-			c.colAbs = make([]float64, len(c.colPos))
-		}
-		copy(c.rowAbs, o.rowAbs)
-		copy(c.colAbs, o.colAbs)
-		c.absSum = o.absSum
-	} else if c.absTracked {
-		c.refreshResidueAggregates()
 	}
 }
 
@@ -797,11 +730,6 @@ func (c *Cluster) Recompute() {
 	}
 	if c.packStride > 0 {
 		c.packRefreshBases()
-	}
-	if c.absTracked {
-		// The wholesale rebuild is the tier's refresh point: the masses
-		// return to the from-scratch definition under the fresh bases.
-		c.refreshResidueAggregates()
 	}
 }
 

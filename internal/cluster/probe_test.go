@@ -12,7 +12,7 @@ import (
 // exactBits captures every field of the cluster that any later
 // computation can observe, with floats rendered as raw bit patterns:
 // membership in internal order, position indexes, counts, sums, the
-// evaluation pack and the residue masses. Two clusters with equal
+// and the evaluation pack. Two clusters with equal
 // exactBits behave identically under every future operation.
 func exactBits(c *Cluster) string {
 	bits := func(xs []float64) []uint64 {
@@ -22,11 +22,10 @@ func exactBits(c *Cluster) string {
 		}
 		return out
 	}
-	return fmt.Sprintf("mr=%v mc=%v rp=%v cp=%v vol=%d rc=%v cc=%v rs=%x cs=%x tot=%x pack=%x pb=%x ps=%d ra=%x ca=%x as=%x",
+	return fmt.Sprintf("mr=%v mc=%v rp=%v cp=%v vol=%d rc=%v cc=%v rs=%x cs=%x tot=%x pack=%x pb=%x ps=%d",
 		c.memberRows, c.memberCols, c.rowPos, c.colPos, c.volume,
 		c.rowCnt, c.colCnt, bits(c.rowSum), bits(c.colSum),
-		math.Float64bits(c.total), bits(c.pack), bits(c.packBases), c.packStride,
-		bits(c.rowAbs), bits(c.colAbs), math.Float64bits(c.absSum))
+		math.Float64bits(c.total), bits(c.pack), bits(c.packBases), c.packStride)
 }
 
 // probeMatrix fills a matrix with a mix of lattice values (ties), signed
@@ -57,16 +56,12 @@ func probeMatrix(seed int64, rows, cols int, missing float64) *matrix.Matrix {
 
 // probeStates walks a packed cluster through random toggles and calls
 // visit at every state, the empty and row-less/column-less states
-// included. Odd seeds also track the residue masses, so exactBits
-// covers them too.
+// included.
 func probeStates(t *testing.T, m *matrix.Matrix, seed int64, steps int, visit func(c *Cluster)) {
 	t.Helper()
 	rng := stats.NewRNG(seed)
 	c := New(m)
 	c.EnablePack()
-	if seed%2 == 1 {
-		c.EnableResidueAggregates(ArithmeticMean)
-	}
 	visit(c)
 	for step := 0; step < steps; step++ {
 		if rng.Bool(0.5) {

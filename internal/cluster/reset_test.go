@@ -10,8 +10,8 @@ import (
 )
 
 // TestResetMatchesFromSpec reuses one cluster for a long sequence of
-// random memberships — dirtied in between by toggles, the evaluation
-// pack and the residue-mass tier — and checks that each Reset and
+// random memberships — dirtied in between by toggles and the
+// evaluation pack — and checks that each Reset and
 // FromSpec-order repopulation carries exactly the bits a fresh
 // FromSpec cluster does: membership in internal order, aggregates,
 // and the residue under both means.
@@ -37,12 +37,9 @@ func TestResetMatchesFromSpec(t *testing.T) {
 			}
 
 			// Leave the cluster dirty for the next Reset: stray
-			// toggles, and now and then the optional tiers.
-			switch trial % 3 {
-			case 1:
+			// toggles, and now and then the evaluation pack.
+			if trial%3 == 1 {
 				reused.EnablePack()
-			case 2:
-				reused.EnableResidueAggregates(SquaredMean)
 			}
 			for k := 0; k < 3; k++ {
 				reused.ToggleRow(rng.Intn(m.Rows()))
@@ -53,7 +50,7 @@ func TestResetMatchesFromSpec(t *testing.T) {
 }
 
 // resetBits renders everything a Reset must restore: member order,
-// every matrix-sized aggregate, the optional tiers' state and the
+// every matrix-sized aggregate, the evaluation pack's state and the
 // residue bits under both means.
 func resetBits(c *Cluster) string {
 	var b strings.Builder
@@ -64,8 +61,8 @@ func resetBits(c *Cluster) string {
 	for j := range c.colPos {
 		fmt.Fprintf(&b, "col %d: pos=%d sum=%016x cnt=%d\n", j, c.colPos[j], math.Float64bits(c.colSum[j]), c.colCnt[j])
 	}
-	fmt.Fprintf(&b, "total=%016x volume=%d pack=%d abs=%v/%d\n",
-		math.Float64bits(c.total), c.volume, c.packStride, c.absTracked, len(c.rowAbs))
+	fmt.Fprintf(&b, "total=%016x volume=%d pack=%d\n",
+		math.Float64bits(c.total), c.volume, c.packStride)
 	fmt.Fprintf(&b, "arith=%016x sq=%016x\n",
 		math.Float64bits(c.ResidueWith(ArithmeticMean)), math.Float64bits(c.ResidueWith(SquaredMean)))
 	return b.String()

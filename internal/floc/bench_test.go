@@ -117,30 +117,6 @@ func warmIterate(e *engine) float64 {
 	return best
 }
 
-// BenchmarkDecideAllIncremental is BenchmarkDecideAll under
-// GainMode=incremental: the same (M+N)·K candidate sweep with every
-// exact O(volume) rescan replaced by aggregate arithmetic — O(1)
-// mass reads for removals, one O(row)/O(col) pass for insertions.
-// The ratio of this benchmark to BenchmarkDecideAll is the tier's
-// headline speedup; BENCH_floc.json records both and the CI benchdiff
-// gate covers them.
-func BenchmarkDecideAllIncremental(b *testing.B) {
-	for _, workers := range []int{1, 2, 4} {
-		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
-			e := benchEngine(b, workers)
-			e.cfg.GainMode = GainIncremental
-			for _, cl := range e.clusters {
-				cl.EnableResidueAggregates(e.cfg.ResidueMean)
-			}
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				_ = e.decideAll()
-			}
-		})
-	}
-}
-
 // seedSink keeps BenchmarkSeedAnchored's result observable.
 var seedSink []*cluster.Cluster
 

@@ -126,13 +126,6 @@ func resumeEngine(m *matrix.Matrix, cfg *Config, ck *Checkpoint, msum uint64) (*
 			return nil, fmt.Errorf("floc: checkpoint cluster %d: %w", c, err)
 		}
 		cl.EnablePack()
-		if cfg.GainMode == GainIncremental {
-			// Checkpoints are cut at iteration boundaries, where the
-			// residue masses are refresh-exact — rebuilding them from the
-			// restored sums reproduces exactly the state an uninterrupted
-			// incremental run carries at this boundary.
-			cl.EnableResidueAggregates(cfg.ResidueMean)
-		}
 		e.clusters[c] = cl
 		e.residues[c] = cl.ResidueWith(cfg.ResidueMean)
 		e.resSum += e.residues[c]
@@ -159,12 +152,14 @@ func resumeEngine(m *matrix.Matrix, cfg *Config, ck *Checkpoint, msum uint64) (*
 // Workers is excluded for the same reason: the decide phase's worker
 // count never changes a bit of the trajectory (see Config.Workers),
 // so a checkpoint written at one worker count resumes at any other.
-// GainMode is excluded too, though for a subtler reason: checkpoints
-// are cut at iteration boundaries, where the incremental tier's
-// residue masses are refreshed to exactly what the exact tier
-// computes, so a boundary state written under either mode is a valid
-// starting state for the other — resuming merely picks the scoring
-// tier for the iterations still to come (see Config.GainMode).
+//
+// Two slots hash a constant false: they held the retired switches
+// for re-deciding each action at apply time and for approximate
+// gains. Keeping the bytes
+// keeps every checkpoint written with both off (the only settings
+// the engine still runs) resumable, and one written with either on
+// fails the config check instead of resuming under a scoring rule
+// it was not cut with.
 func configSum(cfg *Config) uint64 {
 	h := fnv.New64a()
 	var b [8]byte
@@ -202,10 +197,10 @@ func configSum(cfg *Config) uint64 {
 	f(cfg.Constraints.Occupancy)
 	u(uint64(cfg.Seed))
 	u(uint64(cfg.ResidueMean))
-	o(cfg.RecomputeOnApply)
+	o(false) // retired re-decide-at-apply switch; see above
 	o(cfg.Polish)
 	f(cfg.PolishMaxResidue)
-	o(cfg.ApproximateGain)
+	o(false) // retired approximate-gain switch; see above
 	return h.Sum64()
 }
 

@@ -29,6 +29,7 @@ package floc
 
 import (
 	"fmt"
+	"math"
 	"runtime"
 
 	"deltacluster/internal/cluster"
@@ -142,44 +143,6 @@ func (p GainPolicy) String() string {
 		return "residue"
 	default:
 		return fmt.Sprintf("GainPolicy(%d)", int(p))
-	}
-}
-
-// GainMode selects the scoring tier the decide phase evaluates
-// candidate actions with.
-type GainMode int
-
-const (
-	// GainExact (the zero value, the default) scores every candidate
-	// with the exact residue kernel — an O(volume) rescan per
-	// evaluation. This is the seed behaviour, bit-for-bit.
-	GainExact GainMode = iota
-
-	// GainIncremental ranks candidates from delta-maintained
-	// residue-mass aggregates (see cluster.EnableResidueAggregates):
-	// a removal reads the item's recorded share of the mass, an
-	// insertion scores the item's entries in O(row)/O(col), and the
-	// candidate residue is then one division — mass/volume — instead
-	// of the O(volume) rescan.
-	// The estimate only *ranks*: every applied action, reported
-	// residue and occupancy/volume/overlap check still runs the exact
-	// kernel, and the aggregates are refreshed to exact at every
-	// iteration boundary, so drift never compounds across iterations.
-	// Results may differ from exact mode by bounded amounts (the
-	// bounded-drift suite in gainmode_test.go pins the bound); for a
-	// fixed seed they are still bit-identical across worker counts.
-	GainIncremental
-)
-
-// String names the mode as accepted by floc -gain-mode.
-func (g GainMode) String() string {
-	switch g {
-	case GainExact:
-		return "exact"
-	case GainIncremental:
-		return "incremental"
-	default:
-		return fmt.Sprintf("GainMode(%d)", int(g))
 	}
 }
 
@@ -297,13 +260,6 @@ type Config struct {
 	// residue aggregation.
 	ResidueMean cluster.ResidueMean
 
-	// RecomputeOnApply re-decides each item's best cluster and gain at
-	// application time against the mid-iteration state, instead of
-	// using the decision taken at the start of the iteration. The
-	// paper decides once per iteration (flowchart, Figure 5); this
-	// option exists as an ablation.
-	RecomputeOnApply bool
-
 	// Polish runs a final per-cluster cleanup after phase 2
 	// terminates: greedy single-member removals until no removal
 	// improves the cluster's cost. Phase 2 grants each row/column one
@@ -319,27 +275,6 @@ type Config struct {
 	// stricter one — members that only marginally fit are shed,
 	// trading a little recall for precision.
 	PolishMaxResidue float64
-
-	// ApproximateGain estimates gains from the moved row/column's own
-	// residue contribution under the cluster's current bases, instead
-	// of recomputing the candidate cluster's exact residue. It reduces
-	// the per-evaluation cost from O(n·m) to O(n+m) and is ablated in
-	// the benchmark suite. Mutually exclusive with GainIncremental,
-	// which supersedes it: the aggregate tier reaches the same
-	// complexity class with an estimator that re-anchors to exact at
-	// every iteration boundary.
-	ApproximateGain bool
-
-	// GainMode selects the decide phase's scoring tier; see the
-	// GainMode constants. The zero value, GainExact, reproduces the
-	// seed trajectory bit-for-bit. Like Workers, GainMode is excluded
-	// from the checkpoint's ConfigSum: checkpoints are cut at
-	// iteration boundaries, where the incremental tier's aggregates
-	// are refreshed to exactly the values the exact tier computes, so
-	// a checkpoint written under either mode is a valid starting state
-	// for the other (the trajectories may then diverge forward under
-	// incremental ranking, by amounts the bounded-drift suite pins).
-	GainMode GainMode
 
 	// Workers is the number of goroutines the phase-2 decide phase
 	// shards its (M+N)·K gain evaluations across. 0 (the zero value)
@@ -399,11 +334,17 @@ func (cfg *Config) validate(rows, cols int) error {
 	if stats.IsZero(cfg.SeedProbability) && stats.IsZero(cfg.SeedRowProbability) && len(cfg.SeedProbabilities) == 0 {
 		cfg.SeedProbability = 0.1
 	}
-	if cfg.SeedProbability < 0 || cfg.SeedProbability > 1 {
+	if !unitInterval(cfg.SeedProbability) {
 		return fmt.Errorf("floc: SeedProbability = %v, want in [0, 1]", cfg.SeedProbability)
 	}
+	if !unitInterval(cfg.SeedRowProbability) {
+		return fmt.Errorf("floc: SeedRowProbability = %v, want in [0, 1]", cfg.SeedRowProbability)
+	}
+	if !unitInterval(cfg.SeedColProbability) {
+		return fmt.Errorf("floc: SeedColProbability = %v, want in [0, 1]", cfg.SeedColProbability)
+	}
 	for i, p := range cfg.SeedProbabilities {
-		if p < 0 || p > 1 {
+		if !unitInterval(p) {
 			return fmt.Errorf("floc: SeedProbabilities[%d] = %v, want in [0, 1]", i, p)
 		}
 	}
@@ -413,19 +354,16 @@ func (cfg *Config) validate(rows, cols int) error {
 	if cfg.Constraints.MinRows < 0 || cfg.Constraints.MinCols < 0 {
 		return fmt.Errorf("floc: negative size floor")
 	}
-	if cfg.Constraints.Occupancy < 0 || cfg.Constraints.Occupancy > 1 {
+	if !unitInterval(cfg.Constraints.Occupancy) {
 		return fmt.Errorf("floc: Occupancy = %v, want in [0, 1]", cfg.Constraints.Occupancy)
+	}
+	if math.IsNaN(cfg.Constraints.MaxOverlap) {
+		// Seeding's overlap repair would read NaN as a zero budget and
+		// the decide phase as no budget at all.
+		return fmt.Errorf("floc: MaxOverlap is NaN; want ≥ 0, or negative to disable")
 	}
 	if o := cfg.Order; o != FixedOrder && o != RandomOrder && o != WeightedRandomOrder {
 		return fmt.Errorf("floc: unknown order %d", int(o))
-	}
-	switch cfg.GainMode {
-	case GainExact, GainIncremental:
-	default:
-		return fmt.Errorf("floc: unknown gain mode %d", int(cfg.GainMode))
-	}
-	if cfg.GainMode == GainIncremental && cfg.ApproximateGain {
-		return fmt.Errorf("floc: ApproximateGain and GainMode incremental are mutually exclusive scoring tiers")
 	}
 	if cfg.Workers < 0 {
 		return fmt.Errorf("floc: Workers = %d, want ≥ 0 (0 means GOMAXPROCS)", cfg.Workers)
@@ -435,6 +373,12 @@ func (cfg *Config) validate(rows, cols int) error {
 	}
 	return nil
 }
+
+// unitInterval reports whether p lies in [0, 1]. It is written so
+// that NaN, which fails every comparison, is refused with the
+// out-of-range values rather than slipping through a p < 0 || p > 1
+// test.
+func unitInterval(p float64) bool { return p >= 0 && p <= 1 }
 
 // seedRowProb returns the row-inclusion probability for cluster c.
 func (cfg *Config) seedRowProb(c int) float64 {

@@ -94,15 +94,13 @@ type engine struct {
 	// decisions backs decideAll's result (overwritten every call — the
 	// caller must not retain it across calls), shadows pools the
 	// decide-phase workers across iterations, applied and snap back
-	// iterate's bookkeeping, idxScratch holds approximateGain's sorted
-	// membership view, and polishCands polish's candidate removals.
-	// Together they take the steady-state decide phase to zero heap
-	// allocations.
+	// iterate's bookkeeping, and polishCands holds polish's candidate
+	// removals. Together they take the steady-state decide phase to
+	// zero heap allocations.
 	decisions   []decision
 	shadows     []*engine
 	applied     []appliedAction
 	snap        *snapshot
-	idxScratch  []int
 	polishCands []decision
 }
 
@@ -203,9 +201,6 @@ func newEngine(m *matrix.Matrix, cfg *Config) *engine {
 	m.EnsureDerived()
 	for _, cl := range e.clusters {
 		cl.EnablePack()
-		if cfg.GainMode == GainIncremental {
-			cl.EnableResidueAggregates(cfg.ResidueMean)
-		}
 	}
 	e.residues = make([]float64, cfg.K)
 	e.costs = make([]float64, cfg.K)
@@ -290,9 +285,6 @@ func (e *engine) iterate(bestCost float64) (float64, bool) {
 	minCost := bestCost
 	minAt := -1
 	for t, d := range decisions {
-		if e.cfg.RecomputeOnApply {
-			d = e.decideOne(d.isRow, d.idx)
-		}
 		if d.clusterIdx < 0 || e.blockedNow(d) {
 			applied[t] = appliedAction{skipped: true}
 			continue
@@ -319,8 +311,7 @@ func (e *engine) iterate(bestCost float64) (float64, bool) {
 		}
 		e.toggle(a.isRow, a.idx, a.clusterIdx)
 	}
-	// Kill incremental floating-point drift at the iteration boundary;
-	// Recompute also re-anchors the incremental tier's residue masses.
+	// Kill incremental floating-point drift at the iteration boundary.
 	e.resSum = 0
 	e.costSum = 0
 	for c, cl := range e.clusters {
@@ -367,14 +358,6 @@ func (e *engine) apply(isRow bool, idx, c int) {
 	e.toggle(isRow, idx, c)
 	cl := e.clusters[c]
 	newRes := cl.ResidueWith(e.cfg.ResidueMean)
-	if e.cfg.GainMode == GainIncremental {
-		// Re-anchor the residue masses beside the exact rescan this
-		// apply just paid for. Without this, estimates read between
-		// applies (polish's evaluate-apply-evaluate loop in particular)
-		// would compound one fold of drift per applied action; with it,
-		// every estimate reads masses anchored at the last apply.
-		cl.RefreshResidueAggregates()
-	}
 	e.resSum += newRes - e.residues[c]
 	e.residues[c] = newRes
 	newCost := e.cost(newRes, cl.Volume(), cl.NumRows(), cl.NumCols())

@@ -10,25 +10,25 @@ import (
 //
 // Every candidate action — toggling one row or column in one cluster —
 // is judged on the state the toggle would produce: whether the
-// constraints admit it, and, under the exact tier, the toggled
-// residue. None of it toggles anything. A cluster.Probe computes the
-// toggled residue, volume, shape, occupancy and overlap from the
-// frozen pre-toggle cluster, replaying each mutator's operand order so
-// every answer carries the bits a real toggle would (cluster/probe.go).
-// An evaluation is therefore a pure function of the engine state, and
-// the decide workers read the engine's clusters directly (parallel.go).
+// constraints admit it, and the toggled residue. None of it toggles
+// anything. A cluster.Probe computes the toggled residue, volume,
+// shape, occupancy and overlap from the frozen pre-toggle cluster,
+// replaying each mutator's operand order so every answer carries the
+// bits a real toggle would (cluster/probe.go). An evaluation is
+// therefore a pure function of the engine state, and the decide
+// workers read the engine's clusters directly (parallel.go).
 //
 // Admission is two steps: preAdmits, the size-floor and coverage
 // checks that need no toggled state, then violatesToggled on the
 // probe. admits runs both for a single evaluation, and evalAction adds
-// the gain of one tier. decideRange scores a whole range of items
-// cluster by cluster. Under the exact tier it queues each cluster's
-// row insertions, row removals and column insertions by kind, loads
-// each kind cluster.Lanes candidates at a time in one stream, drops
-// the lanes the constraints block, and scores every full batch of
-// admitted lanes in one pass over the cluster's pack (one per four
-// lanes on the portable kernels). Column removals, a few percent of
-// the scanned entries, are evaluated one at a time.
+// the exact gain. decideRange scores a whole range of items cluster by
+// cluster. It queues each cluster's row insertions, row removals and
+// column insertions by kind, loads each kind cluster.Lanes candidates
+// at a time in one stream, drops the lanes the constraints block, and
+// scores every full batch of admitted lanes in one pass over the
+// cluster's pack (one per four lanes on the portable kernels). Column
+// removals, a few percent of the scanned entries, are evaluated one at
+// a time.
 
 // decision records the chosen action for one row or column: toggling
 // its membership in cluster clusterIdx, expected to change that
@@ -77,8 +77,8 @@ type probeQueue struct {
 
 // evalAction returns the gain of toggling item (isRow, idx) in cluster
 // c, or −∞ if the action is blocked by the configured constraints.
-// Nothing is toggled: the constraint verdict and the exact tier's
-// residue come from a read-only probe of the frozen cluster.
+// Nothing is toggled: the constraint verdict and the exact residue
+// come from a read-only probe of the frozen cluster.
 //
 // deltavet:hotpath — one call per (item, cluster) pair outside the
 // decide phase's batches; BenchmarkDecideAll pins the whole chain at 0
@@ -88,16 +88,6 @@ func (e *engine) evalAction(isRow bool, idx, c int) float64 {
 	p, ok := e.admits(isRow, idx, c)
 	if !ok {
 		return negInf
-	}
-	// Estimator tiers score against the *pre-toggle* state: judging a
-	// candidate under the bases it would itself shift is systematically
-	// optimistic for insertions (the incoming entries absorb part of
-	// their own deviation into the bases they join).
-	switch {
-	case e.cfg.GainMode == GainIncremental:
-		return e.incrementalGain(c, isRow, idx, !p.Inserts())
-	case e.cfg.ApproximateGain:
-		return e.approximateGain(c, isRow, idx, !p.Inserts())
 	}
 	res := p.Residue(e.cfg.ResidueMean)
 	if debugInvariants {
@@ -146,78 +136,6 @@ func (e *engine) preAdmits(cl *cluster.Cluster, isRow bool, idx int) bool {
 	return true
 }
 
-// incrementalGain scores toggling item (isRow, idx) in cluster c from
-// the delta-maintained residue masses (cluster/incremental.go): a
-// removal reads the item's recorded share of the mass in O(1); an
-// insertion scores the incoming entries against the cluster's current
-// bases in O(row)/O(col). The estimator convention matches
-// approximateGain — candidates are judged under the *current* bases —
-// but the O(volume) mass term comes from the maintained absSum
-// instead of an exact rescan, and the masses are re-anchored to exact
-// at every refresh point (every applied action and every iteration
-// boundary), so the mass an estimate reads is never more than one
-// applied action's fold away from the from-scratch value. The exact
-// kernel still scores every *applied* action (engine.apply); this
-// estimate only ranks candidates.
-//
-// deltavet:hotpath — the aggregate-arithmetic replacement for the
-// exact rescan under GainMode incremental; allocation-free like the
-// path it substitutes.
-func (e *engine) incrementalGain(c int, isRow bool, idx int, isMember bool) float64 {
-	cl := e.clusters[c]
-	vol := cl.Volume()
-	mass := cl.ResidueMass()
-	if mass < 0 {
-		// Near-zero masses can dip negative by round-off when a fold
-		// subtracts.
-		mass = 0
-	}
-
-	var contribution float64
-	var cnt int
-	switch {
-	case isMember && isRow:
-		contribution = cl.RowResidueMass(idx)
-		cnt = cl.RowCount(idx)
-	case isMember:
-		contribution = cl.ColResidueMass(idx)
-		cnt = cl.ColCount(idx)
-	case isRow:
-		contribution, cnt = cl.RowInsertionMass(idx, e.cfg.ResidueMean)
-	default:
-		contribution, cnt = cl.ColInsertionMass(idx, e.cfg.ResidueMean)
-	}
-
-	var newRes float64
-	var newVol int
-	if isMember {
-		newVol = vol - cnt
-		if newVol > 0 {
-			m := mass - contribution
-			if m < 0 {
-				m = 0
-			}
-			newRes = m / float64(newVol)
-		}
-	} else {
-		newVol = vol + cnt
-		if newVol > 0 {
-			newRes = (mass + contribution) / float64(newVol)
-		}
-	}
-	nRows, nCols := cl.NumRows(), cl.NumCols()
-	delta := 1
-	if isMember {
-		delta = -1
-	}
-	if isRow {
-		nRows += delta
-	} else {
-		nCols += delta
-	}
-	return e.costs[c] - e.cost(newRes, newVol, nRows, nCols)
-}
-
 // violatesToggled checks the constraints that concern the toggled
 // state p describes in cluster c: the volume ceiling, occupancy α and
 // the pairwise overlap budget.
@@ -253,148 +171,6 @@ func (e *engine) violatesToggled(p *cluster.Probe, c int) bool {
 	return false
 }
 
-// approximateGain estimates the gain of toggling item (isRow, idx) in
-// cl from that item's own residue contribution under the cluster's
-// *current* bases, in O(n+m) instead of the exact O(n·m). For a
-// removal the contribution is subtracted from the residue mass; for an
-// insertion the incoming entries are scored against the existing
-// bases (the item's own base is its mean over the cluster's
-// columns/rows). This is the ablation knob Config.ApproximateGain.
-//
-// deltavet:hotpath — replaces the exact scan per evaluation when
-// enabled; must stay allocation-free like the path it substitutes.
-func (e *engine) approximateGain(c int, isRow bool, idx int, isMember bool) float64 {
-	cl := e.clusters[c]
-	mean := e.cfg.ResidueMean
-	vol := cl.Volume()
-	res := e.residues[c]
-	base := cl.Base()
-	if math.IsNaN(base) {
-		base = 0
-	}
-
-	var contribution float64
-	var cnt int
-	if isRow {
-		row := cl.Matrix().RowView(idx)
-		// The sorted membership lands in engine-owned scratch —
-		// ColsInto reuses its storage, so the two passes below cost no
-		// allocations (cl.Cols() would allocate and sort twice).
-		cols := cl.ColsInto(e.idxScratch)
-		e.idxScratch = cols
-		// The item's base over the cluster's columns.
-		sum := 0.0
-		for _, j := range cols {
-			if v := row[j]; !math.IsNaN(v) {
-				sum += v
-				cnt++
-			}
-		}
-		if cnt == 0 {
-			return 0
-		}
-		itemBase := sum / float64(cnt)
-		if isMember {
-			itemBase = cl.RowBase(idx)
-		}
-		for _, j := range cols {
-			v := row[j]
-			if math.IsNaN(v) {
-				continue
-			}
-			colBase := cl.ColBase(j)
-			if math.IsNaN(colBase) {
-				colBase = base
-			}
-			r := v - itemBase - colBase + base
-			if mean == cluster.SquaredMean {
-				contribution += r * r
-			} else {
-				contribution += math.Abs(r)
-			}
-		}
-	} else {
-		// ColView turns the column walk unit-stride; its entries are
-		// bit copies of the row-major backing, so every operand below
-		// is unchanged.
-		col := cl.Matrix().ColView(idx)
-		rows := cl.RowsInto(e.idxScratch)
-		e.idxScratch = rows
-		sum := 0.0
-		for _, i := range rows {
-			if v := col[i]; !math.IsNaN(v) {
-				sum += v
-				cnt++
-			}
-		}
-		if cnt == 0 {
-			return 0
-		}
-		itemBase := sum / float64(cnt)
-		if isMember {
-			itemBase = cl.ColBase(idx)
-		}
-		for _, i := range rows {
-			v := col[i]
-			if math.IsNaN(v) {
-				continue
-			}
-			rowBase := cl.RowBase(i)
-			if math.IsNaN(rowBase) {
-				rowBase = base
-			}
-			r := v - rowBase - itemBase + base
-			if mean == cluster.SquaredMean {
-				contribution += r * r
-			} else {
-				contribution += math.Abs(r)
-			}
-		}
-	}
-
-	var newRes float64
-	var newVol int
-	if isMember {
-		newVol = vol - cnt
-		if newVol <= 0 {
-			newRes = 0
-		} else {
-			mass := res*float64(vol) - contribution
-			if mass < 0 {
-				mass = 0
-			}
-			newRes = mass / float64(newVol)
-		}
-	} else {
-		newVol = vol + cnt
-		newRes = (res*float64(vol) + contribution) / float64(newVol)
-	}
-	nRows, nCols := cl.NumRows(), cl.NumCols()
-	delta := 1
-	if isMember {
-		delta = -1
-	}
-	if isRow {
-		nRows += delta
-	} else {
-		nCols += delta
-	}
-	return e.costs[c] - e.cost(newRes, newVol, nRows, nCols)
-}
-
-// decideOne determines the best action for item (isRow, idx) across
-// all k clusters against the current state: decideRange over a
-// one-item range.
-func (e *engine) decideOne(isRow bool, idx int) decision {
-	t := idx
-	if !isRow {
-		t += e.m.Rows()
-	}
-	var d [1]decision
-	e.decideRange(t, t+1, d[:])
-	return d[0]
-}
-
 // decideRange determines the best action of items lo..hi−1 (itemOf
 // numbering) into out[0:hi−lo] against the current state. It walks
 // the clusters in ascending order and, within each, every item
@@ -418,14 +194,12 @@ func (e *engine) decideRange(lo, hi int, out []decision) {
 
 // decideCluster offers every decision in out the gain of toggling its
 // item in cluster c, which it keeps if strictly greater than its best
-// so far. Under the exact tier the row insertions, row removals and
-// column insertions are queued by kind, loaded cluster.Lanes at a
-// time, and scored a full batch of admitted lanes per pass
-// (cluster.Batch); column removals and the estimator tiers are
-// evaluated one at a time.
+// so far. The row insertions, row removals and column insertions are
+// queued by kind, loaded cluster.Lanes at a time, and scored a full
+// batch of admitted lanes per pass (cluster.Batch); column removals
+// are evaluated one at a time.
 func (e *engine) decideCluster(c int, out []decision) {
 	cl := e.clusters[c]
-	batched := e.cfg.GainMode == GainExact && !e.cfg.ApproximateGain
 	for t := range out {
 		d := &out[t]
 		var member bool
@@ -434,7 +208,7 @@ func (e *engine) decideCluster(c int, out []decision) {
 		} else {
 			member = cl.HasCol(d.idx)
 		}
-		if !batched || !d.isRow && member {
+		if !d.isRow && member {
 			if g := e.evalAction(d.isRow, d.idx, c); g > d.gain {
 				d.gain, d.clusterIdx = g, c
 			}

@@ -250,148 +250,6 @@ func TestEvalActionExactGainBruteForce(t *testing.T) {
 	}
 }
 
-// TestApproximateGainBruteForce checks the O(n+m) estimator against
-// an independent evaluation of its own documented formula, with every
-// base computed from scratch: the item's residue contribution under
-// the cluster's current bases is added to (insertion) or subtracted
-// from (removal) the residue mass, and the cost delta is priced on
-// the resulting shape.
-func TestApproximateGainBruteForce(t *testing.T) {
-	m := gainTestMatrix(t)
-	cfg := Config{
-		K: 2, GainPolicy: VolumeGain, MaxResidue: 5,
-		Constraints: Constraints{MaxOverlap: -1}, ApproximateGain: true, Workers: 1,
-	}
-	specs := []cluster.Spec{
-		{Rows: []int{0, 1, 2}, Cols: []int{0, 1, 2}},
-		{Rows: []int{1, 3, 5}, Cols: []int{1, 3, 4}},
-	}
-	e := newBareEngine(t, m, cfg, specs)
-
-	bruteApprox := func(spec cluster.Spec, isRow bool, idx int, c int) float64 {
-		rows, cols := spec.Rows, spec.Cols
-		isMember := false
-		members := rows
-		if !isRow {
-			members = cols
-		}
-		for _, x := range members {
-			if x == idx {
-				isMember = true
-			}
-		}
-		base := bruteBase(m, rows, cols)
-		if math.IsNaN(base) {
-			base = 0
-		}
-		// The item's own base and residue contribution under the
-		// cluster's current cross-axis bases.
-		var contribution float64
-		var cnt int
-		var itemBase float64
-		if isRow {
-			itemBase = bruteRowBase(m, idx, cols)
-		} else {
-			itemBase = bruteColBase(m, idx, rows)
-		}
-		if math.IsNaN(itemBase) {
-			return 0 // no specified entries → estimator returns 0
-		}
-		cross := cols
-		if !isRow {
-			cross = rows
-		}
-		for _, x := range cross {
-			var i, j int
-			if isRow {
-				i, j = idx, x
-			} else {
-				i, j = x, idx
-			}
-			if !m.IsSpecified(i, j) {
-				continue
-			}
-			cnt++
-			var crossBase float64
-			if isRow {
-				crossBase = bruteColBase(m, j, rows)
-			} else {
-				crossBase = bruteRowBase(m, i, cols)
-			}
-			if math.IsNaN(crossBase) {
-				crossBase = base
-			}
-			contribution += math.Abs(m.Get(i, j) - itemBase - crossBase + base)
-		}
-		vol := bruteVolume(m, rows, cols)
-		res := bruteResidue(m, rows, cols, cluster.ArithmeticMean)
-		var newRes float64
-		var newVol int
-		if isMember {
-			newVol = vol - cnt
-			if newVol <= 0 {
-				newRes = 0
-			} else {
-				mass := res*float64(vol) - contribution
-				if mass < 0 {
-					mass = 0
-				}
-				newRes = mass / float64(newVol)
-			}
-		} else {
-			newVol = vol + cnt
-			newRes = (res*float64(vol) + contribution) / float64(newVol)
-		}
-		nRows, nCols := len(rows), len(cols)
-		delta := 1
-		if isMember {
-			delta = -1
-		}
-		if isRow {
-			nRows += delta
-		} else {
-			nCols += delta
-		}
-		beforeCost := e.cost(res, vol, len(rows), len(cols))
-		return beforeCost - e.cost(newRes, newVol, nRows, nCols)
-	}
-
-	cases := []struct {
-		name  string
-		isRow bool
-		idx   int
-		c     int
-	}{
-		{"row-insertion", true, 3, 0},
-		{"row-removal", true, 1, 0},
-		{"col-insertion", false, 4, 0},
-		{"col-removal", false, 2, 0},
-		{"all-missing-row-insertion", true, 4, 0},
-		{"row-insertion-into-sparse", true, 2, 1},
-		{"col-removal-sparse", false, 3, 1},
-	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			spec := specs[tc.c]
-			isMember := false
-			members := spec.Rows
-			if !tc.isRow {
-				members = spec.Cols
-			}
-			for _, x := range members {
-				if x == tc.idx {
-					isMember = true
-				}
-			}
-			got := e.approximateGain(tc.c, tc.isRow, tc.idx, isMember)
-			want := bruteApprox(spec, tc.isRow, tc.idx, tc.c)
-			if !closeRel(got, want, 1e-9) {
-				t.Fatalf("approximateGain = %v, brute-force evaluation of its formula = %v", got, want)
-			}
-		})
-	}
-}
-
 // TestViolatesToggledBruteForce drives the toggled-state constraint
 // check against first-principles predicates: the volume ceiling by
 // counting, occupancy by Definition 3.1 (each member row needs

@@ -115,8 +115,8 @@ func (e *engine) decideAll() []decision {
 // refreshShadow points a pooled decide-phase shadow at the engine's
 // iteration-start state (deltavet:writer — the guarded caches are
 // aliased, not written: workers only read them, and read the clusters
-// in place through probes). A shadow owns only its probe scratch,
-// idxScratch and its tally.
+// in place through probes). A shadow owns only its probe scratch and
+// its tally.
 func (sh *engine) refreshShadow(e *engine) {
 	sh.m = e.m
 	sh.cfg = e.cfg

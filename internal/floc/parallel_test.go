@@ -108,12 +108,12 @@ type differentialCase struct {
 
 // differentialCases spans the engine's behavioural space: planted
 // structure vs pure noise, dense vs missing-ridden data, random,
-// anchored and mixed per-cluster seeding, both gain policies, exact
-// and approximate gains, and the blocking constraints (occupancy,
-// volume ceiling, overlap budget). Every case runs under all three
-// action orders, and every case is tuned to need several improving
-// iterations — a run that converges at the seed exercises exactly one
-// decide phase and proves next to nothing.
+// anchored and mixed per-cluster seeding, both gain policies, and the
+// blocking constraints (occupancy, volume ceiling, overlap budget).
+// Every case runs under all three action orders, and every case is
+// tuned to need several improving iterations — a run that converges at
+// the seed exercises exactly one decide phase and proves next to
+// nothing.
 func differentialCases() []differentialCase {
 	return []differentialCase{
 		{
@@ -171,18 +171,6 @@ func differentialCases() []differentialCase {
 				cfg.GainPolicy = ResidueGain
 				cfg.SeedMode = SeedRandom
 				cfg.SeedProbability = 0.4
-				return cfg
-			},
-		},
-		{
-			name: "planted/missing/approximate-gain",
-			m: func(t *testing.T) *matrix.Matrix {
-				return plantedMissingMatrix(t, 13, 90, 14, 3, 55, 0.1)
-			},
-			cfg: func() Config {
-				cfg := DefaultConfig(3, 8)
-				cfg.SeedMode = SeedRandom
-				cfg.ApproximateGain = true
 				return cfg
 			},
 		},
@@ -386,11 +374,10 @@ func TestWorkersValidation(t *testing.T) {
 // against the item-major loop it replaced: for every item, evalAction
 // over the clusters in ascending order, keeping strictly greater
 // gains. Clusters 0 and 1 are identical, so each item's gains tie
-// across them and the lower index must win. Every gain tier and every
-// toggled-state constraint runs through the same comparison; under the
-// exact tier the row insertions, row removals and column insertions
-// take the batched path, and the constrained leg drops blocked lanes
-// from its batches.
+// across them and the lower index must win. Both residue means and
+// every toggled-state constraint run through the same comparison; the
+// row insertions, row removals and column insertions take the batched
+// path, and the constrained leg drops blocked lanes from its batches.
 func TestDecideRangeMatchesItemMajorLoop(t *testing.T) {
 	m := plantedMissingMatrix(t, 5, 40, 12, 2, 40, 0.1)
 	specs := []cluster.Spec{
@@ -399,31 +386,20 @@ func TestDecideRangeMatchesItemMajorLoop(t *testing.T) {
 		{Rows: []int{10, 12, 14, 16, 18, 20}, Cols: []int{3, 4, 5, 6, 7, 8}},
 	}
 	for _, tc := range []struct {
-		name   string
-		mode   GainMode
-		approx bool
-		mean   cluster.ResidueMean
-		cons   Constraints
+		name string
+		mean cluster.ResidueMean
+		cons Constraints
 	}{
 		{name: "exact", cons: Constraints{MinRows: 2, MinCols: 2, MaxOverlap: -1}},
 		{name: "exact-squared", mean: cluster.SquaredMean, cons: Constraints{MinRows: 2, MinCols: 2, MaxOverlap: -1}},
 		{name: "exact-constrained", cons: Constraints{MinRows: 2, MinCols: 2, MaxOverlap: 1, Occupancy: 0.5, MaxVolume: 40}},
-		{name: "incremental", mode: GainIncremental, cons: Constraints{MinRows: 2, MinCols: 2, MaxOverlap: -1}},
-		{name: "approximate", approx: true, cons: Constraints{MinRows: 2, MinCols: 2, MaxOverlap: -1}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			cfg := DefaultConfig(3, 8)
-			cfg.GainMode = tc.mode
-			cfg.ApproximateGain = tc.approx
 			cfg.ResidueMean = tc.mean
 			cfg.Constraints = tc.cons
 			cfg.Workers = 1
 			e := newBareEngine(t, m, cfg, specs)
-			if tc.mode == GainIncremental {
-				for _, cl := range e.clusters {
-					cl.EnableResidueAggregates(tc.mean)
-				}
-			}
 			items := m.Rows() + m.Cols()
 			want := make([]decision, items)
 			ties := 0

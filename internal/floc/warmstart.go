@@ -112,9 +112,6 @@ func warmStartEngine(m *matrix.Matrix, cfg *Config, ws *WarmStart, msum uint64) 
 			return nil, fmt.Errorf("floc: warm-start cluster %d: %w", c, err)
 		}
 		cl.EnablePack()
-		if cfg.GainMode == GainIncremental {
-			cl.EnableResidueAggregates(cfg.ResidueMean)
-		}
 		e.clusters[c] = cl
 	}
 

@@ -98,22 +98,13 @@ func RowsJSON(rows [][]float64) json.RawMessage {
 
 // FLOCParams mirrors the floc.Config knobs the service exposes.
 type FLOCParams struct {
-	K               int     `json:"k"`
-	Delta           float64 `json:"delta"`
-	Seed            int64   `json:"seed,omitempty"`
-	MaxIterations   int     `json:"max_iterations,omitempty"`
-	Order           string  `json:"order,omitempty"`   // fixed | random | weighted
-	Seeding         string  `json:"seeding,omitempty"` // random | anchored | auto
-	Occupancy       float64 `json:"occupancy,omitempty"`
-	ApproximateGain bool    `json:"approximate_gain,omitempty"`
-
-	// GainMode selects the decide phase's scoring tier: "exact" (the
-	// default — bit-identical to the baseline) or "incremental"
-	// (ranks candidates from delta-maintained residue-mass aggregates
-	// in O(row)/O(col); every applied action still runs the exact
-	// kernel). The mode is excluded from checkpoint compatibility, so
-	// a resumed job may switch tiers.
-	GainMode string `json:"gain_mode,omitempty"` // exact | incremental
+	K             int     `json:"k"`
+	Delta         float64 `json:"delta"`
+	Seed          int64   `json:"seed,omitempty"`
+	MaxIterations int     `json:"max_iterations,omitempty"`
+	Order         string  `json:"order,omitempty"`   // fixed | random | weighted
+	Seeding       string  `json:"seeding,omitempty"` // random | anchored | auto
+	Occupancy     float64 `json:"occupancy,omitempty"`
 
 	// Workers shards each decide phase of the run across this many
 	// goroutines; 0 means all cores. The worker count never affects
@@ -342,7 +333,6 @@ func (s *Server) buildSpecWith(req *SubmitRequest, m *matrix.Matrix) (*runSpec, 
 		}
 		cfg := floc.DefaultConfig(p.K, p.Delta)
 		cfg.Seed = p.Seed
-		cfg.ApproximateGain = p.ApproximateGain
 		if p.Workers < 0 {
 			return nil, badRequest("floc.workers = %d, want ≥ 0 (0 = all cores)", p.Workers)
 		}
@@ -381,17 +371,6 @@ func (s *Server) buildSpecWith(req *SubmitRequest, m *matrix.Matrix) (*runSpec, 
 			cfg.SeedMode = floc.SeedAnchored
 		default:
 			return nil, badRequest("floc.seeding = %q, want random | anchored | auto", p.Seeding)
-		}
-		switch p.GainMode {
-		case "", "exact":
-			cfg.GainMode = floc.GainExact
-		case "incremental":
-			cfg.GainMode = floc.GainIncremental
-		default:
-			return nil, badRequest("floc.gain_mode = %q, want exact | incremental", p.GainMode)
-		}
-		if cfg.GainMode == floc.GainIncremental && p.ApproximateGain {
-			return nil, badRequest("floc.gain_mode = %q and floc.approximate_gain are mutually exclusive", p.GainMode)
 		}
 		if p.Attempts < 0 {
 			return nil, badRequest("floc.attempts = %d, want ≥ 0", p.Attempts)

@@ -17,6 +17,7 @@ import (
 	"time"
 
 	"deltacluster/internal/floc"
+	"deltacluster/internal/matrix"
 	"deltacluster/internal/synth"
 )
 
@@ -649,8 +650,9 @@ func TestSubmitValidation(t *testing.T) {
 		{"bad order", `{"matrix": {"rows": [[1, 2]]}, "floc": {"k": 1, "delta": 5, "order": "chaotic"}}`, "floc.order"},
 		{"negative deadline", `{"matrix": {"rows": [[1, 2]]}, "floc": {"k": 1, "delta": 5}, "deadline_ms": -1}`, "deadline_ms"},
 		{"negative workers", `{"matrix": {"rows": [[1, 2]]}, "floc": {"k": 1, "delta": 5, "workers": -2}}`, "floc.workers"},
-		{"bad gain mode", `{"matrix": {"rows": [[1, 2]]}, "floc": {"k": 1, "delta": 5, "gain_mode": "fast"}}`, "floc.gain_mode"},
-		{"gain mode vs approximate", `{"matrix": {"rows": [[1, 2]]}, "floc": {"k": 1, "delta": 5, "gain_mode": "incremental", "approximate_gain": true}}`, "mutually exclusive"},
+		// The retired scoring-tier fields are unknown fields now.
+		{"removed gain mode", `{"matrix": {"rows": [[1, 2]]}, "floc": {"k": 1, "delta": 5, "gain_mode": "exact"}}`, `unknown field "gain_mode"`},
+		{"removed approximate gain", `{"matrix": {"rows": [[1, 2]]}, "floc": {"k": 1, "delta": 5, "approximate_gain": false}}`, `unknown field "approximate_gain"`},
 		{"bad tau", `{"algorithm": "clique", "matrix": {"rows": [[1, 2]]}, "clique": {"xi": 5, "tau": 1.5}}`, "clique.tau"},
 	}
 	for _, tc := range cases {
@@ -711,31 +713,30 @@ func TestSubmitWorkersParam(t *testing.T) {
 	}
 }
 
-// TestSubmitGainModeParam checks the floc.gain_mode plumbing: omitted
-// and "exact" both resolve to the exact tier (the default the seed
-// goldens pin), "incremental" reaches the engine config.
-func TestSubmitGainModeParam(t *testing.T) {
-	s := New(Options{Workers: 1, QueueCap: 4})
-	build := func(mode string) floc.GainMode {
-		t.Helper()
-		req := &SubmitRequest{
-			Matrix: MatrixPayload{CSV: "1,2\n3,4\n"},
-			FLOC:   &FLOCParams{K: 1, Delta: 5, GainMode: mode},
+// TestBinarySubmitRefusesRemovedGainFields: a DSUB submission whose
+// params still carry a retired scoring-tier field gets the same 400,
+// naming the field, as the JSON route (TestSubmitValidation).
+func TestBinarySubmitRefusesRemovedGainFields(t *testing.T) {
+	e := newTestEnv(t, Options{Workers: 1, QueueCap: 4})
+	m := smallMatrix(t)
+	for field, params := range map[string]string{
+		"gain_mode":        `{"floc": {"k": 1, "delta": 5, "gain_mode": "incremental"}}`,
+		"approximate_gain": `{"floc": {"k": 1, "delta": 5, "approximate_gain": true}}`,
+	} {
+		body := encodeEnvelope(submitMagic, []byte(params), matrix.EncodeBinary(m))
+		resp, err := e.ts.Client().Post(e.ts.URL+"/v1/jobs", ContentTypeBinaryMatrix, bytes.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
 		}
-		spec, aerr := s.buildSpec(req)
-		if aerr != nil {
-			t.Fatalf("buildSpec(gain_mode=%q): %v", mode, aerr)
+		data, _ := io.ReadAll(resp.Body)
+		_ = resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Fatalf("%s: status %d, body %s", field, resp.StatusCode, data)
 		}
-		return spec.floc.GainMode
-	}
-	if got := build(""); got != floc.GainExact {
-		t.Errorf("gain_mode omitted → %q, want %q", got, floc.GainExact)
-	}
-	if got := build("exact"); got != floc.GainExact {
-		t.Errorf("gain_mode=exact → %q, want %q", got, floc.GainExact)
-	}
-	if got := build("incremental"); got != floc.GainIncremental {
-		t.Errorf("gain_mode=incremental → %q, want %q", got, floc.GainIncremental)
+		det := decodeError(t, data)
+		if want := `unknown field "` + field + `"`; det.Code != CodeInvalidRequest || !strings.Contains(det.Message, want) {
+			t.Fatalf("%s: error %q %q, want %q naming %s", field, det.Code, det.Message, CodeInvalidRequest, want)
+		}
 	}
 }
 
