@@ -168,28 +168,29 @@ func BenchmarkSeedAnchored(b *testing.B) {
 	}
 }
 
-// seedKernelCase is one column-major carve of the yeast stand-in's
-// seeding, with what refine's first round reads after it: the anchor
-// row, the carved columns and their slack, the carved rows, and their
-// column adjustments.
+// seedKernelCase is one row carve of the yeast stand-in's seeding,
+// with what refine's first round reads after it: the anchor row, the
+// carved columns and how many of them must clump, the carved rows, and
+// their column adjustments.
 type seedKernelCase struct {
-	row1  []float64
-	cols  []int
-	slack int
-	rows  []int
-	adj   []float64
+	i1   int
+	cols []int
+	need int
+	rows []int
+	adj  []float64
 }
 
 // seedKernelCases draws anchor pairs from run seed 1 as anchoredSeeds
 // does on m (δ = delta, at least three rows and columns) and keeps, for
-// slack 0 and slack 1 each, the first n column-major carves that carve
-// at least three rows: a fixed set of inputs for the seeding kernels.
-func seedKernelCases(tb testing.TB, m *matrix.Matrix, delta float64, n int) (cases [2][]seedKernelCase) {
+// slack 0, slack 1 and slack 2 and up each, the first n column-major
+// carves that carve at least three rows: a fixed set of inputs for the
+// seeding kernels.
+func seedKernelCases(tb testing.TB, m *matrix.Matrix, delta float64, n int) (cases [3][]seedKernelCase) {
 	tb.Helper()
 	scr := newSeedScratch(m)
 	rng := stats.NewRNG(1)
 	const minRows, minCols = 3, 3
-	for a := 0; a < 100000 && (len(cases[0]) < n || len(cases[1]) < n); a++ {
+	for a := 0; a < 100000 && (len(cases[0]) < n || len(cases[1]) < n || len(cases[2]) < n); a++ {
 		i1, i2 := rng.Intn(m.Rows()), rng.Intn(m.Rows())
 		if i1 == i2 {
 			continue
@@ -200,36 +201,38 @@ func seedKernelCases(tb testing.TB, m *matrix.Matrix, delta float64, n int) (cas
 		}
 		need := maxInt(minCols, (2*len(cols)+2)/3)
 		slack := len(cols) - need
-		if slack > 1 || len(cases[slack]) == n {
+		k := min(slack, 2)
+		if len(cases[k]) == n {
 			continue
 		}
 		rows := scr.carveRows(m, i1, cols, delta, need)
 		if len(rows) < minRows {
 			continue
 		}
-		c := seedKernelCase{row1: m.RowView(i1), cols: slices.Clone(cols), slack: slack, rows: slices.Clone(rows)}
+		c := seedKernelCase{i1: i1, cols: slices.Clone(cols), need: need, rows: slices.Clone(rows)}
 		scr.columnAdjustments(m, rows, false)
 		c.adj = slices.Clone(scr.colAdj)
-		cases[slack] = append(cases[slack], c)
+		cases[k] = append(cases[k], c)
 	}
-	if len(cases[0]) < n || len(cases[1]) < n {
-		tb.Fatalf("%d slack-0 and %d slack-1 carves, want %d of each", len(cases[0]), len(cases[1]), n)
+	if len(cases[0]) < n || len(cases[1]) < n || len(cases[2]) < n {
+		tb.Fatalf("%d slack-0, %d slack-1 and %d slack-2-and-up carves, want %d of each", len(cases[0]), len(cases[1]), len(cases[2]), n)
 	}
 	return cases
 }
 
 // BenchmarkSeedKernels times anchored seeding's complete-matrix kernels
 // one by one on the full yeast stand-in (2884×17, δ = 20), each over
-// the same 64 slack-0 and 64 slack-1 carves (seedKernelCases), so a
-// seeding regression shows in a named kernel. Each runs as seeding
-// dispatches it: the AVX2 kernels where the CPU has them, the Go loops
-// otherwise. One op is one pass over the cases:
+// the same 64 slack-0, 64 slack-1 and 64 slack-2-and-up carves
+// (seedKernelCases), so a seeding regression shows in a named kernel.
+// Each runs as seeding dispatches it: the AVX2 kernels where the CPU
+// has them, the Go loops otherwise. One op is one pass over the cases:
 //
-//   - carve-slack0, carve-slack1: carveRowsColumns on the 64 carves of
-//     that slack;
+//   - carve-slack0, carve-slack1, carve-slack2plus: the row carve
+//     (carveRows) on the 64 carves of that slack;
 //   - select-rows: refine's row re-selection (selectRowsComplete) on
-//     all 128 carves' columns, under their rows' column adjustments;
-//   - col-stats: a refine round's column statistics over all 128
+//     the 128 slack-0 and slack-1 carves' columns, under their rows'
+//     column adjustments;
+//   - col-stats: a refine round's column statistics over the same 128
 //     carves' rows: the adjustments' sums, then the offset-corrected
 //     means and deviations (columnSums).
 func BenchmarkSeedKernels(b *testing.B) {
@@ -241,9 +244,8 @@ func BenchmarkSeedKernels(b *testing.B) {
 	m.EnsureDerived()
 	const delta = 20
 	cases := seedKernelCases(b, m, delta, 64)
-	all := append(slices.Clone(cases[0]), cases[1]...)
+	all := slices.Concat(cases[0], cases[1])
 	scr := newSeedScratch(m)
-	nr := m.Rows()
 	bench := func(name string, op func()) {
 		b.Run(name, func(b *testing.B) {
 			b.ReportAllocs()
@@ -252,10 +254,10 @@ func BenchmarkSeedKernels(b *testing.B) {
 			}
 		})
 	}
-	for slack := 0; slack <= 1; slack++ {
-		bench(fmt.Sprintf("carve-slack%d", slack), func() {
-			for _, c := range cases[slack] {
-				scr.carveRowsColumns(m, c.row1, c.cols, 2*delta, slack, scr.vector, scr.carvedRow[:nr])
+	for k, name := range []string{"carve-slack0", "carve-slack1", "carve-slack2plus"} {
+		bench(name, func() {
+			for _, c := range cases[k] {
+				scr.carveRows(m, c.i1, c.cols, delta, c.need)
 			}
 		})
 	}

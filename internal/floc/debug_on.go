@@ -152,16 +152,16 @@ func (scr *seedScratch) checkRowSelection(m *matrix.Matrix, cols []int, delta fl
 }
 
 // checkCarve cross-checks the AVX2 column-major row carve against the
-// Go loops: got must be exactly the rows carveRowsColumns returns on
-// the same columns without vector. The rerun writes into scr.rows,
-// refine's row list, which holds nothing live during a carve (the
-// previous candidate's rows are already copied into the arena), and
-// overwrites the carve's extremes in lo/hi/lo2/hi2, which are scratch;
-// so the check allocates nothing.
+// row-wise one: got must be exactly the rows clumpRows returns on the
+// same columns, the definition every carve path answers. The rerun
+// writes into scr.rows, refine's row list, which holds nothing live
+// during a carve (the previous candidate's rows are already copied
+// into the arena), and gathers each row's offsets in scr.offsets,
+// which is scratch; so the check allocates nothing.
 func (scr *seedScratch) checkCarve(m *matrix.Matrix, row1 []float64, cols []int, width float64, slack int, got []int) {
-	want := scr.carveRowsColumns(m, row1, cols, width, slack, false, scr.rows[:m.Rows()])
+	want := scr.clumpRows(m, row1, cols, width, len(cols)-slack, 0, scr.rows[:0])
 	if !slices.Equal(got, want) {
-		panic(fmt.Sprintf("floc: deltadebug AVX2 carve at slack %d on %d columns (width %v) kept rows %v, the Go loops %v",
+		panic(fmt.Sprintf("floc: deltadebug AVX2 carve at slack %d on %d columns (width %v) kept rows %v, the row-wise carve %v",
 			slack, len(cols), width, got, want))
 	}
 }

@@ -15,14 +15,15 @@ package floc
 //go:noescape
 func rangeRowsAVX2(mirror *float64, nr int, cols *int, ncols int, sub *float64, width float64, out *int) int
 
-// carve1AVX2 is rangeRowsAVX2 for carveRowsColumns at slack 1 over
-// ncols ≥ 3 columns: a row passes when its first three offsets have a
-// pair within width and no pair Inf − Inf apart, and then when the
-// offsets of every longer prefix but its largest, or but its smallest,
-// span at most width.
+// carveSAVX2 writes to out, in ascending order, the rows r of the
+// whole four-row blocks below nr whose offsets x_k = col_k[r] − sub[j_k]
+// over the ncols columns j_k = cols[k] clump as clumps tests them: some
+// need = ncols − slack of them, consecutive in sorted order, span at
+// most width. slack is 1 to carveMaxSlack and below ncols, and no
+// offset may be NaN. It returns the number of rows written.
 //
 //go:noescape
-func carve1AVX2(mirror *float64, nr int, cols *int, ncols int, sub *float64, width float64, out *int) int
+func carveSAVX2(mirror *float64, nr int, cols *int, ncols int, sub *float64, width float64, slack int, out *int) int
 
 // columnSumsAVX2 adds to dst[j], for each of the nc columns, one term
 // per row i = rows[k] of the row-major data (nc floats per row), in

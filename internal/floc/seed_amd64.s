@@ -1,41 +1,75 @@
 //go:build !purego
 
 // The AVX2 kernels of anchored seeding on complete matrices (see
-// rangeRowsAVX2, carve1AVX2 and columnSumsAVX2 in seed_amd64.go).
+// rangeRowsAVX2, carveSAVX2 and columnSumsAVX2 in seed_amd64.go).
 //
 // The row filters put four consecutive rows in one ymm register, read
-// from the column-major mirror. A first pass tests every block on its
-// first two (three) columns and lists the blocks with a lane alive,
-// without branching on the outcome; a second pass carries each listed
-// block's running extremes through the later columns until no lane is
-// alive and writes the survivors' indices in ascending order. They
-// return verdicts only, and every verdict is the scalar loop's
-// (carveRowsColumns and selectRowsComplete in seed_anchored.go):
+// from the column-major mirror, and return verdicts only: the rows
+// kept, in ascending order. Every verdict is the scalar loop's
+// (carveRowsColumns, clumpRows and selectRowsComplete in
+// seed_anchored.go). Each lane forms the scalar loop's offsets x =
+// v − sub[j] and differences with the same VSUBPD operands, and a
+// |·| is a sign-mask AND (the bit operation math.Abs is).
 //
-//   - Each lane forms the scalar loop's offsets x = v − sub[j] and
-//     differences with the same VSUBPD operands, and the first test's
-//     |·| is a sign-mask AND (the bit operation math.Abs is).
-//   - The slack-1 first test is Go's min(|y−x|, |z−y|, |z−x|) ≤ width,
-//     which is false when any of the three is NaN: three ≤ compares,
-//     ORed, and ANDed with the lanes where none of them is unordered.
-//   - The running extremes are updated with VMINPD/VMAXPD, whose
-//     operand order makes each one the scalar branch: l = (d < l) ? d
-//     : l, h = (d > h) ? d : h, and for the second-smallest l2 =
-//     (t < l2) ? t : l2 with t = (l > d) ? l : d (the second-largest
-//     mirrored). On an alive lane the extremes are ordered and hold no
+// rangeRowsAVX2 (the slack-0 carve and the row re-selection's range
+// filter) runs two passes. The first tests every block on its first
+// two columns and lists the blocks with a lane alive, without
+// branching on the outcome; the second carries each listed block's
+// running extremes through the later columns until no lane is alive.
+//
+//   - The extremes are updated with VMINPD/VMAXPD, whose operand order
+//     makes each one the scalar branch: l = (d < l) ? d : l, h = (d >
+//     h) ? d : h. On an alive lane the extremes are ordered and hold no
 //     NaN (its first offsets are ordered, and a NaN offset, possible
-//     only in the range filter through a NaN column adjustment, is
-//     ignored by both forms, VMINPD and VMAXPD returning their second
-//     operand). So every extreme equals the scalar loop's as a value;
-//     the two can differ only in the sign of a zero, where the scalar
-//     loop keeps an earlier ±0 on a tie that VMINPD/VMAXPD replace, or
-//     where its swap-based or builtin first-pair order picks the other
-//     zero.
+//     only through a NaN column adjustment, is ignored by both forms,
+//     VMINPD and VMAXPD returning their second operand). So every
+//     extreme equals the scalar loop's as a value; the two can differ
+//     only in the sign of a zero, where the scalar loop keeps an
+//     earlier ±0 on a tie that VMINPD/VMAXPD replace, or where its
+//     swap-based first-pair order picks the other zero.
 //   - No test reads that sign. Extremes enter only spans fl(a − b)
 //     compared to the threshold. When a and b equal the scalar
-//     operands up to the sign of zero, the span does too (x − ±0 = x
-//     and ±0 − x = −x for x ≠ 0), and an IEEE compare ranks −0 and +0
-//     equal, so each ≤ verdict is the scalar one.
+//     operands up to the sign of zero, the span does too (x − ±0 = x,
+//     ±0 − x = −x for x ≠ 0, and ±0 − ±0 is a zero), and an IEEE
+//     compare ranks −0 and +0 equal, so each ≤ verdict is the scalar
+//     one.
+//
+// carveSAVX2 (the carve at slack s = 1 to 5) runs one pass: every
+// block through every column, then one window test. Each lane keeps
+// its s+1 smallest offsets L₀ ≤ … ≤ Lₛ and s+1 largest H₀ ≥ … ≥ Hₛ,
+// from sentinels +Inf and −Inf, inserting each offset d top down,
+// Lₖ = min(Lₖ, max(Lₖ₋₁, d)) and Hₖ = max(Hₖ, min(Hₖ₋₁, d)), which
+// reads only the slots' old values, so no slot waits on another. A row
+// passes iff Hₛ₋ᵢ − Lᵢ ≤ width for some i in 0..s. That is clumps'
+// test without its sort:
+//
+//   - Offsets on a complete matrix are finite or ±Inf (a finite entry
+//     minus a finite anchor entry overflows at worst), never NaN. On
+//     NaN-free input this min/max network keeps order statistics: once
+//     all ncols ≥ s+1 offsets are in, Lᵢ is the offsets' i-th smallest
+//     and Hᵢ their i-th largest, as values (a ±Inf offset equals the
+//     sentinel it displaces).
+//   - clumps sorts the same offsets, x[0] ≤ … ≤ x[n−1], and tests
+//     x[i+need−1] − x[i] ≤ width for i in 0..s, with need = n − s. Its
+//     operands are Hₛ₋ᵢ = x[n−1−(s−i)] and Lᵢ = x[i], subtracted in the
+//     same order.
+//   - VMINPD/VMAXPD can only swap which ±0 holds a slot, where a tie
+//     of −0 and +0 meets an instruction that returns its second
+//     operand, and, as above, no span compared against the width can
+//     see that.
+//   - Inf − Inf = NaN fails the ordered ≤ compare, as it fails Go's
+//     <=, so a window whose ends are the same infinity never passes,
+//     in either; with a finite width, no window holding an infinite
+//     offset passes at all.
+//
+// A lane could be dropped once no m − s of its first m offsets fit a
+// window, since a final clump holds at least m − s of them; but a drop
+// test after every column, branching to the next block once no lane is
+// alive, measured 1.5–1.7× slower on the yeast stand-in's carves,
+// where most blocks keep a row alive to the last columns. So every row
+// reads every column, and the pass has no branch on any verdict: KEEP4
+// writes each block's rows unconditionally and advances the count by
+// the verdict bits.
 //
 // columnSumsAVX2 puts four adjacent columns of a row in one ymm
 // register and keeps sixteen columns' sums in registers while the rows
@@ -66,6 +100,12 @@ DATA seedFour<>+16(SB)/8, $4
 DATA seedFour<>+24(SB)/8, $4
 GLOBL seedFour<>(SB), RODATA|NOPTR, $32
 
+DATA seedPosInf<>+0(SB)/8, $0x7ff0000000000000
+GLOBL seedPosInf<>(SB), RODATA|NOPTR, $8
+
+DATA seedNegInf<>+0(SB)/8, $0xfff0000000000000
+GLOBL seedNegInf<>(SB), RODATA|NOPTR, $8
+
 // OFFSETS loads into D the four rows' offsets in the column whose
 // index is at SRC: D = col[r:r+4] − sub[j], with the mirror at SI, the
 // column stride in bytes in R8, sub at R11 and the block's first row
@@ -76,7 +116,7 @@ GLOBL seedFour<>(SB), RODATA|NOPTR, $32
 // broadcasts its subtrahend into S.
 #define COLUMN(SRC, B, S) MOVQ SRC, DX; VBROADCASTSD (R11)(DX*8), S; IMULQ R8, DX; LEAQ (SI)(DX*1), B
 
-// SETUP loads the row filters' arguments: SI the mirror, R8 the column
+// SETUP loads rangeRowsAVX2's arguments: SI the mirror, R8 the column
 // stride nr·8, R12 the rows of whole blocks, R9 cols, R11 sub, Y15 the
 // width, DI out, Y14 the sign mask, and R14 the block list at
 // out[nr − nr/4:] (see LIST); BX walks the blocks, and AX counts the
@@ -166,84 +206,91 @@ rangedone:
 	VZEROUPPER
 	RET
 
-// FIRST3 sets Y13 to the lanes whose first three offsets, in Y1–Y3,
-// pass the slack-1 first test, clobbering Y4–Y8.
-#define FIRST3 VSUBPD Y1, Y2, Y4; VANDPD Y14, Y4, Y4; VSUBPD Y2, Y3, Y5; VANDPD Y14, Y5, Y5; VSUBPD Y1, Y3, Y6; VANDPD Y14, Y6, Y6; VCMPPD $7, Y5, Y4, Y7; VCMPPD $7, Y6, Y6, Y8; VANDPD Y8, Y7, Y7; VCMPPD $0x12, Y15, Y4, Y4; VCMPPD $0x12, Y15, Y5, Y5; VCMPPD $0x12, Y15, Y6, Y6; VORPD Y5, Y4, Y4; VORPD Y6, Y4, Y4; VANDPD Y7, Y4, Y13
+// SLOT updates one pair of order-statistic slots of the slack-s carve
+// with the offset d in Y1: the k-th smallest L = min(L, max(LB, d))
+// from the (k−1)-th LB, and the k-th largest H = max(H, min(HB, d))
+// from the (k−1)-th HB. Both read LB and HB before they are updated,
+// so the slots are updated top down and no slot waits for another's
+// new value. SLOT0 updates the smallest and largest offsets.
+#define SLOT(L, LB, H, HB) VMAXPD Y1, LB, Y0; VMINPD Y0, L, L; VMINPD Y1, HB, Y0; VMAXPD Y0, H, H
+#define SLOT0 VMINPD Y1, Y2, Y2; VMAXPD Y1, Y8, Y8
 
-// func carve1AVX2(mirror *float64, nr int, cols *int, ncols int, sub *float64, width float64, out *int) int
+// INSERTs inserts d into the s+1 smallest (Y2 up) and s+1 largest (Y8
+// up) offsets.
+#define INSERT1 SLOT(Y3, Y2, Y9, Y8); SLOT0
+#define INSERT2 SLOT(Y4, Y3, Y10, Y9); INSERT1
+#define INSERT3 SLOT(Y5, Y4, Y11, Y10); INSERT2
+#define INSERT4 SLOT(Y6, Y5, Y12, Y11); INSERT3
+#define INSERT5 SLOT(Y7, Y6, Y13, Y12); INSERT4
+
+// SPAN ORs into Y1 the lanes whose window from L to H fits the width,
+// H − L ≤ width; SPAN1 sets Y1 to them.
+#define SPAN1(H, L) VSUBPD L, H, Y1; VCMPPD $0x12, Y15, Y1, Y1
+#define SPAN(H, L) VSUBPD L, H, Y0; VCMPPD $0x12, Y15, Y0, Y0; VORPD Y0, Y1, Y1
+
+// WINDOWSs sets Y1 to the lanes with a window of need = ncols − s
+// sorted offsets within width: H(s−i) − L(i) ≤ width for some i ≤ s.
+#define WINDOWS1 SPAN1(Y9, Y2); SPAN(Y8, Y3)
+#define WINDOWS2 SPAN1(Y10, Y2); SPAN(Y9, Y3); SPAN(Y8, Y4)
+#define WINDOWS3 SPAN1(Y11, Y2); SPAN(Y10, Y3); SPAN(Y9, Y4); SPAN(Y8, Y5)
+#define WINDOWS4 SPAN1(Y12, Y2); SPAN(Y11, Y3); SPAN(Y10, Y4); SPAN(Y9, Y5); SPAN(Y8, Y6)
+#define WINDOWS5 SPAN1(Y13, Y2); SPAN(Y12, Y3); SPAN(Y11, Y4); SPAN(Y10, Y5); SPAN(Y9, Y6); SPAN(Y8, Y7)
+
+// SENTINELS empties the slots of the block at BX: +Inf in the smallest
+// (Y2–Y7), −Inf in the largest (Y8–Y13), and CX to the first column.
+#define SENTINELS VBROADCASTSD seedPosInf<>(SB), Y2; VMOVAPD Y2, Y3; VMOVAPD Y2, Y4; VMOVAPD Y2, Y5; VMOVAPD Y2, Y6; VMOVAPD Y2, Y7; VBROADCASTSD seedNegInf<>(SB), Y8; VMOVAPD Y8, Y9; VMOVAPD Y8, Y10; VMOVAPD Y8, Y11; VMOVAPD Y8, Y12; VMOVAPD Y8, Y13; XORQ CX, CX
+
+// KEEP4 writes the block's four row indices to out at AX and advances
+// AX past those whose lane is set in Y1, without a branch on the
+// outcome: a failed lane's entry is overwritten by the next one or
+// lies past the count. AX never exceeds the row written, so no write
+// leaves out.
+#define KEEP4 VMOVMSKPD Y1, DX; MOVQ BX, (DI)(AX*8); BTQ $0, DX; ADCQ $0, AX; LEAQ 1(BX), R13; MOVQ R13, (DI)(AX*8); BTQ $1, DX; ADCQ $0, AX; LEAQ 2(BX), R13; MOVQ R13, (DI)(AX*8); BTQ $2, DX; ADCQ $0, AX; LEAQ 3(BX), R13; MOVQ R13, (DI)(AX*8); BTQ $3, DX; ADCQ $0, AX
+
+// CARVES is carveSAVX2's loop for one slack: every block, every
+// column's offsets inserted, then the window test and KEEP4.
+#define CARVES(INSERT, WINDOWS, block, col) block: SENTINELS; col: OFFSETS((R9)(CX*8), Y1); INSERT; INCQ CX; CMPQ CX, R10; JLT col; WINDOWS; KEEP4; ADDQ $4, BX; CMPQ BX, R12; JLT block; JMP carvesdone
+
+// func carveSAVX2(mirror *float64, nr int, cols *int, ncols int, sub *float64, width float64, slack int, out *int) int
 //
-// The passes of rangeRowsAVX2, on the first three columns (bases in
-// R13, CX and R10, subtrahends in Y9–Y11 during the first pass). Y13
-// the alive lanes; Y9, Y10, Y11 and Y12 the running smallest,
-// second-smallest, second-largest and largest offsets; Y1–Y8 the
-// current offsets, spans and compares, CX the column, R10 ncols.
-TEXT ·carve1AVX2(SB), NOSPLIT, $0-64
-	SETUP
-	COLUMN(0(R9), R13, Y9)
-	COLUMN(8(R9), CX, Y10)
-	COLUMN(16(R9), R10, Y11)
-
-carvelist:
-	CMPQ BX, R12
-	JGE  carvelisted
-	VMOVUPD (R13)(BX*8), Y1
-	VSUBPD  Y9, Y1, Y1
-	VMOVUPD (CX)(BX*8), Y2
-	VSUBPD  Y10, Y2, Y2
-	VMOVUPD (R10)(BX*8), Y3
-	VSUBPD  Y11, Y3, Y3
-	FIRST3
-	LIST(Y13)
-	JMP     carvelist
-
-carvelisted:
-	LEAQ (R14)(AX*8), R12
-	XORQ AX, AX
+// One pass over the blocks, each through every column: Y2–Y7 the
+// block's smallest offsets in ascending order, Y8–Y13 its largest in
+// descending order (slots past the slack unused), Y1 the current
+// offset and then the window verdicts, Y0 a temporary, Y15 the width;
+// CX the column, R10 ncols, AX the rows written. The slack, 1 to 5,
+// selects the loop.
+TEXT ·carveSAVX2(SB), NOSPLIT, $0-72
+	MOVQ mirror+0(FP), SI
+	MOVQ nr+8(FP), R8
+	MOVQ R8, R12
+	ANDQ $-4, R12
+	SHLQ $3, R8
+	MOVQ cols+16(FP), R9
 	MOVQ ncols+24(FP), R10
+	MOVQ sub+32(FP), R11
+	VBROADCASTSD width+40(FP), Y15
+	MOVQ slack+48(FP), R14
+	MOVQ out+56(FP), DI
+	XORQ AX, AX
+	XORQ BX, BX
+	TESTQ R12, R12
+	JZ   carvesdone
+	CMPQ R14, $2
+	JLT  carves1
+	JEQ  carves2
+	CMPQ R14, $4
+	JLT  carves3
+	JEQ  carves4
+	JMP  carves5
 
-carveblock:
-	NEXTBLOCK(carvedone)
-	OFFSETS(0(R9), Y1)
-	OFFSETS(8(R9), Y2)
-	OFFSETS(16(R9), Y3)
-	FIRST3
-	VMINPD  Y1, Y2, Y4
-	VMAXPD  Y2, Y1, Y5
-	VMINPD  Y4, Y3, Y9
-	VMAXPD  Y5, Y3, Y12
-	VMINPD  Y5, Y3, Y6
-	VMAXPD  Y4, Y6, Y10
-	VMOVUPD Y10, Y11
-	MOVQ    $3, CX
+	CARVES(INSERT1, WINDOWS1, carves1, carves1col)
+	CARVES(INSERT2, WINDOWS2, carves2, carves2col)
+	CARVES(INSERT3, WINDOWS3, carves3, carves3col)
+	CARVES(INSERT4, WINDOWS4, carves4, carves4col)
+	CARVES(INSERT5, WINDOWS5, carves5, carves5col)
 
-carvecol:
-	CMPQ CX, R10
-	JGE  carveemit
-	OFFSETS((R9)(CX*8), Y1)
-	VMAXPD    Y1, Y9, Y2
-	VMINPD    Y10, Y2, Y10
-	VMINPD    Y9, Y1, Y9
-	VMINPD    Y1, Y12, Y3
-	VMAXPD    Y11, Y3, Y11
-	VMAXPD    Y12, Y1, Y12
-	VSUBPD    Y9, Y11, Y4
-	VSUBPD    Y10, Y12, Y5
-	VCMPPD    $0x12, Y15, Y4, Y4
-	VCMPPD    $0x12, Y15, Y5, Y5
-	VORPD     Y5, Y4, Y4
-	VANDPD    Y4, Y13, Y13
-	VMOVMSKPD Y13, DX
-	TESTQ     DX, DX
-	JZ        carveblock
-	INCQ      CX
-	JMP       carvecol
-
-carveemit:
-	EMIT(Y13, carveemitrow)
-	JMP carveblock
-
-carvedone:
-	MOVQ AX, ret+56(FP)
+carvesdone:
+	MOVQ AX, ret+64(FP)
 	VZEROUPPER
 	RET
 

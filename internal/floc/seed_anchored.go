@@ -310,31 +310,39 @@ func (scr *seedScratch) carveCols(m *matrix.Matrix, i1, i2 int, delta float64, m
 // is backed by the scratch and valid until the next call.
 //
 // The test is clumps, densestWindow(offsets, 2δ) ≥ need without the
-// sort. On a complete matrix with at most one offset allowed outside
-// the clump, carveRowsColumns runs it on each row's extreme offsets
-// instead; on the yeast stand-in that is 95% of the carves, about half
-// each with slack 0 and slack 1. Larger slacks, and matrices with
-// missing entries, gather each row's offsets. With missing entries, a
-// row specified in fewer than need of cols cannot clump, so the column
-// lists first count each row's entries among cols and only rows
-// reaching need are gathered.
+// sort. On a complete matrix, carveRowsColumns runs it column by
+// column on each row's extreme offsets instead: in the Go loops at
+// slack 0 and 1 (about half each of the yeast stand-in's carves), and,
+// on AVX2, in kernels at every slack up to carveMaxSlack, which covers
+// every carve of up to 17 columns (the yeast stand-in's carves reach
+// slack 3). Larger slacks, the Go loops at slack 2 and up, matrices
+// with missing entries and an infinite width gather each row's offsets
+// and sort them (clumpRows). The column-major loops drop a row once
+// its first offsets cannot clump, which the verdict survives only
+// under a finite width: under an infinite one, two same-sign infinite
+// offsets span Inf − Inf = NaN and fail while a finite offset could
+// still clump with them. With missing entries, a row specified in
+// fewer than need of cols cannot clump, so the column lists first
+// count each row's entries among cols and only rows reaching need are
+// gathered.
 //
 // deltavet:hotpath — once per attempt with a pair clump. Every row is
-// read in the carve's first two or three columns (column-major path)
-// or in all of them (row-wise path on a complete matrix); later
-// columns, and rows short of need with missing entries, are skipped.
+// read in the carve's first two or three columns (Go column-major
+// loops) or in all of them (AVX2 kernel at slack 1 and up, row-wise
+// path on a complete matrix); later columns, and rows short of need
+// with missing entries, are skipped.
 func (scr *seedScratch) carveRows(m *matrix.Matrix, i1 int, cols []int, delta float64, need int) []int {
 	row1 := m.RowView(i1)
 	width := 2 * delta
-	if slack := len(cols) - need; scr.complete && slack <= 1 {
+	if slack := len(cols) - need; scr.complete && !math.IsInf(width, 1) && (slack <= 1 || scr.vector && slack <= carveMaxSlack) {
 		rows := scr.carveRowsColumns(m, row1, cols, width, slack, scr.vector, scr.carvedRow[:m.Rows()])
 		if debugInvariants && scr.vector {
 			scr.checkCarve(m, row1, cols, width, slack, rows)
 		}
 		return rows
 	}
-	cnt := scr.rowCnt
 	if !scr.complete {
+		cnt := scr.rowCnt
 		clear(cnt)
 		for _, j := range cols {
 			for _, i := range scr.colEntries(j) {
@@ -342,9 +350,18 @@ func (scr *seedScratch) carveRows(m *matrix.Matrix, i1 int, cols []int, delta fl
 			}
 		}
 	}
-	rows := scr.carvedRow[:0]
-	for r := 0; r < m.Rows(); r++ {
-		if !scr.complete && cnt[r] < need {
+	return scr.clumpRows(m, row1, cols, width, need, 0, scr.carvedRow[:0])
+}
+
+// clumpRows is the row-wise carve: it appends to dst, in ascending
+// order, the rows r ≥ from whose offsets against row1 on cols clump
+// (clumps), gathering and sorting each row's offsets. With missing
+// entries it skips the rows whose count in rowCnt is short of need.
+//
+// deltavet:hotpath — see carveRows.
+func (scr *seedScratch) clumpRows(m *matrix.Matrix, row1 []float64, cols []int, width float64, need, from int, dst []int) []int {
+	for r := from; r < m.Rows(); r++ {
+		if !scr.complete && scr.rowCnt[r] < need {
 			continue
 		}
 		rowR := m.RowView(r)
@@ -355,52 +372,60 @@ func (scr *seedScratch) carveRows(m *matrix.Matrix, i1 int, cols []int, delta fl
 			}
 		}
 		if clumps(offsets, need, width) {
-			rows = append(rows, r)
+			dst = append(dst, r)
 		}
 	}
-	return rows
+	return dst
 }
 
-// carveRowsColumns is carveRows on a complete matrix when all
-// len(cols) offsets of a row (slack 0) or all but one (slack 1) must
-// clump, written to buf (m.Rows() long). Sorted, a row's offsets
-// x₀ ≤ … ≤ xₙ₋₁ then clump iff xₙ₋₁ − x₀ ≤ width, respectively
-// xₙ₋₂ − x₀ ≤ width or xₙ₋₁ − x₁ ≤ width — a test on the row's two
-// (four) extreme offsets, kept running while the columns stream
-// through the column-major mirror. Both spans only widen as offsets
-// arrive, so a row is dropped as soon as they exceed the width, and
-// only the first two (three) columns are read for every row. cols
-// holds at least three columns, as every carve does.
+// carveMaxSlack is the largest slack carveSAVX2 takes: its slots, six
+// smallest and six largest offsets of four rows, fill twelve of the
+// sixteen ymm registers.
+const carveMaxSlack = 5
+
+// carveRowsColumns is carveRows on a complete matrix under a finite
+// width, written to buf (m.Rows() long), for slack 0 and 1 and, with
+// vector set, up to carveMaxSlack. Sorted, a row's offsets
+// x₀ ≤ … ≤ xₙ₋₁ clump iff x[i+need−1] − x[i] ≤ width for some i ≤
+// slack: a test on the row's slack+1 smallest and slack+1 largest
+// offsets, kept running while the columns stream through the
+// column-major mirror.
 //
-// With vector set, the AVX2 kernels (rangeRowsAVX2 at slack 0,
-// carve1AVX2 at slack 1) take the rows four per register, block by
-// block, carrying each block's extremes through the columns until no
-// row of it is alive; the Go loops below take the last m.Rows() mod 4
-// rows, and every row without vector. They run column by column over
-// a list of the rows still alive, in place. The first pass keeps 12%
-// of the yeast stand-in's rows at slack 0 and 31% at slack 1, too many
-// for a well-predicted branch, so it runs without a branch on the
-// outcome: each row index is written to the list unconditionally and
-// the list advances when the row passes, and only the survivors'
-// extremes are then sorted into lo/hi (lo2/hi2). The tests are the
-// sorted ones: with slack 0, |y − x| ≤ width equals the sorted y − x ≤
-// width because negation is exact; with slack 1, min(|y−x|, |z−y|,
-// |z−x|) ≤ width equals "an adjacent sorted gap ≤ width", because the
-// outer gap rounds to at least either inner one. Offsets that overflow
-// to ±Inf give the same verdicts both ways. Slack 0 keeps its own
-// two-extreme loop: answering it from the four-extreme tracker is
-// measurably slower on the yeast stand-in.
+// With vector set, the AVX2 kernels take the rows four per register,
+// block by block, and clumpRows, respectively the Go loops, the last
+// m.Rows() mod 4. At slack 0, rangeRowsAVX2 carries each block's two
+// extremes through the columns until no row of it is alive; at slack 1
+// and up, carveSAVX2 inserts every offset into each row's order
+// statistics and tests the windows once (seed_amd64.s).
+//
+// Without vector, the Go loops take slack 0 and 1 column by column
+// over a list of the rows still alive, in place: spans only widen as
+// offsets arrive, so a row is dropped as soon as they exceed the
+// width, and only the first two (three) columns are read for every
+// row. The first pass keeps 12% of the yeast stand-in's rows at slack
+// 0 and 31% at slack 1, too many for a well-predicted branch, so it
+// runs without a branch on the outcome: each row index is written to
+// the list unconditionally and the list advances when the row passes,
+// and only the survivors' extremes are then sorted into lo/hi
+// (lo2/hi2). The tests are the sorted ones: with slack 0, |y − x| ≤
+// width equals the sorted y − x ≤ width because negation is exact;
+// with slack 1, min(|y−x|, |z−y|, |z−x|) ≤ width equals "an adjacent
+// sorted gap ≤ width", because the outer gap rounds to at least either
+// inner one. Offsets that overflow to ±Inf give the same verdicts both
+// ways. Slack 0 keeps its own two-extreme loop: answering it from the
+// four-extreme tracker is measurably slower on the yeast stand-in.
+// cols holds at least three columns, as every carve does.
 //
 // deltavet:hotpath — see carveRows.
 func (scr *seedScratch) carveRowsColumns(m *matrix.Matrix, row1 []float64, cols []int, width float64, slack int, vector bool, buf []int) []int {
 	n := m.Rows()
+	if vector && slack >= 1 {
+		done := carveSAVX2(&m.ColView(0)[0], n, &cols[0], len(cols), &row1[0], width, slack, &buf[0])
+		return scr.clumpRows(m, row1, cols, width, len(cols)-slack, n&^3, buf[:done])
+	}
 	done, from := 0, 0
 	if vector {
-		kernel := rangeRowsAVX2
-		if slack == 1 {
-			kernel = carve1AVX2
-		}
-		done = kernel(&m.ColView(0)[0], n, &cols[0], len(cols), &row1[0], width, &buf[0])
+		done = rangeRowsAVX2(&m.ColView(0)[0], n, &cols[0], len(cols), &row1[0], width, &buf[0])
 		from = n &^ 3
 	}
 	alive := buf[done : done+n-from]

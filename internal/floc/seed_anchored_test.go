@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"deltacluster/internal/cluster"
+	"deltacluster/internal/cpu"
 	"deltacluster/internal/matrix"
 	"deltacluster/internal/stats"
 	"deltacluster/internal/synth"
@@ -238,20 +239,56 @@ func carveRowsReference(m *matrix.Matrix, i1 int, cols []int, delta float64, nee
 	return rows
 }
 
+// TestCarveRowsInfiniteWidth pins the carve under an infinite width
+// (δ = MaxFloat64), where the column-major loops' early drop is not
+// exact: row 1's first two offsets against anchor row 0 are both +Inf,
+// Inf − Inf = NaN, yet under an infinite width they clump with its
+// finite offsets (Inf − 1 = Inf ≤ Inf). Every path at every slack must
+// keep it, as the row-wise carve does.
+func TestCarveRowsInfiniteWidth(t *testing.T) {
+	const h = 1e308
+	m, err := matrix.NewFromRows([][]float64{
+		{-h, -h, 0, 0, 0, 0, 0, 0},
+		{h, h, 1, 2, 3, 4, 5, 6},
+		{h, -h, 0, 0, 0, 0, 0, 0},
+		{0, 0, 0, 0, 0, 0, 0, 0},
+		{1, 1, 1, 1, 1, 1, 1, 1},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	scr := newSeedScratch(m)
+	cols := []int{0, 1, 2, 3, 4, 5, 6, 7}
+	for need := len(cols); need >= len(cols)-2; need-- {
+		scr.complete, scr.vector = false, false
+		want := slices.Clone(scr.carveRows(m, 0, cols, math.MaxFloat64, need))
+		if !slices.Contains(want, 1) {
+			t.Fatalf("need %d: the row-wise carve dropped row 1: %v", need, want)
+		}
+		for _, vector := range vectorPaths() {
+			scr.complete, scr.vector = true, vector
+			if got := scr.carveRows(m, 0, cols, math.MaxFloat64, need); !slices.Equal(got, want) {
+				t.Errorf("need %d, vector %v: rows %v, the row-wise carve %v", need, vector, got, want)
+			}
+		}
+	}
+}
+
 // TestCarveRowsPathsAgree checks the row carve's paths against its
-// definition: on complete matrices the column-major path (slack 0 and
-// 1), in its Go loops and, where the CPU has them, its AVX2 kernels,
-// and the row-wise path must return the reference row set, and on a
-// matrix with missing entries the row-wise path must. Values sit
-// on a lattice with signed zeros, so offsets tie and the offsets of a
-// row's first carved columns differ by exactly the window width. Every
-// fifth matrix also holds values near ±1e308, whose offsets against
-// the anchor overflow to ±Inf and never clump. The test requires
-// enough accepted rows whose first two offsets sit exactly a window
-// apart, and enough overflowed offsets.
+// definition: on complete matrices the column-major path, in its Go
+// loops (slack 0 and 1) and, where the CPU has them, its AVX2 kernels
+// (slack 0 to carveMaxSlack), and the row-wise path must return the
+// reference row set, and on a matrix with missing entries the row-wise
+// path must. Values sit on a lattice with signed zeros, so offsets tie
+// and the offsets of a row's first carved columns differ by exactly
+// the window width. Every fifth matrix also holds values near ±1e308,
+// whose offsets against the anchor overflow to ±Inf and never clump.
+// The test requires enough accepted rows whose first two offsets sit
+// exactly a window apart, enough overflowed offsets, and enough
+// comparisons of the AVX2 path at slack 2 to 5.
 func TestCarveRowsPathsAgree(t *testing.T) {
 	rng := stats.NewRNG(8)
-	var atWidth, overflowed int
+	var atWidth, overflowed, vectorWide int
 	for trial := 0; trial < 400; trial++ {
 		rows, cols := 30+rng.Intn(40), 4+rng.Intn(8)
 		scale := []float64{1, 0.1}[trial%2]
@@ -291,7 +328,7 @@ func TestCarveRowsPathsAgree(t *testing.T) {
 		carve := anchorCols[:3+rng.Intn(len(anchorCols)-2)]
 		n := len(carve)
 		delta := float64(1+rng.Intn(4)) * scale / 2
-		for _, need := range []int{maxInt(3, (2*n+2)/3), n, n - 1} {
+		for _, need := range []int{maxInt(3, (2*n+2)/3), n, n - 1, n - 2, n - 3, n - 4, n - 5} {
 			if need < 2 {
 				continue
 			}
@@ -324,9 +361,16 @@ func TestCarveRowsPathsAgree(t *testing.T) {
 					t.Fatalf("trial %d (complete path %v, vector %v, need %d of %d, delta %v): rows %v, reference %v",
 						trial, p.complete, p.vector, need, n, delta, got, want)
 				}
+				if slack := n - need; p.vector && slack >= 2 && slack <= carveMaxSlack {
+					vectorWide++
+				}
 			}
 		}
 	}
+	if cpu.AVX2 && vectorWide < 500 {
+		t.Errorf("%d comparisons of the AVX2 carve at slack 2 to %d; want at least 500", vectorWide, carveMaxSlack)
+	}
+	t.Logf("%d AVX2 comparisons at slack 2 to %d", vectorWide, carveMaxSlack)
 	if atWidth < 100 || overflowed < 100 {
 		t.Errorf("%d accepted rows with the first two offsets a window apart, %d overflowed offsets; want at least 100 of each",
 			atWidth, overflowed)

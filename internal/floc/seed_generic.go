@@ -8,8 +8,8 @@ func rangeRowsAVX2(mirror *float64, nr int, cols *int, ncols int, sub *float64, 
 	panic("floc: AVX2 kernel not built")
 }
 
-// carve1AVX2 is never called without the amd64 kernels.
-func carve1AVX2(mirror *float64, nr int, cols *int, ncols int, sub *float64, width float64, out *int) int {
+// carveSAVX2 is never called without the amd64 kernels.
+func carveSAVX2(mirror *float64, nr int, cols *int, ncols int, sub *float64, width float64, slack int, out *int) int {
 	panic("floc: AVX2 kernel not built")
 }
 

@@ -117,19 +117,25 @@ func drawKernelCase(rng *stats.RNG, nr, nc int) kernelCase {
 	return kc
 }
 
-// kernelStats counts what a kernel check exercised: rows a carve
-// kept, kept rows with a span exactly at the threshold, overflowed
-// offsets, and finite and non-finite column sums.
+// kernelStats counts what a kernel check exercised: rows the carve
+// kept at slack 0 and 1, and at slack 2 and up, kept rows with a span
+// exactly at the threshold (the first two offsets' at slack 0 and 1, a
+// passing window's at slack 2 and up), overflowed offsets, and finite
+// and non-finite column sums.
 type kernelStats struct {
-	kept, atWidth, overflowed, finite, nonFinite int
+	kept, atWidth, keptWide, atWidthWide, overflowed, finite, nonFinite int
 }
 
 // checkSeedKernels runs every AVX2 seeding kernel on kc and fails
-// unless it returns exactly what the Go loops do: the same row lists
-// from the carve at slack 0 and 1 (the slack-0 loop with the column
-// adjustments as subtrahends is the row re-selection's range filter)
-// and from the whole row re-selection, and the same column sums of
-// every kind, bit for bit.
+// unless it returns exactly what the portable code does: the carve at
+// slack 0 the Go loop's rows (the slack-0 loop with the column
+// adjustments as subtrahends is the row re-selection's range filter,
+// so it takes every subtrahend, NaN included); the carve at every
+// slack from 1 to carveMaxSlack that leaves need ≥ 1 the row-wise
+// carve's rows, as does the Go slack-1 loop under a finite threshold,
+// under the subtrahends with each NaN read as +Inf (an anchor row's
+// offsets are never NaN); the whole row re-selection the Go loops'
+// rows; and every kind of column sum the Go loops' sums, bit for bit.
 func checkSeedKernels(t testing.TB, kc kernelCase) (st kernelStats) {
 	t.Helper()
 	m, nr, nc := kc.m, kc.m.Rows(), kc.m.Cols()
@@ -137,25 +143,64 @@ func checkSeedKernels(t testing.TB, kc kernelCase) (st kernelStats) {
 	if !scr.complete {
 		t.Fatal("kernel test matrix is not complete")
 	}
-	for slack := 0; slack <= 1 && slack+2 <= len(kc.cols); slack++ {
-		want := slices.Clone(scr.carveRowsColumns(m, kc.sub, kc.cols, kc.width, slack, false, scr.carvedRow[:nr]))
-		got := scr.carveRowsColumns(m, kc.sub, kc.cols, kc.width, slack, true, scr.rows[:nr])
+	carved := func(sub []float64, r int) []float64 {
+		xs := make([]float64, len(kc.cols))
+		for k, j := range kc.cols {
+			xs[k] = m.RowView(r)[j] - sub[j]
+		}
+		return xs
+	}
+	want := slices.Clone(scr.carveRowsColumns(m, kc.sub, kc.cols, kc.width, 0, false, scr.carvedRow[:nr]))
+	got := scr.carveRowsColumns(m, kc.sub, kc.cols, kc.width, 0, true, scr.rows[:nr])
+	if !slices.Equal(got, want) {
+		t.Fatalf("%d×%d, cols %v, width %v (%x), slack 0: AVX2 carve kept rows %v, the Go loop %v",
+			nr, nc, kc.cols, kc.width, math.Float64bits(kc.width), got, want)
+	}
+	st.kept += len(want)
+	for _, r := range want {
+		if xs := carved(kc.sub, r); math.Abs(xs[1]-xs[0]) == kc.width {
+			st.atWidth++
+		}
+	}
+	anchor := slices.Clone(kc.sub)
+	for j, v := range anchor {
+		if math.IsNaN(v) {
+			anchor[j] = math.Inf(1)
+		}
+	}
+	for slack := 1; slack <= carveMaxSlack && slack < len(kc.cols); slack++ {
+		need := len(kc.cols) - slack
+		want := slices.Clone(scr.clumpRows(m, anchor, kc.cols, kc.width, need, 0, scr.carvedRow[:0]))
+		got := scr.carveRowsColumns(m, anchor, kc.cols, kc.width, slack, true, scr.rows[:nr])
 		if !slices.Equal(got, want) {
-			t.Fatalf("%d×%d, cols %v, width %v (%x), slack %d: AVX2 carve kept rows %v, the Go loops %v",
+			t.Fatalf("%d×%d, cols %v, width %v (%x), slack %d: AVX2 carve kept rows %v, the row-wise carve %v",
 				nr, nc, kc.cols, kc.width, math.Float64bits(kc.width), slack, got, want)
 		}
-		st.kept += len(want)
+		if slack == 1 && len(kc.cols) >= 3 && !math.IsInf(kc.width, 1) {
+			if got := scr.carveRowsColumns(m, anchor, kc.cols, kc.width, slack, false, scr.rows[:nr]); !slices.Equal(got, want) {
+				t.Fatalf("%d×%d, cols %v, width %v (%x), slack 1: the Go loop kept rows %v, the row-wise carve %v",
+					nr, nc, kc.cols, kc.width, math.Float64bits(kc.width), got, want)
+			}
+		}
+		if slack == 1 {
+			st.kept += len(want)
+			continue
+		}
+		st.keptWide += len(want)
 		for _, r := range want {
-			row := m.RowView(r)
-			x, y := row[kc.cols[0]]-kc.sub[kc.cols[0]], row[kc.cols[1]]-kc.sub[kc.cols[1]]
-			if math.Abs(y-x) == kc.width {
-				st.atWidth++
+			xs := carved(anchor, r)
+			slices.Sort(xs)
+			for i := 0; i+need <= len(xs); i++ {
+				if xs[i+need-1]-xs[i] == kc.width {
+					st.atWidthWide++
+					break
+				}
 			}
 		}
 	}
 	for r := 0; r < nr; r++ {
-		for _, j := range kc.cols {
-			if math.IsInf(m.RowView(r)[j]-kc.sub[j], 0) {
+		for _, x := range carved(kc.sub, r) {
+			if math.IsInf(x, 0) {
 				st.overflowed++
 			}
 		}
@@ -163,7 +208,7 @@ func checkSeedKernels(t testing.TB, kc kernelCase) (st kernelStats) {
 
 	copy(scr.colAdj, kc.sub)
 	delta := kc.width / 2
-	want := slices.Clone(scr.selectRowsComplete(m, kc.cols, delta, false))
+	want = slices.Clone(scr.selectRowsComplete(m, kc.cols, delta, false))
 	if got := scr.selectRowsComplete(m, kc.cols, delta, true); !slices.Equal(got, want) {
 		t.Fatalf("%d×%d, cols %v, δ %v: AVX2 row re-selection kept rows %v, the Go loops %v", nr, nc, kc.cols, delta, got, want)
 	}
@@ -195,16 +240,17 @@ func checkSeedKernels(t testing.TB, kc kernelCase) (st kernelStats) {
 }
 
 // TestSeedKernelsAgree checks the AVX2 seeding kernels bit for bit
-// against the Go loops on complete matrices of 1 to 41 rows (row
-// counts not divisible by 4, and fewer than 4) and 3 to 40 columns
-// (column sums over one to three sixteen-column passes), with 2 to 17
-// carved columns; entries on a lattice with signed zeros, subnormals
-// and values near ±1e308; subtrahends that include ±Inf and NaN;
-// thresholds of 0, subnormal, infinite, and at and a few ulps past a
-// row's span. It requires that enough rows were kept, sat exactly at
-// the threshold and overflowed, and that enough column sums were
-// finite and enough infinite or NaN, for the equalities to mean
-// something.
+// against the portable code (checkSeedKernels) on complete matrices of
+// 1 to 41 rows (row counts not divisible by 4, and fewer than 4) and 3
+// to 40 columns (column sums over one to three sixteen-column passes),
+// with 2 to 17 carved columns, so the carve runs at every slack from 0
+// to 5 on carves from 2 to 17 columns; entries on a lattice with
+// signed zeros, subnormals and values near ±1e308; subtrahends that
+// include ±Inf and NaN; thresholds of 0, subnormal, infinite, and at
+// and a few ulps past a row's span. It requires that enough rows were
+// kept, at slack 0 and 1 and at slack 2 and up, sat exactly at the
+// threshold and overflowed, and that enough column sums were finite
+// and enough infinite or NaN, for the equalities to mean something.
 func TestSeedKernelsAgree(t *testing.T) {
 	if !cpu.AVX2 {
 		t.Skip("no AVX2 kernels on this CPU or build")
@@ -216,16 +262,17 @@ func TestSeedKernelsAgree(t *testing.T) {
 		st := checkSeedKernels(t, drawKernelCase(rng, nr, nc))
 		total.kept += st.kept
 		total.atWidth += st.atWidth
+		total.keptWide += st.keptWide
+		total.atWidthWide += st.atWidthWide
 		total.overflowed += st.overflowed
 		total.finite += st.finite
 		total.nonFinite += st.nonFinite
 	}
-	if total.kept < 5000 || total.atWidth < 500 || total.overflowed < 5000 || total.finite < 50000 || total.nonFinite < 10000 {
-		t.Errorf("kept %d rows, %d at the threshold, %d overflowed offsets, %d finite and %d non-finite column sums; want at least 5000, 500, 5000, 50000 and 10000",
-			total.kept, total.atWidth, total.overflowed, total.finite, total.nonFinite)
+	if total.kept < 5000 || total.atWidth < 500 || total.keptWide < 20000 || total.atWidthWide < 2000 ||
+		total.overflowed < 5000 || total.finite < 50000 || total.nonFinite < 10000 {
+		t.Errorf("%+v; want at least 5000 rows kept at slack 0 and 1 and 500 of them at the threshold, 20000 kept at slack 2 and up and 2000 of them at the threshold, 5000 overflowed offsets, 50000 finite and 10000 non-finite column sums", total)
 	}
-	t.Logf("kept %d rows, %d at the threshold, %d overflowed offsets, %d finite and %d non-finite column sums",
-		total.kept, total.atWidth, total.overflowed, total.finite, total.nonFinite)
+	t.Logf("%+v", total)
 }
 
 // FuzzSeedKernels runs checkSeedKernels on cases drawn from the fuzzed

@@ -87,25 +87,25 @@ func TestWelfordEmpty(t *testing.T) {
 }
 
 // Property: Welford agrees with the two-pass formulas on arbitrary
-// input.
+// input. Each case draws, from the seed quick supplies, 1 to 200
+// values spread by 10^-1 to 10^5 around a centre within ±1e5, so every
+// input is non-empty and inside |x| ≤ 1.1e6, and a centre far from the
+// spread tests the running update's cancellation.
 func TestWelfordProperty(t *testing.T) {
-	f := func(raw []float64) bool {
-		xs := make([]float64, 0, len(raw))
-		for _, x := range raw {
-			if math.IsNaN(x) || math.IsInf(x, 0) || math.Abs(x) > 1e6 {
-				continue
-			}
-			xs = append(xs, x)
-		}
-		if len(xs) == 0 {
-			return true
+	f := func(seed int64) bool {
+		g := NewRNG(seed)
+		center := g.Uniform(-1e5, 1e5)
+		spread := math.Pow(10, float64(g.Intn(7)-1))
+		xs := make([]float64, g.UniformInt(1, 200))
+		for i := range xs {
+			xs[i] = center + spread*g.Uniform(-1, 1)
 		}
 		var w Welford
 		for _, x := range xs {
 			w.Add(x)
 		}
 		scale := 1.0 + math.Abs(Mean(xs))
-		return almostEqual(w.Mean(), Mean(xs), 1e-8*scale) &&
+		return w.N() == len(xs) && almostEqual(w.Mean(), Mean(xs), 1e-8*scale) &&
 			almostEqual(w.Variance(), Variance(xs), 1e-6*(1+Variance(xs)))
 	}
 	if err := quick.Check(f, nil); err != nil {
