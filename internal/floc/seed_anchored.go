@@ -527,10 +527,12 @@ func (scr *seedScratch) carveRowsColumns(m *matrix.Matrix, row1 []float64, cols 
 // densestWindow(xs, width) ≥ need: on sorted values the densest
 // window holds need values iff some run xs[i..i+need-1] spans at most
 // width, and because IEEE subtraction rounds monotonically the span
-// test sees the same float operands the window scan does. Offsets that
-// overflowed to ±Inf never clump: a run ending or starting at one spans
-// Inf or Inf − Inf = NaN, and neither is at most width, in both
-// functions and in both column-major carve paths.
+// test sees the same float operands the window scan does. Under a
+// finite width, offsets that overflowed to ±Inf never clump: a run
+// ending or starting at one spans Inf or Inf − Inf = NaN, and neither
+// is at most width. Under an infinite width a run fits unless both its
+// ends hold the same infinity (span NaN), so an infinite offset clumps
+// with any value other than itself.
 func clumps(xs []float64, need int, width float64) bool {
 	if len(xs) < need {
 		return false
@@ -952,9 +954,13 @@ func (scr *seedScratch) score(rows, cols []int, costOf func(cl *cluster.Cluster)
 // densestWindow finds the sliding window of the given width holding
 // the most values of xs and returns the mean of the values inside it
 // together with their count. xs is sorted in place. A window fits when
-// its span, largest minus smallest value, is at most width; an infinite
-// value's span is Inf − Inf = NaN, so it fits no window, as in clumps.
-// The empty slice, and one of infinities only, yields (NaN, 0).
+// its span, largest minus smallest value, is at most width, as in
+// clumps. A run of one infinity spans Inf − Inf = NaN and fits no
+// window, but under an infinite width a run from −Inf up to a larger
+// value spans Inf and fits; so the scan advances its start only past a
+// span above width, never past a NaN one, which it merely does not
+// count (every value of such a run is the same infinity). The empty
+// slice, and one holding a single infinity only, yields (NaN, 0).
 func densestWindow(xs []float64, width float64) (center float64, count int) {
 	if len(xs) == 0 {
 		return math.NaN(), 0
@@ -963,10 +969,10 @@ func densestWindow(xs []float64, width float64) (center float64, count int) {
 	bestLo, bestHi := 0, 0
 	lo := 0
 	for hi := 1; hi <= len(xs); hi++ {
-		for lo < hi && !(xs[hi-1]-xs[lo] <= width) {
+		for lo < hi-1 && xs[hi-1]-xs[lo] > width {
 			lo++
 		}
-		if hi-lo > bestHi-bestLo {
+		if xs[hi-1]-xs[lo] <= width && hi-lo > bestHi-bestLo {
 			bestLo, bestHi = lo, hi
 		}
 	}

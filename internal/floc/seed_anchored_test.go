@@ -179,40 +179,66 @@ func clumpValues(rng *stats.RNG, n int, scale float64) []float64 {
 // its definition on random slices: clumps(xs, need, w) must equal
 // densestWindow(xs, w) ≥ need for every need, with widths drawn from
 // the slice's own pair differences (the boundary case) as well as
-// fixed ones. Every third slice also holds infinite values, the
-// offsets of entries near ±1e308, which never clump.
+// fixed ones, and +Inf. Every third slice also holds infinite values,
+// the offsets of entries near ±1e308, which clump only under the
+// infinite width. There a run fits unless both its ends hold the same
+// infinity, so one exception remains: on a slice of −Inf and +Inf
+// only, no single value fits (need 1 fails) while the pair −Inf, +Inf
+// spans Inf and does.
 func TestClumpsMatchesDensestWindow(t *testing.T) {
+	inf := math.Inf(1)
+	fixed := [][]float64{{-inf, -inf, 5}, {5, inf, inf}, {-inf, 1, 2, inf}, {-inf, inf}, {inf, inf}, {-inf}}
 	rng := stats.NewRNG(21)
-	for trial := 0; trial < 4000; trial++ {
+	var infiniteFits int
+	for trial := 0; trial < 4000+len(fixed); trial++ {
 		scale := 1.0
 		if trial%2 == 1 {
 			scale = 0.1
 		}
-		xs := clumpValues(rng, rng.Intn(16), scale)
-		widths := []float64{0, scale, 2.5 * scale}
-		if len(xs) >= 2 {
-			widths = append(widths, xs[rng.Intn(len(xs))]-xs[rng.Intn(len(xs))])
-		}
-		if trial%3 == 2 {
-			for i := range xs {
-				if rng.Bool(0.3) {
-					xs[i] = math.Inf(1 - 2*rng.Intn(2))
+		var xs []float64
+		if trial < len(fixed) {
+			xs = slices.Clone(fixed[trial])
+		} else {
+			xs = clumpValues(rng, rng.Intn(16), scale)
+			if trial%3 == 2 {
+				for i := range xs {
+					if rng.Bool(0.3) {
+						xs[i] = math.Inf(1 - 2*rng.Intn(2))
+					}
 				}
 			}
 		}
+		widths := []float64{0, scale, 2.5 * scale, inf}
+		if len(xs) >= 2 {
+			widths = append(widths, xs[rng.Intn(len(xs))]-xs[rng.Intn(len(xs))])
+		}
+		finite := slices.ContainsFunc(xs, func(x float64) bool { return !math.IsInf(x, 0) })
 		for _, w := range widths {
-			if w < 0 {
-				w = -w
+			if w = math.Abs(w); math.IsNaN(w) {
+				w = inf // a pair difference of two like infinities
 			}
-			ref := append([]float64(nil), xs...)
+			ref := slices.Clone(xs)
 			_, count := densestWindow(ref, w)
+			if math.IsInf(w, 1) && count > 0 && slices.ContainsFunc(xs, func(x float64) bool { return math.IsInf(x, 0) }) {
+				infiniteFits++
+			}
 			for need := 1; need <= len(xs)+1; need++ {
-				got := clumps(append([]float64(nil), xs...), need, w)
-				if want := count >= need; got != want {
+				got := clumps(slices.Clone(xs), need, w)
+				want := count >= need
+				if need == 1 && math.IsInf(w, 1) && !finite {
+					want = false
+				}
+				if got != want {
 					t.Fatalf("xs=%v width=%v need=%d: clumps=%v, densestWindow count %d", xs, w, need, got, count)
 				}
 			}
 		}
+	}
+	if _, count := densestWindow([]float64{-inf, -inf, 5}, inf); count != 3 {
+		t.Errorf("densestWindow([-Inf -Inf 5], +Inf) counts %d, want 3", count)
+	}
+	if infiniteFits < 500 {
+		t.Errorf("only %d slices with infinite values fit a window under the infinite width, want ≥ 500", infiniteFits)
 	}
 }
 

@@ -103,6 +103,14 @@ func EncodeBinary(m *Matrix) []byte {
 // (the matrix must be finite, as with text ingest, and missingness is
 // the bitmap's alone). Missing entries decode as the canonical NaN.
 func DecodeBinary(data []byte, maxEntries int) (*Matrix, error) {
+	return DecodeBinaryCap(data, maxEntries, 0)
+}
+
+// DecodeBinaryCap is DecodeBinary with room to grow: the dense backing
+// gets capacity for capRows rows when that exceeds the section's own
+// row count, so AppendRows up to that many rows fills it in place
+// instead of reallocating. The entries are those DecodeBinary returns.
+func DecodeBinaryCap(data []byte, maxEntries, capRows int) (*Matrix, error) {
 	if len(data) < binaryHeaderLen || string(data[:4]) != binaryMagic {
 		return nil, fmt.Errorf("matrix: not a binary matrix (bad magic)")
 	}
@@ -161,7 +169,11 @@ func DecodeBinary(data []byte, maxEntries int) (*Matrix, error) {
 		return nil, fmt.Errorf("matrix: binary matrix bitmap marks %d specified entries, header declares %d", set, nnz)
 	}
 
-	out := make([]float64, entries)
+	size := entries
+	if capRows > 0 && uint64(capRows) > rows {
+		size = uint64(capRows) * cols
+	}
+	out := make([]float64, entries, size)
 	if nnz < entries {
 		nan := math.NaN()
 		for k := range out {

@@ -45,6 +45,38 @@ func TestBinaryRoundTrip(t *testing.T) {
 	}
 }
 
+// TestDecodeBinaryCap: decoding with room for more rows yields the
+// same matrix, and appending up to that many rows fills the reserved
+// backing in place.
+func TestDecodeBinaryCap(t *testing.T) {
+	m := binaryTestMatrix(t)
+	data := EncodeBinary(m)
+	for _, capRows := range []int{0, 2, 4, 7} {
+		got, err := DecodeBinaryCap(data, 0, capRows)
+		if err != nil {
+			t.Fatalf("capRows %d: %v", capRows, err)
+		}
+		if !got.Equal(m) || !bytes.Equal(EncodeBinary(got), data) {
+			t.Fatalf("capRows %d: the decoded matrix differs from DecodeBinary's", capRows)
+		}
+		want := max(capRows, m.Rows()) * m.Cols()
+		if len(got.data) != m.Rows()*m.Cols() || cap(got.data) != want {
+			t.Fatalf("capRows %d: backing len %d cap %d, want %d and %d", capRows, len(got.data), cap(got.data), m.Rows()*m.Cols(), want)
+		}
+		backing := &got.data[0]
+		extra := make([][]float64, max(capRows-m.Rows(), 0))
+		for i := range extra {
+			extra[i] = []float64{1, math.NaN(), 3}
+		}
+		if err := got.AppendRows(extra); err != nil {
+			t.Fatal(err)
+		}
+		if &got.data[0] != backing {
+			t.Fatalf("capRows %d: appending %d rows reallocated the backing", capRows, len(extra))
+		}
+	}
+}
+
 func TestBinaryEncodingIsCanonical(t *testing.T) {
 	m := binaryTestMatrix(t)
 	// A decoded copy must re-encode to identical bytes even though its

@@ -260,12 +260,13 @@ func badRequest(format string, args ...any) *apiError {
 		message: fmt.Sprintf(format, args...)}
 }
 
-// runSpec is a validated, immutable run plan: the parsed matrix and
-// fully-resolved engine configuration. It never changes after
-// buildSpec, so workers may read it without holding the store lock.
+// runSpec is a validated, immutable run plan: the fully-resolved engine
+// configuration. It never changes after planRun, so workers may read
+// it without holding the store lock. The matrix is not part of it: the
+// store holds a job's dense matrix only while the job is queued or
+// running (job.m).
 type runSpec struct {
 	algorithm string
-	m         *matrix.Matrix
 	floc      floc.Config
 	attempts  int
 	bic       bicluster.Config
@@ -287,21 +288,21 @@ type runSpec struct {
 }
 
 // buildSpec validates a SubmitRequest against the server's limits and
-// resolves it to a run plan. All failures are 400s with a message
-// naming the offending field.
-func (s *Server) buildSpec(req *SubmitRequest) (*runSpec, *apiError) {
+// resolves it to a run plan and the parsed matrix. All failures are
+// 400s with a message naming the offending field.
+func (s *Server) buildSpec(req *SubmitRequest) (*runSpec, *matrix.Matrix, *apiError) {
 	m, aerr := parseMatrix(&req.Matrix, s.opts.MaxMatrixEntries)
 	if aerr != nil {
-		return nil, aerr
+		return nil, nil, aerr
 	}
-	return s.buildSpecWith(req, m)
+	spec, aerr := s.planRun(req)
+	return spec, m, aerr
 }
 
-// buildSpecWith is buildSpec with the matrix already decoded — the
-// binary transport path, where the matrix arrives as a DCMX section
-// instead of inside the JSON payload.
-func (s *Server) buildSpecWith(req *SubmitRequest, m *matrix.Matrix) (*runSpec, *apiError) {
-	spec := &runSpec{m: m, attempts: 1}
+// planRun is buildSpec without the matrix — what the binary transport
+// path calls once it has decoded the DCMX section itself.
+func (s *Server) planRun(req *SubmitRequest) (*runSpec, *apiError) {
+	spec := &runSpec{attempts: 1}
 
 	spec.deadline = s.opts.DefaultDeadline
 	if req.DeadlineMillis < 0 {

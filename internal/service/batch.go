@@ -88,9 +88,9 @@ func (s *Server) handleSubmitBatch(w http.ResponseWriter, r *http.Request) {
 	for i := range req.Jobs {
 		item := &resp.Jobs[i]
 		item.Index = i
-		spec, aerr := s.buildSpec(&req.Jobs[i])
+		spec, m, aerr := s.buildSpec(&req.Jobs[i])
 		if aerr == nil {
-			id := s.store.create(spec)
+			id := s.store.create(spec, m, parkedSection(spec, m, nil))
 			view, _ := s.store.view(id) // before the enqueue, as in handleSubmit
 			if aerr = s.tryEnqueue(id); aerr == nil {
 				item.Status = http.StatusAccepted

@@ -4,12 +4,16 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"testing"
 	"time"
 
 	"deltacluster/internal/matrix"
+	"deltacluster/internal/stats"
+	"deltacluster/internal/synth"
 )
 
 // BenchmarkServiceThroughput measures end-to-end jobs per second
@@ -225,4 +229,107 @@ func BenchmarkSubmitBatch(b *testing.B) {
 	}
 	b.StopTimer()
 	b.ReportMetric(float64(b.N)*perBatch/b.Elapsed().Seconds(), "jobs/sec")
+}
+
+// BenchmarkLineagePatchRecluster measures the streaming loop on a
+// parked lineage: each op PATCHes 20 sparse rows (6% rated, as
+// perfbench's serve-ratings sessions append) onto the idle lineage of
+// a done ratings job, reclusters it, and waits for the warm-start
+// child to be done. The op covers the PATCH (a log append), the child's head build
+// (decoding the base section and replaying the log), the warm run and
+// the HTTP round trips. Each op gets a fresh root, submitted and run to
+// done with the timer stopped, so the lineage and its log are the same
+// size in every op. The root is the ratings stand-in as a DCMX section
+// at the served MovieLens configuration, with one pool worker.
+func BenchmarkLineagePatchRecluster(b *testing.B) {
+	ds, err := synth.MovieLens(synth.DefaultMovieLensConfig(), 1)
+	if err != nil {
+		b.Fatal(err)
+	}
+	m := ds.Matrix
+	submit, err := EncodeBinarySubmit(&SubmitRequest{
+		Algorithm: AlgoFLOC,
+		FLOC: &FLOCParams{K: 10, Delta: 1, Seed: 1, MaxIterations: 40,
+			Seeding: "anchored", Occupancy: 0.6, Workers: 1},
+	}, m)
+	if err != nil {
+		b.Fatal(err)
+	}
+	rng := stats.NewRNG(20)
+	var patch MatrixPatchRequest
+	for i := 0; i < 20; i++ {
+		row := make([]*float64, m.Cols())
+		for j := range row {
+			if rng.Bool(0.06) {
+				v := float64(rng.UniformInt(1, 10))
+				row[j] = &v
+			}
+		}
+		patch.AppendRows = append(patch.AppendRows, row)
+	}
+	patchBody, err := json.Marshal(&patch)
+	if err != nil {
+		b.Fatal(err)
+	}
+
+	s := New(Options{Workers: 1, QueueCap: 16, TTL: time.Hour})
+	ts := httptest.NewServer(s.Handler())
+	defer func() {
+		ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+		defer cancel()
+		_ = s.Shutdown(ctx)
+		ts.Close()
+	}()
+	client := ts.Client()
+	call := func(method, path, ct string, body []byte, want int, out any) {
+		req, err := http.NewRequest(method, ts.URL+path, bytes.NewReader(body))
+		if err != nil {
+			b.Fatal(err)
+		}
+		req.Header.Set("Content-Type", ct)
+		resp, err := client.Do(req)
+		if err != nil {
+			b.Fatal(err)
+		}
+		data, err := io.ReadAll(resp.Body)
+		_ = resp.Body.Close()
+		if err != nil || resp.StatusCode != want {
+			b.Fatalf("%s %s: status %d (want %d), err %v, body %s", method, path, resp.StatusCode, want, err, data)
+		}
+		if out != nil {
+			if err := json.Unmarshal(data, out); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+	// The wait reads the store, not GET /v1/jobs/{id}: an HTTP poll
+	// allocates, and the number of polls moves with the child's run
+	// time, which would make allocs/op a timing figure.
+	awaitDone := func(id string) {
+		for {
+			v, ok := s.store.view(id)
+			if ok && v.State.terminal() {
+				if v.State != StateDone {
+					b.Fatalf("job %s finished %s (error %q)", id, v.State, v.Error)
+				}
+				return
+			}
+			time.Sleep(time.Millisecond)
+		}
+	}
+
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		var sr SubmitResponse
+		call(http.MethodPost, "/v1/jobs", ContentTypeBinaryMatrix, submit, http.StatusAccepted, &sr)
+		awaitDone(sr.Job.ID)
+		b.StartTimer()
+
+		call(http.MethodPatch, "/v1/jobs/"+sr.Job.ID+"/matrix", "application/json", patchBody, http.StatusOK, nil)
+		var rr ReclusterResponse
+		call(http.MethodPost, fmt.Sprintf("/v1/jobs/%s:recluster", sr.Job.ID), "application/json", nil, http.StatusAccepted, &rr)
+		awaitDone(rr.Job.ID)
+	}
 }

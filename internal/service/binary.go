@@ -203,8 +203,9 @@ func putBodyBuf(buf *bytes.Buffer) {
 
 // handleSubmitBinary is the binary branch of POST /v1/jobs: a DSUB
 // envelope instead of a JSON body. The decoded matrix feeds the same
-// buildSpecWith/enqueue path as a JSON submission, which is what makes
-// the two transports bit-identical in outcome.
+// planRun/enqueue path as a JSON submission, which is what makes the
+// two transports bit-identical in outcome; the job's lineage parks a
+// copy of the section itself, so it is never re-encoded.
 func (s *Server) handleSubmitBinary(w http.ResponseWriter, r *http.Request) {
 	buf, body, ok := s.readFullBody(w, r)
 	if !ok {
@@ -233,13 +234,14 @@ func (s *Server) handleSubmitBinary(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, CodeInvalidRequest, "binary submit: %v", err)
 		return
 	}
-	spec, aerr := s.buildSpecWith(&req, m)
+	spec, aerr := s.planRun(&req)
 	if aerr != nil {
 		writeError(w, aerr.status, aerr.code, "%s", aerr.message)
 		return
 	}
+	base := parkedSection(spec, m, dcmx)
 	s.store.sweep()
-	id := s.store.create(spec)
+	id := s.store.create(spec, m, base)
 	view, _ := s.store.view(id) // before the enqueue, as in handleSubmit
 	if !s.enqueue(w, id) {
 		return
@@ -280,7 +282,7 @@ func (s *Server) handleDispatchBinary(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, CodeInvalidRequest, "binary dispatch: %v", err)
 		return
 	}
-	s.dispatchCore(w, &req, m)
+	s.dispatchCore(w, &req, m, dcmx)
 }
 
 // writeBinaryResult renders a ResultView as a DRES envelope — the

@@ -95,13 +95,14 @@ func (s *Server) handleDispatch(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, CodeInvalidRequest, "decoding dispatch: %v", err)
 		return
 	}
-	s.dispatchCore(w, &req, nil)
+	s.dispatchCore(w, &req, nil, nil)
 }
 
 // dispatchCore runs a decoded dispatch. m, when non-nil, is the
-// already-decoded matrix of a binary dispatch (the DCMX section);
-// nil means the matrix rides inside req.Submit.Matrix as usual.
-func (s *Server) dispatchCore(w http.ResponseWriter, req *DispatchRequest, m *matrix.Matrix) {
+// already-decoded matrix of a binary dispatch and section the DCMX
+// bytes it came from; nil means the matrix rides inside
+// req.Submit.Matrix as usual.
+func (s *Server) dispatchCore(w http.ResponseWriter, req *DispatchRequest, m *matrix.Matrix, section []byte) {
 	if req.ID == "" || len(req.ID) > 128 {
 		writeError(w, http.StatusBadRequest, CodeInvalidRequest,
 			"dispatch id must be 1–128 bytes, got %d", len(req.ID))
@@ -110,9 +111,9 @@ func (s *Server) dispatchCore(w http.ResponseWriter, req *DispatchRequest, m *ma
 	var spec *runSpec
 	var aerr *apiError
 	if m != nil {
-		spec, aerr = s.buildSpecWith(&req.Submit, m)
+		spec, aerr = s.planRun(&req.Submit)
 	} else {
-		spec, aerr = s.buildSpec(&req.Submit)
+		spec, m, aerr = s.buildSpec(&req.Submit)
 	}
 	if aerr != nil {
 		writeError(w, aerr.status, aerr.code, "%s", aerr.message)
@@ -148,24 +149,31 @@ func (s *Server) dispatchCore(w http.ResponseWriter, req *DispatchRequest, m *ma
 
 	// Replay recorded lineage patches onto the freshly parsed matrix —
 	// deterministic, so the reconstructed matrix is bit-identical to
-	// the one the original backend held. ParentRows for a warm start is
-	// the pre-patch row count: the checkpoint was cut on the matrix as
-	// submitted.
+	// the one the original backend held. The log validates every patch
+	// before any is applied; the lineage then parks the matrix as
+	// submitted plus this log, as the original backend does. ParentRows
+	// for a warm start is the pre-patch row count: the checkpoint was
+	// cut on the matrix as submitted.
+	base := parkedSection(spec, m, section)
 	var lineageLog *stream.Log
-	parentRows := spec.m.Rows()
+	parentRows := m.Rows()
 	if len(req.Patches) > 0 {
 		if spec.algorithm != AlgoFLOC {
 			writeError(w, http.StatusBadRequest, CodeInvalidRequest,
 				"patches are only valid for floc jobs, not %q", spec.algorithm)
 			return
 		}
-		lineageLog = stream.NewLog(spec.m.Rows(), spec.m.Cols())
+		lineageLog = stream.NewLog(m.Rows(), m.Cols())
 		for i := range req.Patches {
-			if _, err := lineageLog.Apply(spec.m, req.Patches[i].mutation()); err != nil {
+			if _, err := lineageLog.Append(req.Patches[i].mutation()); err != nil {
 				writeError(w, http.StatusBadRequest, CodeInvalidRequest,
 					"replaying patch %d: %v", i+1, err)
 				return
 			}
+		}
+		if _, err := lineageLog.ApplyTo(m, 0); err != nil {
+			writeError(w, http.StatusInternalServerError, CodeInternal, "replaying patches: %v", err)
+			return
 		}
 	}
 	warmFrom := 0
@@ -187,7 +195,7 @@ func (s *Server) dispatchCore(w http.ResponseWriter, req *DispatchRequest, m *ma
 	}
 
 	s.store.sweep()
-	if !s.store.createWithID(req.ID, spec) {
+	if !s.store.createWithID(req.ID, spec, m, base, lineageLog) {
 		// Idempotent redelivery: the job already exists; report it.
 		view, ok := s.store.view(req.ID)
 		if !ok {
@@ -197,9 +205,6 @@ func (s *Server) dispatchCore(w http.ResponseWriter, req *DispatchRequest, m *ma
 		}
 		writeJSON(w, http.StatusOK, DispatchResponse{Job: view})
 		return
-	}
-	if lineageLog != nil {
-		s.store.adoptLineageLog(req.ID, lineageLog)
 	}
 	view, _ := s.store.view(req.ID) // before the enqueue, as in handleSubmit
 	if !s.enqueue(w, req.ID) {

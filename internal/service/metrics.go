@@ -74,7 +74,8 @@ type MetricsView struct {
 
 // JobMetrics mixes cumulative counters (submitted, rejected, done,
 // failed, cancelled) with point-in-time gauges over the stored jobs
-// (queued, running, stored).
+// (queued, running, stored) and their matrices (dense matrices,
+// parked matrix bytes).
 type JobMetrics struct {
 	Submitted         uint64 `json:"submitted"`
 	RejectedQueueFull uint64 `json:"rejected_queue_full"`
@@ -88,6 +89,17 @@ type JobMetrics struct {
 	MatrixPatches    uint64 `json:"matrix_patches"`
 	Reclustered      uint64 `json:"reclustered"`
 	LineageConflicts uint64 `json:"lineage_conflicts"`
+
+	// DenseMatrices counts the dense matrices the store holds: one per
+	// queued or running job that has its matrix (a recluster child
+	// builds its own when it starts), so at most one per lineage, and
+	// none for an idle lineage.
+	DenseMatrices int `json:"dense_matrices"`
+
+	// ParkedMatrixBytes sums the DCMX base sections the FLOC lineages
+	// keep, busy or idle; an idle lineage's matrix is this section
+	// plus its mutation log.
+	ParkedMatrixBytes int `json:"parked_matrix_bytes"`
 }
 
 // QueueMetrics reports backpressure state.

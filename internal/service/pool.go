@@ -12,6 +12,7 @@ import (
 	"deltacluster/internal/clique"
 	"deltacluster/internal/cluster"
 	"deltacluster/internal/floc"
+	"deltacluster/internal/matrix"
 	"deltacluster/internal/resilience"
 )
 
@@ -25,9 +26,9 @@ func (s *Server) worker() {
 	}
 }
 
-// runJob executes one queued job end to end: claim, run under the
-// job's own context, flush any interrupted-run checkpoint, and publish
-// the terminal state.
+// runJob executes one queued job end to end: claim, take (or build)
+// the job's dense matrix, run under the job's own context, flush any
+// interrupted-run checkpoint, and publish the terminal state.
 //
 // deltavet:observability — the wall-clock reads here time the job for
 // metrics and logs; no clustering result depends on them.
@@ -55,7 +56,11 @@ func (s *Server) runJob(id string) {
 	s.metrics.jobStarted()
 	started := time.Now()
 
-	view, err := s.execute(ctx, id, spec)
+	var view *ResultView
+	m, err := s.store.head(id)
+	if err == nil {
+		view, err = s.execute(ctx, id, spec, m)
+	}
 	cancel()
 
 	state, view, errMsg := s.outcome(id, view, err)
@@ -78,9 +83,10 @@ func jobContext(spec *runSpec) (context.Context, context.CancelFunc) {
 	return context.WithCancel(context.Background())
 }
 
-// execute dispatches to the engine (or the test hook), converting a
-// panic into an error so one poisoned job cannot take down a worker.
-func (s *Server) execute(ctx context.Context, id string, spec *runSpec) (view *ResultView, err error) {
+// execute runs spec on m through the engine (or the test hook),
+// converting a panic into an error so one poisoned job cannot take
+// down a worker.
+func (s *Server) execute(ctx context.Context, id string, spec *runSpec, m *matrix.Matrix) (view *ResultView, err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			view, err = nil, fmt.Errorf("engine panicked: %v", r)
@@ -91,11 +97,11 @@ func (s *Server) execute(ctx context.Context, id string, spec *runSpec) (view *R
 	}
 	switch spec.algorithm {
 	case AlgoFLOC:
-		return s.runFLOC(ctx, id, spec)
+		return s.runFLOC(ctx, id, spec, m)
 	case AlgoBicluster:
-		return runBicluster(ctx, spec)
+		return runBicluster(ctx, spec, m)
 	case AlgoClique:
-		return runClique(ctx, spec)
+		return runClique(ctx, spec, m)
 	default:
 		return nil, fmt.Errorf("unknown algorithm %q", spec.algorithm)
 	}
@@ -153,12 +159,12 @@ func (s *Server) flushCheckpoint(id string) {
 // degradation — exactly the resilience machinery cmd/experiments
 // uses, now one-per-job. Live progress and interrupted-attempt
 // checkpoints are threaded into the store as they happen.
-func (s *Server) runFLOC(ctx context.Context, id string, spec *runSpec) (*ResultView, error) {
+func (s *Server) runFLOC(ctx context.Context, id string, spec *runSpec, m *matrix.Matrix) (*ResultView, error) {
 	if spec.resume != nil {
-		return s.resumeFLOC(ctx, id, spec)
+		return s.resumeFLOC(ctx, id, spec, m)
 	}
 	if spec.warm != nil {
-		return s.warmFLOC(ctx, id, spec)
+		return s.warmFLOC(ctx, id, spec, m)
 	}
 	var attemptN int64
 	run := func(ctx context.Context, seed int64) (*floc.Result, error) {
@@ -167,7 +173,7 @@ func (s *Server) runFLOC(ctx context.Context, id string, spec *runSpec) (*Result
 		cfg.Seed = seed
 		opts := s.flocRunOptions(id, n)
 		opts.KeepFinalCheckpoint = true
-		res, err := floc.RunWithOptions(ctx, spec.m, cfg, opts)
+		res, err := floc.RunWithOptions(ctx, m, cfg, opts)
 		if err != nil {
 			var pr *floc.PartialResult
 			if errors.As(err, &pr) && pr.Checkpoint != nil {
@@ -232,17 +238,17 @@ func (s *Server) flocRunOptions(id string, attempt int) floc.RunOptions {
 
 // warmFLOC runs a recluster child: exactly one attempt, warm-started
 // from the parent's final checkpoint on the lineage's (possibly
-// mutated) matrix. The spec's seed was pinned to the checkpoint's at
+// patched) head m. The spec's seed was pinned to the checkpoint's at
 // child creation, so the engine continues the parent's counted RNG
 // stream; when the matrix turns out not to have changed, the run is
 // bit-identical to the parent's own trajectory. The child keeps its
 // own final checkpoint, so reclusters chain indefinitely.
-func (s *Server) warmFLOC(ctx context.Context, id string, spec *runSpec) (*ResultView, error) {
+func (s *Server) warmFLOC(ctx context.Context, id string, spec *runSpec, m *matrix.Matrix) (*ResultView, error) {
 	cfg := spec.floc
 	opts := s.flocRunOptions(id, 1)
 	opts.WarmStart = spec.warm
 	opts.KeepFinalCheckpoint = true
-	res, err := floc.RunWithOptions(ctx, spec.m, cfg, opts)
+	res, err := floc.RunWithOptions(ctx, m, cfg, opts)
 	if err != nil {
 		var pr *floc.PartialResult
 		if !errors.As(err, &pr) {
@@ -280,13 +286,13 @@ func (s *Server) keepFinal(id string, ck *floc.Checkpoint) {
 // lost backend would have produced. A resumed run that is itself
 // interrupted flushes a fresh (strictly later) checkpoint, so repeated
 // failovers never recompute a completed boundary.
-func (s *Server) resumeFLOC(ctx context.Context, id string, spec *runSpec) (*ResultView, error) {
+func (s *Server) resumeFLOC(ctx context.Context, id string, spec *runSpec, m *matrix.Matrix) (*ResultView, error) {
 	s.store.setCheckpoint(id, spec.resume)
 	cfg := spec.floc
 	opts := s.flocRunOptions(id, 1)
 	opts.Resume = spec.resume
 	opts.KeepFinalCheckpoint = true
-	res, err := floc.RunWithOptions(ctx, spec.m, cfg, opts)
+	res, err := floc.RunWithOptions(ctx, m, cfg, opts)
 	if err != nil {
 		var pr *floc.PartialResult
 		if !errors.As(err, &pr) {
@@ -316,8 +322,8 @@ func flocView(res *floc.Result, seed int64) *ResultView {
 	}
 }
 
-func runBicluster(ctx context.Context, spec *runSpec) (*ResultView, error) {
-	res, err := bicluster.RunContext(ctx, spec.m, spec.bic)
+func runBicluster(ctx context.Context, spec *runSpec, m *matrix.Matrix) (*ResultView, error) {
+	res, err := bicluster.RunContext(ctx, m, spec.bic)
 	if err != nil {
 		var pr *bicluster.PartialResult
 		if errors.As(err, &pr) && pr.Result != nil && len(pr.Result.Biclusters) > 0 {
@@ -336,8 +342,8 @@ func biclusterView(res *bicluster.Result) *ResultView {
 	}
 }
 
-func runClique(ctx context.Context, spec *runSpec) (*ResultView, error) {
-	res, err := clique.RunContext(ctx, spec.m, spec.clq)
+func runClique(ctx context.Context, spec *runSpec, m *matrix.Matrix) (*ResultView, error) {
+	res, err := clique.RunContext(ctx, m, spec.clq)
 	if err != nil {
 		var pr *clique.PartialResult
 		if errors.As(err, &pr) && pr.Result != nil && len(pr.Result.Clusters) > 0 {

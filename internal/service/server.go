@@ -311,17 +311,18 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, CodeInvalidRequest, "decoding request: %v", err)
 		return
 	}
-	spec, aerr := s.buildSpec(&req)
+	spec, m, aerr := s.buildSpec(&req)
 	if aerr != nil {
 		writeError(w, aerr.status, aerr.code, "%s", aerr.message)
 		return
 	}
+	base := parkedSection(spec, m, nil)
 
 	// Opportunistic eviction keeps the store bounded without a
 	// janitor goroutine.
 	s.store.sweep()
 
-	id := s.store.create(spec)
+	id := s.store.create(spec, m, base)
 	// The view is taken before the enqueue: once queued, a worker may
 	// start or even finish the job before this handler answers, and
 	// the 202 reports the job as accepted, not as the race left it.
@@ -484,8 +485,9 @@ func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	byState := s.store.countByState()
 	stored := byState[StateQueued] + byState[StateRunning] +
 		byState[StateDone] + byState[StateFailed] + byState[StateCancelled]
-	writeJSON(w, http.StatusOK,
-		s.metrics.snapshot(byState, stored, len(s.queue), cap(s.queue)))
+	v := s.metrics.snapshot(byState, stored, len(s.queue), cap(s.queue))
+	v.Jobs.DenseMatrices, v.Jobs.ParkedMatrixBytes = s.store.matrixGauges()
+	writeJSON(w, http.StatusOK, v)
 }
 
 // String identifies the server in logs.

@@ -695,7 +695,7 @@ func TestSubmitWorkersParam(t *testing.T) {
 			Matrix: MatrixPayload{CSV: "1,2\n3,4\n"},
 			FLOC:   &FLOCParams{K: 1, Delta: 5, Workers: workers},
 		}
-		spec, aerr := s.buildSpec(req)
+		spec, _, aerr := s.buildSpec(req)
 		if aerr != nil {
 			t.Fatalf("buildSpec(workers=%d): %v", workers, aerr)
 		}

@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"deltacluster/internal/floc"
+	"deltacluster/internal/matrix"
 	"deltacluster/internal/stats"
 	"deltacluster/internal/stream"
 )
@@ -39,15 +40,19 @@ func (s JobState) terminal() bool {
 
 // job is the store's record of one submission. All mutable fields are
 // guarded by the store's mutex; spec is immutable after creation and
-// may be read lock-free. The one exception is the matrix spec.m points
-// to: a lineage PATCH mutates it in place, but only while no job of
-// the lineage is queued or running, and both the patch and every later
-// job start happen under the store mutex — so an engine never observes
-// a matrix that changes under it.
+// may be read lock-free.
 type job struct {
-	id       string
-	spec     *runSpec
-	state    JobState
+	id    string
+	spec  *runSpec
+	state JobState
+
+	// m is the dense matrix the job runs on, held only while the job is
+	// queued or running and dropped at its terminal transition. A root
+	// submission or coordinator dispatch arrives with it decoded; a
+	// recluster child arrives without one, and its worker builds it
+	// from the lineage (see head).
+	m *matrix.Matrix
+
 	created  time.Time
 	started  time.Time
 	finished time.Time
@@ -77,15 +82,15 @@ type job struct {
 
 	// parent is the job this one was reclustered from ("" for a root
 	// submission); lineage is the root job ID of the recluster chain —
-	// every job in a lineage shares one live matrix and one mutation
-	// log.
+	// every FLOC job in a lineage shares one base section and one
+	// mutation log (see lineage).
 	parent  string
 	lineage string
 
 	// baseRows is the matrix row count at job creation. The lineage
-	// matrix cannot mutate while any of its jobs is queued or running,
-	// so this is also the row count the job's engine saw — the
-	// ParentRows a child's warm start needs.
+	// log cannot grow while any of its jobs is queued or running, so
+	// this is also the row count the job's engine saw — the ParentRows
+	// a child's warm start needs.
 	baseRows int
 
 	// matrixVersion is the lineage mutation-log version at job
@@ -104,10 +109,10 @@ type store struct {
 	now  func() time.Time
 	jobs map[string]*job
 
-	// lineages maps a lineage root ID to its mutation log, created on
-	// the first PATCH (or adopted from a coordinator dispatch) and
-	// evicted with the lineage's last job record.
-	lineages map[string]*stream.Log
+	// lineages maps a FLOC lineage's root ID to its parked matrix,
+	// created with the root job and evicted with the lineage's last
+	// job record.
+	lineages map[string]*lineage
 
 	// done is the expiry FIFO: every terminal transition appends its
 	// job here, so a sweep only inspects the front of the queue (the
@@ -129,79 +134,142 @@ type doneEntry struct {
 	at time.Time
 }
 
+// lineage is a FLOC lineage's matrix in its parked form: the DCMX
+// section of the matrix as submitted (version 0) plus the mutation log
+// since. A PATCH only appends to the log; the dense matrix a job runs
+// on lives on the job record while the job is queued or running (a
+// lineage has at most one such job) and is rebuilt from this pair
+// when a recluster child starts. Decoding is bit-identical
+// (matrix.DecodeBinary) and so is replay (stream.Log.ApplyTo), so a
+// rebuilt head equals the matrix the old in-place patches produced.
+type lineage struct {
+	// base is the exact-size section (len == cap): a copy of the bytes
+	// a binary submission arrived with, or the encoding of a JSON one.
+	// It never changes.
+	base []byte
+
+	// log is appended only while no job of the lineage is queued or
+	// running, under the store lock; a running job may therefore read
+	// it without the lock.
+	log *stream.Log
+}
+
+// parkedSection returns the section a FLOC job's lineage parks its
+// version-0 matrix m as: an exact-size copy of section, the DCMX bytes
+// m arrived in (a copy, because those alias a pooled request body,
+// and not bytes.Clone, which rounds the capacity up), or, when m
+// arrived as JSON (section nil), its encoding. Other algorithms keep
+// no lineage, so it returns nil for them.
+func parkedSection(spec *runSpec, m *matrix.Matrix, section []byte) []byte {
+	if spec.algorithm != AlgoFLOC {
+		return nil
+	}
+	if section == nil {
+		return matrix.EncodeBinary(m)
+	}
+	base := make([]byte, len(section))
+	copy(base, section)
+	return base
+}
+
+// build decodes the base section and replays the log onto it: the
+// dense matrix at the log's head, which must be version (the job's
+// matrixVersion; the log cannot move while the job is live). The
+// backing is decoded at the head's row count, so replaying appended
+// rows never reallocates it.
+func (ln *lineage) build(version int) (*matrix.Matrix, error) {
+	m, err := matrix.DecodeBinaryCap(ln.base, 0, ln.log.Rows())
+	if err != nil {
+		return nil, fmt.Errorf("decoding the lineage's base section: %w", err)
+	}
+	head, err := ln.log.ApplyTo(m, 0)
+	if err != nil {
+		return nil, err
+	}
+	if head != version {
+		return nil, fmt.Errorf("lineage log is at version %d, the job expects %d", head, version)
+	}
+	return m, nil
+}
+
 func newJobStore(seed int64, ttl time.Duration, now func() time.Time) *store {
 	return &store{
 		rng:      stats.NewRNG(seed),
 		ttl:      ttl,
 		now:      now,
 		jobs:     make(map[string]*job),
-		lineages: make(map[string]*stream.Log),
+		lineages: make(map[string]*lineage),
 	}
 }
 
-// create registers a new queued job and returns its ID. IDs are drawn
-// from the store's seeded RNG, so a server's ID sequence is a pure
-// function of its seed — replayable in tests and log-correlatable
-// across restarts with the same seed.
-func (st *store) create(spec *runSpec) string {
+// create registers a new queued root job running spec on m and returns
+// its ID. base is the section its lineage parks as (parkedSection;
+// nil keeps no lineage). IDs are drawn from the store's seeded RNG, so
+// a server's ID sequence is a pure function of its seed — replayable
+// in tests and log-correlatable across restarts with the same seed.
+func (st *store) create(spec *runSpec, m *matrix.Matrix, base []byte) string {
 	st.mu.Lock()
 	defer st.mu.Unlock()
 	var id string
 	for {
 		id = fmt.Sprintf("j%016x", uint64(st.rng.Int63()))
-		if _, taken := st.jobs[id]; !taken {
+		if !st.takenLocked(id) {
 			break
 		}
 	}
-	st.jobs[id] = newRootJobLocked(id, spec, st.now())
+	st.addRootLocked(id, spec, m, base, nil)
 	return id
 }
 
 // createWithID registers a queued job under a caller-chosen ID — the
 // coordinator dispatch path, where IDs are minted (and consistent-
-// hashed to an owner) upstream. It reports false when the ID is
-// already taken, which is what keeps a retried dispatch idempotent:
-// the second attempt observes the first instead of double-running.
-func (st *store) createWithID(id string, spec *runSpec) bool {
+// hashed to an owner) upstream. log, when non-nil, holds the recorded
+// patches already replayed onto m, and becomes the lineage's log. It
+// reports false when the ID is already taken, which is what keeps a
+// retried dispatch idempotent: the second attempt observes the first
+// instead of double-running.
+func (st *store) createWithID(id string, spec *runSpec, m *matrix.Matrix, base []byte, log *stream.Log) bool {
 	st.mu.Lock()
 	defer st.mu.Unlock()
-	if _, taken := st.jobs[id]; taken {
+	if st.takenLocked(id) {
 		return false
 	}
-	st.jobs[id] = newRootJobLocked(id, spec, st.now())
+	st.addRootLocked(id, spec, m, base, log)
 	return true
 }
 
-// newRootJobLocked builds a queued root-submission record: the job
-// heads its own lineage, and baseRows pins the matrix row count its
-// engine will see.
-func newRootJobLocked(id string, spec *runSpec, now time.Time) *job {
+// takenLocked reports whether id names a stored job or the root of a
+// live lineage (whose root record may be evicted before its children);
+// a new root must not join either.
+func (st *store) takenLocked(id string) bool {
+	_, job := st.jobs[id]
+	_, root := st.lineages[id]
+	return job || root
+}
+
+// addRootLocked stores a queued root record: the job heads its own
+// lineage, which parks as base plus log (a fresh log when nil), and
+// baseRows pins the matrix row count its engine will see.
+func (st *store) addRootLocked(id string, spec *runSpec, m *matrix.Matrix, base []byte, log *stream.Log) {
 	j := &job{
 		id:      id,
 		spec:    spec,
+		m:       m,
 		state:   StateQueued,
-		created: now,
+		created: st.now(),
 		lineage: id,
 	}
-	if spec.m != nil {
-		j.baseRows = spec.m.Rows()
+	if m != nil {
+		j.baseRows = m.Rows()
 	}
-	return j
-}
-
-// adoptLineageLog installs a pre-seeded mutation log for the job's
-// lineage — the coordinator dispatch path, where recorded patches were
-// already replayed onto the submitted matrix before the job was
-// created. The job's matrixVersion is aligned with the log head.
-func (st *store) adoptLineageLog(id string, log *stream.Log) {
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	j := st.jobs[id]
-	if j == nil {
-		return
+	if base != nil {
+		if log == nil {
+			log = stream.NewLog(m.Rows(), m.Cols())
+		}
+		st.lineages[id] = &lineage{base: base, log: log}
+		j.matrixVersion = log.Version()
 	}
-	st.lineages[j.lineage] = log
-	j.matrixVersion = log.Version()
+	st.jobs[id] = j
 }
 
 // drop removes a job outright (submission rollback when the queue
@@ -233,8 +301,8 @@ func (st *store) evictLocked(id string) {
 }
 
 // lineageBusyLocked reports whether any job of the lineage is queued
-// or running — the state in which the shared matrix must not mutate
-// and no second recluster may start.
+// or running — the state in which the log must not grow and no second
+// recluster may start.
 func (st *store) lineageBusyLocked(lineage string) bool {
 	//deltavet:ignore maporder reason=order-independent existence scan; any non-terminal lineage member answers true, no per-entry effects
 	for _, j := range st.jobs {
@@ -274,6 +342,41 @@ func (st *store) start(id string, cancel context.CancelFunc) bool {
 	return true
 }
 
+// head returns the dense matrix the running job id runs on. A job that
+// arrived without one — a recluster child of a parked lineage — has it
+// built here, on the calling worker goroutine and outside the store
+// lock: the lineage's base section is immutable and its log cannot
+// grow while the job runs, so the build reads both lock-free. The
+// built matrix is then held on the job record until the job settles.
+func (st *store) head(id string) (*matrix.Matrix, error) {
+	st.mu.Lock()
+	j := st.jobs[id]
+	if j == nil {
+		st.mu.Unlock()
+		return nil, fmt.Errorf("job %s is gone", id)
+	}
+	if j.m != nil {
+		m := j.m
+		st.mu.Unlock()
+		return m, nil
+	}
+	ln, version := st.lineages[j.lineage], j.matrixVersion
+	st.mu.Unlock()
+	if ln == nil {
+		return nil, fmt.Errorf("job %s has no matrix", id)
+	}
+	m, err := ln.build(version)
+	if err != nil {
+		return nil, err
+	}
+	st.mu.Lock()
+	if !j.state.terminal() {
+		j.m = m
+	}
+	st.mu.Unlock()
+	return m, nil
+}
+
 // finish moves a job to a terminal state with its outcome. The
 // engine's cancel function is dropped; the caller releases the
 // context. Finishing a job that was already terminal or evicted is a
@@ -290,12 +393,18 @@ func (st *store) finish(id string, state JobState, result *ResultView, errMsg st
 	j.result = result
 	j.errMsg = errMsg
 	j.cancel = nil
-	st.markDoneLocked(j)
+	st.settleLocked(j)
 }
 
-// markDoneLocked appends a freshly terminal job to the expiry FIFO.
-// With no TTL nothing ever expires, so nothing is queued either.
-func (st *store) markDoneLocked(j *job) {
+// settleLocked completes a job's terminal transition. It drops the
+// job's dense matrix: its lineage (at most one job of which is ever
+// queued or running) is idle now and keeps only its base section and
+// log, which already hold everything, so nothing is encoded; a
+// non-FLOC job has no lineage and nothing will read its matrix again.
+// It also appends the job to the expiry FIFO (with no TTL nothing ever
+// expires, so nothing is queued either).
+func (st *store) settleLocked(j *job) {
+	j.m = nil
 	if st.ttl <= 0 {
 		return
 	}
@@ -321,7 +430,7 @@ func (st *store) requestCancel(id string) (view JobView, fromQueue, ok bool) {
 			j.state = StateCancelled
 			j.finished = st.now()
 			j.errMsg = "cancelled before start"
-			st.markDoneLocked(j)
+			st.settleLocked(j)
 			fromQueue = true
 		} else if j.cancel != nil {
 			j.cancel()
@@ -396,7 +505,7 @@ func (st *store) cancelAllActive() (queued, running int) {
 			j.state = StateCancelled
 			j.finished = st.now()
 			j.errMsg = "cancelled by drain before start"
-			st.markDoneLocked(j)
+			st.settleLocked(j)
 			queued++
 		case StateRunning:
 			j.cancelRequested = true
@@ -484,6 +593,26 @@ func (st *store) sweep() {
 	}
 }
 
+// matrixGauges reports how many dense matrices the store holds (one
+// per queued or running job that has its matrix; a lineage holds at
+// most one) and the bytes of the lineages' base sections, which every
+// lineage keeps whether busy or idle.
+func (st *store) matrixGauges() (dense, parkedBytes int) {
+	st.mu.Lock()
+	defer st.mu.Unlock()
+	//deltavet:ignore maporder reason=order-independent tally; addition commutes, no per-entry effects
+	for _, j := range st.jobs {
+		if j.m != nil {
+			dense++
+		}
+	}
+	//deltavet:ignore maporder reason=order-independent tally; addition commutes, no per-entry effects
+	for _, ln := range st.lineages {
+		parkedBytes += len(ln.base)
+	}
+	return dense, parkedBytes
+}
+
 // countByState tallies the stored (non-evicted) jobs per state.
 func (st *store) countByState() map[JobState]int {
 	st.mu.Lock()
@@ -558,12 +687,15 @@ type patchOutcome struct {
 	cols    int
 }
 
-// patchMatrix applies a mutation batch to the lineage matrix of the
-// addressed job — the PATCH /v1/jobs/{id}/matrix core. The whole
-// check-and-apply is one critical section: lineage idleness is decided
-// under the same lock that gates job creation and start, so a
-// concurrent recluster and PATCH serialize and the loser observes the
-// winner (409), never a silently torn matrix.
+// patchMatrix commits a mutation batch to the lineage log of the
+// addressed job — the PATCH /v1/jobs/{id}/matrix core. The log
+// validates the batch in full, so nothing is decoded, grown or
+// mirrored: the next job of the lineage replays the log onto its base
+// section when it starts. The whole check-and-append is one critical
+// section: lineage idleness is decided under the same lock that gates
+// job creation and start, so a concurrent recluster and PATCH
+// serialize and the loser observes the winner (409), never a torn
+// head.
 func (st *store) patchMatrix(id string, mu stream.Mutation) (patchOutcome, *apiError) {
 	st.mu.Lock()
 	defer st.mu.Unlock()
@@ -574,7 +706,8 @@ func (st *store) patchMatrix(id string, mu stream.Mutation) (patchOutcome, *apiE
 		}
 		return patchOutcome{}, &apiError{status: 404, code: CodeNotFound, message: "no such job: " + id}
 	}
-	if j.spec.algorithm != AlgoFLOC || j.spec.m == nil {
+	ln := st.lineages[j.lineage]
+	if j.spec.algorithm != AlgoFLOC || ln == nil {
 		return patchOutcome{}, badRequest("matrix streaming is only supported for floc jobs")
 	}
 	if st.lineageBusyLocked(j.lineage) {
@@ -584,12 +717,7 @@ func (st *store) patchMatrix(id string, mu stream.Mutation) (patchOutcome, *apiE
 			message: "lineage " + j.lineage + " has a queued or running job; the matrix cannot mutate under it",
 		}
 	}
-	log := st.lineages[j.lineage]
-	if log == nil {
-		log = stream.NewLog(j.spec.m.Rows(), j.spec.m.Cols())
-		st.lineages[j.lineage] = log
-	}
-	version, err := log.Apply(j.spec.m, mu)
+	version, err := ln.log.Append(mu)
 	if err != nil {
 		return patchOutcome{}, badRequest(err.Error())
 	}
@@ -597,17 +725,18 @@ func (st *store) patchMatrix(id string, mu stream.Mutation) (patchOutcome, *apiE
 		jobID:   id,
 		lineage: j.lineage,
 		version: version,
-		rows:    j.spec.m.Rows(),
-		cols:    j.spec.m.Cols(),
+		rows:    ln.log.Rows(),
+		cols:    ln.log.Cols(),
 	}, nil
 }
 
 // beginRecluster creates the queued warm-start child of a completed
 // job — the POST /v1/jobs/{id}:recluster core. The parent must be a
 // done FLOC job holding a final checkpoint, and the lineage must be
-// idle; the child shares the parent's live matrix, runs a single
-// attempt under the checkpoint's seed, and warm-starts with ParentRows
-// pinned to the row count the parent's engine saw. childID may be
+// idle; the child runs on the lineage's head (built from the base
+// section and log when it starts), a single attempt under the
+// checkpoint's seed, and warm-starts with ParentRows pinned to the row
+// count the parent's engine saw. childID may be
 // caller-chosen (coordinator dispatch); redelivering the same childID
 // for the same parent observes the existing child instead of
 // double-running; created reports whether this call registered the
@@ -622,7 +751,8 @@ func (st *store) beginRecluster(parentID, childID string) (view JobView, warmIte
 		}
 		return JobView{}, 0, false, &apiError{status: 404, code: CodeNotFound, message: "no such job: " + parentID}
 	}
-	if parent.spec.algorithm != AlgoFLOC || parent.spec.m == nil {
+	ln := st.lineages[parent.lineage]
+	if parent.spec.algorithm != AlgoFLOC || ln == nil {
 		return JobView{}, 0, false, badRequest("recluster is only supported for floc jobs")
 	}
 	if existing := st.jobs[childID]; childID != "" && existing != nil {
@@ -658,7 +788,6 @@ func (st *store) beginRecluster(parentID, childID string) (view JobView, warmIte
 	cfg.Seed = ck.Seed // the warm engine continues the parent's counted RNG stream
 	spec := &runSpec{
 		algorithm: AlgoFLOC,
-		m:         parent.spec.m,
 		floc:      cfg,
 		attempts:  1,
 		deadline:  parent.spec.deadline,
@@ -674,16 +803,14 @@ func (st *store) beginRecluster(parentID, childID string) (view JobView, warmIte
 		}
 	}
 	child := &job{
-		id:       id,
-		spec:     spec,
-		state:    StateQueued,
-		created:  st.now(),
-		parent:   parentID,
-		lineage:  parent.lineage,
-		baseRows: spec.m.Rows(),
-	}
-	if log := st.lineages[parent.lineage]; log != nil {
-		child.matrixVersion = log.Version()
+		id:            id,
+		spec:          spec,
+		state:         StateQueued,
+		created:       st.now(),
+		parent:        parentID,
+		lineage:       parent.lineage,
+		baseRows:      ln.log.Rows(),
+		matrixVersion: ln.log.Version(),
 	}
 	st.jobs[id] = child
 	return child.viewLocked(), ck.Iterations, true, nil
@@ -697,19 +824,4 @@ func (st *store) setFinalCheckpoint(id string, ck *floc.Checkpoint) {
 	if j := st.jobs[id]; j != nil {
 		j.finalCheckpoint = ck
 	}
-}
-
-// matrixVersionOf returns the current head version of the job's
-// lineage mutation log (0 before the first patch).
-func (st *store) matrixVersionOf(id string) int {
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	j := st.jobs[id]
-	if j == nil {
-		return 0
-	}
-	if log := st.lineages[j.lineage]; log != nil {
-		return log.Version()
-	}
-	return 0
 }

@@ -19,9 +19,9 @@ func TestJobIDsAreDeterministic(t *testing.T) {
 
 	var fromA, fromB, fromC []string
 	for i := 0; i < 16; i++ {
-		fromA = append(fromA, a.create(testSpec()))
-		fromB = append(fromB, b.create(testSpec()))
-		fromC = append(fromC, c.create(testSpec()))
+		fromA = append(fromA, a.create(testSpec(), nil, nil))
+		fromB = append(fromB, b.create(testSpec(), nil, nil))
+		fromC = append(fromC, c.create(testSpec(), nil, nil))
 	}
 	for i := range fromA {
 		if fromA[i] != fromB[i] {
@@ -48,7 +48,7 @@ func TestJobIDsAreDeterministic(t *testing.T) {
 
 func TestStoreLifecycleTransitions(t *testing.T) {
 	st := newJobStore(1, time.Minute, func() time.Time { return time.Unix(0, 0) })
-	id := st.create(testSpec())
+	id := st.create(testSpec(), nil, nil)
 
 	if v, ok := st.view(id); !ok || v.State != StateQueued {
 		t.Fatalf("fresh job view %+v ok=%v, want queued", v, ok)
@@ -73,7 +73,7 @@ func TestStoreLifecycleTransitions(t *testing.T) {
 func TestStoreCancelQueuedVsRunning(t *testing.T) {
 	st := newJobStore(1, time.Minute, func() time.Time { return time.Unix(0, 0) })
 
-	queued := st.create(testSpec())
+	queued := st.create(testSpec(), nil, nil)
 	v, fromQueue, ok := st.requestCancel(queued)
 	if !ok || !fromQueue || v.State != StateCancelled {
 		t.Fatalf("cancel queued: view %+v fromQueue=%v ok=%v", v, fromQueue, ok)
@@ -82,7 +82,7 @@ func TestStoreCancelQueuedVsRunning(t *testing.T) {
 		t.Fatal("a cancelled queued job was started")
 	}
 
-	running := st.create(testSpec())
+	running := st.create(testSpec(), nil, nil)
 	fired := false
 	if !st.start(running, func() { fired = true }) {
 		t.Fatal("start failed")
@@ -107,12 +107,12 @@ func TestStoreTTLEviction(t *testing.T) {
 	clock := &fakeClock{t: time.Unix(1_700_000_000, 0)}
 	st := newJobStore(1, time.Minute, clock.now)
 
-	id := st.create(testSpec())
+	id := st.create(testSpec(), nil, nil)
 	st.start(id, func() {})
 	st.finish(id, StateDone, &ResultView{Algorithm: AlgoFLOC}, "")
 
 	// A running job never expires, no matter how old.
-	live := st.create(testSpec())
+	live := st.create(testSpec(), nil, nil)
 	st.start(live, func() {})
 
 	clock.advance(2 * time.Minute)
@@ -127,7 +127,7 @@ func TestStoreTTLEviction(t *testing.T) {
 
 	// Lazy eviction: even without a sweep, reads see expired jobs as
 	// gone.
-	done2 := st.create(testSpec())
+	done2 := st.create(testSpec(), nil, nil)
 	st.start(done2, func() {})
 	st.finish(done2, StateDone, nil, "")
 	clock.advance(2 * time.Minute)
@@ -141,7 +141,7 @@ func TestStoreTTLEviction(t *testing.T) {
 
 func TestStoreCheckpointHandoff(t *testing.T) {
 	st := newJobStore(1, time.Minute, func() time.Time { return time.Unix(0, 0) })
-	id := st.create(testSpec())
+	id := st.create(testSpec(), nil, nil)
 
 	if ck := st.latestCheckpoint(id); ck != nil {
 		t.Fatal("fresh job has a checkpoint")
@@ -191,10 +191,10 @@ func TestCancelAllRunning(t *testing.T) {
 	st := newJobStore(1, time.Minute, func() time.Time { return time.Unix(0, 0) })
 
 	var fired int
-	running := st.create(testSpec())
+	running := st.create(testSpec(), nil, nil)
 	st.start(running, func() { fired++ })
-	queued := st.create(testSpec())
-	done := st.create(testSpec())
+	queued := st.create(testSpec(), nil, nil)
+	done := st.create(testSpec(), nil, nil)
 	st.start(done, func() { fired++ })
 	st.finish(done, StateDone, nil, "")
 

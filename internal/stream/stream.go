@@ -6,17 +6,20 @@
 // A Log records an ordered sequence of mutations — row appends, cell
 // updates, cell retractions — each validated against the shape the
 // matrix has at that point in the log and stamped with a version (the
-// 1-based position in the log). The log is the unit of replay: a
-// matrix at version v plus the entries after v reproduces the matrix
-// at the head, bit for bit, which is what lets a coordinator
-// reconstruct a patched matrix on a different backend from the
-// original submission plus the recorded patches.
+// 1-based position in the log). Append validates and records; it
+// touches no matrix. The log is the unit of replay: a matrix at
+// version v plus the entries after v reproduces the matrix at the
+// head, bit for bit. The service keeps an idle lineage as its matrix
+// as submitted plus this log and replays it when the next job starts,
+// and a coordinator reconstructs a patched matrix on a different
+// backend the same way, from the original submission plus the
+// recorded patches.
 //
-// Application goes through the internal/matrix streaming mutators
-// (AppendRows, UpdateCells, MarkMissing), which keep the derived read
+// Replay (ApplyTo) goes through the internal/matrix streaming mutators
+// (AppendRows, UpdateCells, MarkMissing), which keep any derived read
 // caches — column-major mirror, missing-value bitsets — coherent
-// surgically instead of rebuilding them, so ingesting a small delta
-// into a large matrix costs O(delta), not O(matrix).
+// surgically instead of rebuilding them, so replaying a small delta
+// onto a large matrix costs O(delta), not O(matrix).
 //
 // The warm-start contract this package feeds: a FLOC checkpoint cut
 // before the mutations, plus the row count the checkpoint was cut at
@@ -144,7 +147,8 @@ func (l *Log) validate(mu *Mutation) error {
 // Append validates mu against the log's current shape and commits it,
 // returning the new head version. The mutation is recorded verbatim
 // (the log aliases the caller's slices; callers must not mutate them
-// afterwards).
+// afterwards). Validation is complete: replaying a committed entry
+// onto a matrix of the log's shape cannot fail.
 func (l *Log) Append(mu Mutation) (int, error) {
 	if err := l.validate(&mu); err != nil {
 		return 0, err
@@ -199,27 +203,6 @@ func applyMutation(m *matrix.Matrix, mu *Mutation) error {
 		}
 	}
 	return nil
-}
-
-// Apply validates mu against the log's current shape, commits it, and
-// applies it to m (which must be at the log's pre-append head shape).
-// This is the service's PATCH path: one call keeps the log and the
-// live matrix in lockstep. It returns the new head version.
-func (l *Log) Apply(m *matrix.Matrix, mu Mutation) (int, error) {
-	if m.Rows() != l.rows || m.Cols() != l.cols {
-		return 0, fmt.Errorf("stream: matrix is %dx%d, log head is %dx%d", m.Rows(), m.Cols(), l.rows, l.cols)
-	}
-	v, err := l.Append(mu)
-	if err != nil {
-		return 0, err
-	}
-	if err := applyMutation(m, &l.entries[v-1].Mutation); err != nil {
-		// The matrix mutators validate before writing and the log
-		// validated first, so this is unreachable short of a caller
-		// violating the exclusive-writer contract; surface it loudly.
-		return 0, fmt.Errorf("stream: applying committed version %d: %w", v, err)
-	}
-	return v, nil
 }
 
 // Delta summarizes the mutations committed after version from — the

@@ -146,26 +146,6 @@ func TestApplyToShapeMismatch(t *testing.T) {
 	}
 }
 
-func TestApplyKeepsLogAndMatrixInLockstep(t *testing.T) {
-	m := testMatrix(t, 2, 2)
-	l := NewLog(2, 2)
-	v, err := l.Apply(m, Mutation{AppendRows: [][]float64{{5, 6}}})
-	if err != nil || v != 1 {
-		t.Fatalf("Apply: v=%d err=%v", v, err)
-	}
-	if m.Rows() != 3 || l.Rows() != 3 {
-		t.Fatalf("lockstep broken: matrix %d rows, log %d rows", m.Rows(), l.Rows())
-	}
-	// Shape drift is rejected before committing.
-	other := testMatrix(t, 2, 2)
-	if _, err := l.Apply(other, Mutation{Updates: []matrix.Cell{{Row: 0, Col: 0, Value: 1}}}); err == nil {
-		t.Fatalf("Apply accepted a matrix behind the log head")
-	}
-	if l.Version() != 1 {
-		t.Fatalf("failed Apply committed an entry")
-	}
-}
-
 func TestDeltaSince(t *testing.T) {
 	l := NewLog(2, 2)
 	if _, err := l.Append(Mutation{AppendRows: [][]float64{{1, 2}, {3, 4}}}); err != nil {
