@@ -134,16 +134,6 @@ type ClusterSpec = cluster.Spec
 // Table 1).
 type ClusterStats = cluster.Stats
 
-// ResidueMean selects arithmetic (the paper's Definition 3.5) or
-// squared (Cheng & Church) residue aggregation.
-type ResidueMean = cluster.ResidueMean
-
-// Residue aggregation modes.
-const (
-	ArithmeticMean = cluster.ArithmeticMean
-	SquaredMean    = cluster.SquaredMean
-)
-
 // NewCluster returns an empty δ-cluster over m.
 func NewCluster(m *Matrix) *Cluster { return cluster.New(m) }
 

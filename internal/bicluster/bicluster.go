@@ -25,7 +25,7 @@
 //
 // The δ-cluster model generalizes this: missing values are permitted
 // (this implementation tolerates them, counting specified entries
-// only), the residue may be arithmetic rather than squared, and FLOC
+// only), the residue is the mean |r_ij| rather than the mean r_ij², and FLOC
 // maintains all k clusters simultaneously instead of masking.
 package bicluster
 
@@ -165,7 +165,7 @@ func mineOne(work *matrix.Matrix, cfg *Config) cluster.Spec {
 }
 
 // msr is the mean squared residue H(I, J).
-func msr(cl *cluster.Cluster) float64 { return cl.ResidueWith(cluster.SquaredMean) }
+func msr(cl *cluster.Cluster) float64 { return cl.MeanSquaredResidue() }
 
 // rowContribution returns d(i) = mean_j r_ij² over the cluster's
 // columns, or 0 when the row has no specified member entries.

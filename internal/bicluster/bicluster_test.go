@@ -40,7 +40,7 @@ func TestPerfectClusterFoundWhole(t *testing.T) {
 	if b.NumRows() != 3 || b.NumCols() != 5 {
 		t.Errorf("bicluster is %dx%d, want the whole 3x5 matrix", b.NumRows(), b.NumCols())
 	}
-	if h := b.ResidueWith(cluster.SquaredMean); h > 1e-9 {
+	if h := b.MeanSquaredResidue(); h > 1e-9 {
 		t.Errorf("MSR = %v, want ~0", h)
 	}
 }
@@ -65,7 +65,7 @@ func TestDeltaRespected(t *testing.T) {
 		// Node addition can push H slightly above δ (it adds anything
 		// not above the *current* mean); allow modest slack, as the
 		// original algorithm does.
-		if h := b.ResidueWith(cluster.SquaredMean); h > 80*1.5 {
+		if h := b.MeanSquaredResidue(); h > 80*1.5 {
 			t.Errorf("bicluster %d MSR = %v, want ≤ δ·1.5 = 120", i, h)
 		}
 	}

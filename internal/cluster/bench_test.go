@@ -46,29 +46,30 @@ func benchCluster(b *testing.B, m *matrix.Matrix) *Cluster {
 	return FromSpec(m, rows, cols)
 }
 
-// BenchmarkResidueWith measures the O(volume) residue scan — the inner
-// kernel of every exact gain evaluation, called (M+N)·K times per
-// decide phase. Results are recorded in BENCH_floc.json.
-func BenchmarkResidueWith(b *testing.B) {
+// BenchmarkResidue measures the O(volume) residue scan that prices
+// every applied action and every scored seed candidate (gain
+// evaluations replay it through the probes, BenchmarkProbe). Results
+// are recorded in BENCH_floc.json.
+func BenchmarkResidue(b *testing.B) {
 	m := benchMatrix(b)
 	cl := benchCluster(b, m)
 	b.ReportAllocs()
 	b.ResetTimer()
 	var sink float64
 	for i := 0; i < b.N; i++ {
-		sink += cl.ResidueWith(ArithmeticMean)
+		sink += cl.Residue()
 	}
 	_ = sink
 }
 
-// BenchmarkResidueWithPacked is the same scan with the evaluation pack
+// BenchmarkResiduePacked is the same scan with the evaluation pack
 // enabled — the configuration the FLOC engine actually runs (pack.go).
 // On this deliberately large 167×40 cluster the pack's edge over the
 // gather is modest; its real payoff is on engine-shaped clusters
 // (tens of rows × a handful of columns, five clusters scanned round-
 // robin), where the packed working set stays L1-resident — see
 // BenchmarkDecideAll in internal/floc.
-func BenchmarkResidueWithPacked(b *testing.B) {
+func BenchmarkResiduePacked(b *testing.B) {
 	m := benchMatrix(b)
 	cl := benchCluster(b, m)
 	cl.EnablePack()
@@ -76,7 +77,7 @@ func BenchmarkResidueWithPacked(b *testing.B) {
 	b.ResetTimer()
 	var sink float64
 	for i := 0; i < b.N; i++ {
-		sink += cl.ResidueWith(ArithmeticMean)
+		sink += cl.Residue()
 	}
 	_ = sink
 }
@@ -101,7 +102,7 @@ func BenchmarkProbe(b *testing.B) {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				pb.Load(cl, isRow, idxs...)
-				pb.Residues(ArithmeticMean, out)
+				pb.Residues(out)
 			}
 		}
 	}

@@ -13,7 +13,7 @@
 //     entry, and 0 for a missing entry (Definition 3.4);
 //   - the cluster residue: the arithmetic mean of |r_ij| over the
 //     cluster's volume, i.e. its specified entries (Definition 3.5),
-//     with the squared mean of Cheng & Church available as an option;
+//     and the mean squared residue of Cheng & Church's baseline;
 //   - the volume (Definition 3.2) and the occupancy condition on α
 //     (Definition 3.1).
 //
@@ -33,19 +33,6 @@ import (
 	"sort"
 
 	"deltacluster/internal/matrix"
-)
-
-// ResidueMean selects how per-entry residues are aggregated into the
-// cluster residue.
-type ResidueMean int
-
-const (
-	// ArithmeticMean averages |r_ij| — the paper's choice
-	// (Definition 3.5).
-	ArithmeticMean ResidueMean = iota
-	// SquaredMean averages r_ij² — the mean squared residue of the
-	// bicluster model the paper generalizes.
-	SquaredMean
 )
 
 // Cluster is a mutable δ-cluster over a fixed data matrix. The zero
@@ -83,7 +70,7 @@ type Cluster struct {
 	packBases  []float64 // r → rowSum/rowCnt of memberRows[r], recached on mutation // deltavet:guard
 	packStride int       // floats per pack block; 0 while disabled // deltavet:guard
 
-	// colBases is unguarded scratch reused by ResidueWith to hold the
+	// colBases is unguarded scratch reused by Residue to hold the
 	// hoisted attribute bases for one scan. It carries no state between
 	// calls (fully overwritten before use) and is deliberately not
 	// copied by Clone/CopyFrom.
@@ -449,46 +436,27 @@ func (c *Cluster) EntryResidue(i, j int) float64 {
 	return v - c.rowSum[i]/float64(c.rowCnt[i]) - c.colSum[j]/float64(c.colCnt[j]) + c.total/float64(c.volume)
 }
 
-// Residue returns the cluster residue under the arithmetic mean
-// (Definition 3.5). An empty cluster (volume 0) has residue 0: it
-// exhibits no incoherence. Cost: O(volume).
-func (c *Cluster) Residue() float64 { return c.ResidueWith(ArithmeticMean) }
-
-// ResidueWith returns the cluster residue under the chosen mean.
+// Residue returns the cluster residue of Definition 3.5: the
+// arithmetic mean of |r_ij| over the volume. An empty cluster (volume
+// 0) has residue 0: it exhibits no incoherence. Cost: O(volume).
 //
 // The scan prices every action the FLOC engine applies and every seed
 // candidate it scores (gain evaluations use the read-only probes of
 // probe.go instead, which replay this scan for the toggled state), so
-// the attribute bases d_Ij are hoisted into a scratch slice first: one divide per member column instead of one per
-// specified entry. The hoist is operand-preserving — each consumed
-// base is the same division of the same bits, just computed once — so
-// the result is bit-identical to the fused form. A column whose
-// member entries are all missing (colCnt == 0) hoists to 0/0 = NaN,
-// but every entry of such a column is skipped, so the value is never
-// consumed. The mean switch is likewise hoisted out of the inner
-// loop; the per-entry arithmetic and accumulation order are
-// unchanged.
+// the attribute bases d_Ij are hoisted into a scratch slice first (see
+// hoistBases); the per-entry arithmetic and accumulation order are
+// those of the fused form.
 //
-// ResidueWith writes that scratch, so concurrent callers must not
-// share a cluster; probes may.
+// Residue writes that scratch, so concurrent callers must not share a
+// cluster; probes may.
 //
 // deltavet:hotpath — the residue kernel behind every applied action;
 // zero allocations in steady state.
-func (c *Cluster) ResidueWith(mean ResidueMean) float64 {
+func (c *Cluster) Residue() float64 {
 	if c.volume == 0 {
 		return 0
 	}
-	base := c.total / float64(c.volume)
-	cols := c.memberCols
-	if cap(c.colBases) < len(cols) {
-		//deltavet:ignore hotalloc reason=amortized scratch growth; only the first scans after a column-count high-water mark allocate
-		c.colBases = make([]float64, len(cols))
-	}
-	bases := c.colBases[:len(cols)]
-	for k, j := range cols {
-		bases[k] = c.colSum[j] / float64(c.colCnt[j])
-	}
-	cols = cols[:len(bases)] // lets the compiler drop the bases[k] bounds check
+	base, bases := c.hoistBases()
 	sum := 0.0
 	if s := c.packStride; s > 0 {
 		// Packed fast path: scan the dense member submatrix instead of
@@ -502,63 +470,87 @@ func (c *Cluster) ResidueWith(mean ResidueMean) float64 {
 		// every one of its pack entries, so the inner loop contributes
 		// exactly the nothing the gather path's skip contributes.
 		rbases := c.packBases[:len(c.memberRows)]
-		if mean == SquaredMean {
-			for r, rowBase := range rbases {
-				row := c.pack[r*s : r*s+len(bases)]
-				for k, v := range row {
-					if math.IsNaN(v) {
-						continue
-					}
-					rr := v - rowBase - bases[k] + base
-					sum += rr * rr
-				}
-			}
-		} else {
-			for r, rowBase := range rbases {
-				row := c.pack[r*s : r*s+len(bases)]
-				for k, v := range row {
-					if math.IsNaN(v) {
-						continue
-					}
-					sum += math.Abs(v - rowBase - bases[k] + base)
-				}
-			}
-		}
-		return sum / float64(c.volume)
-	}
-	if mean == SquaredMean {
-		for _, i := range c.memberRows {
-			if c.rowCnt[i] == 0 {
-				continue
-			}
-			rowBase := c.rowSum[i] / float64(c.rowCnt[i])
-			row := c.m.RowView(i)
-			for k, j := range cols {
-				v := row[j]
-				if math.IsNaN(v) {
-					continue
-				}
-				r := v - rowBase - bases[k] + base
-				sum += r * r
-			}
-		}
-	} else {
-		for _, i := range c.memberRows {
-			if c.rowCnt[i] == 0 {
-				continue
-			}
-			rowBase := c.rowSum[i] / float64(c.rowCnt[i])
-			row := c.m.RowView(i)
-			for k, j := range cols {
-				v := row[j]
+		for r, rowBase := range rbases {
+			row := c.pack[r*s : r*s+len(bases)]
+			for k, v := range row {
 				if math.IsNaN(v) {
 					continue
 				}
 				sum += math.Abs(v - rowBase - bases[k] + base)
 			}
 		}
+		return sum / float64(c.volume)
+	}
+	cols := c.memberCols[:len(bases)] // lets the compiler drop the bases[k] bounds check
+	for _, i := range c.memberRows {
+		if c.rowCnt[i] == 0 {
+			continue
+		}
+		rowBase := c.rowSum[i] / float64(c.rowCnt[i])
+		row := c.m.RowView(i)
+		for k, j := range cols {
+			v := row[j]
+			if math.IsNaN(v) {
+				continue
+			}
+			sum += math.Abs(v - rowBase - bases[k] + base)
+		}
 	}
 	return sum / float64(c.volume)
+}
+
+// MeanSquaredResidue returns the mean of r_ij² over the volume: the
+// mean squared residue H(I, J) of Cheng & Church's bicluster model,
+// which the paper generalizes. FLOC scores with Residue; the bicluster
+// baseline scores with this. An empty cluster has 0. Cost: O(volume).
+// It writes the same scratch as Residue.
+func (c *Cluster) MeanSquaredResidue() float64 {
+	if c.volume == 0 {
+		return 0
+	}
+	base, bases := c.hoistBases()
+	cols := c.memberCols[:len(bases)]
+	sum := 0.0
+	for _, i := range c.memberRows {
+		if c.rowCnt[i] == 0 {
+			continue
+		}
+		rowBase := c.rowSum[i] / float64(c.rowCnt[i])
+		row := c.m.RowView(i)
+		for k, j := range cols {
+			v := row[j]
+			if math.IsNaN(v) {
+				continue
+			}
+			r := v - rowBase - bases[k] + base
+			sum += r * r
+		}
+	}
+	return sum / float64(c.volume)
+}
+
+// hoistBases returns the cluster base d_IJ and the attribute bases
+// d_Ij of the member columns, in member order, in the colBases
+// scratch: one divide per member column instead of one per specified
+// entry. The hoist is operand-preserving — each consumed base is the
+// same division of the same bits, just computed once — so a scan is
+// bit-identical to the fused form. A column whose member entries are
+// all missing (colCnt == 0) hoists to 0/0 = NaN, but every entry of
+// such a column is skipped, so the value is never consumed. The
+// volume must be positive.
+//
+// deltavet:hotpath — the residue scans' prologue.
+func (c *Cluster) hoistBases() (base float64, bases []float64) {
+	cols := c.memberCols
+	if cap(c.colBases) < len(cols) {
+		//deltavet:ignore hotalloc reason=amortized scratch growth; only the first scans after a column-count high-water mark allocate
+		c.colBases = make([]float64, len(cols))
+	}
+	bases = c.colBases[:len(cols)]
+	for k, j := range cols {
+		bases[k] = c.colSum[j] / float64(c.colCnt[j])
+	}
+	return c.total / float64(c.volume), bases
 }
 
 // SatisfiesOccupancy reports whether every member row and column meets

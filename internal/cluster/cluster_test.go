@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"math"
+	"sort"
 	"testing"
 	"testing/quick"
 
@@ -12,7 +13,7 @@ import (
 
 // bruteResidue recomputes Definition 3.5 directly from the matrix,
 // independent of the incremental aggregates, as a test oracle.
-func bruteResidue(m *matrix.Matrix, rows, cols []int, mean ResidueMean) float64 {
+func bruteResidue(m *matrix.Matrix, rows, cols []int) float64 {
 	rowSum := map[int]float64{}
 	rowCnt := map[int]int{}
 	colSum := map[int]float64{}
@@ -43,12 +44,7 @@ func bruteResidue(m *matrix.Matrix, rows, cols []int, mean ResidueMean) float64 
 			if math.IsNaN(v) {
 				continue
 			}
-			r := v - rowSum[i]/float64(rowCnt[i]) - colSum[j]/float64(colCnt[j]) + base
-			if mean == SquaredMean {
-				sum += r * r
-			} else {
-				sum += math.Abs(r)
-			}
+			sum += math.Abs(v - rowSum[i]/float64(rowCnt[i]) - colSum[j]/float64(colCnt[j]) + base)
 		}
 	}
 	return sum / float64(volume)
@@ -110,7 +106,7 @@ func TestFigure4PerfectCluster(t *testing.T) {
 	if got := c.Residue(); got != 0 {
 		t.Errorf("residue = %v, want 0", got)
 	}
-	if got := c.ResidueWith(SquaredMean); got != 0 {
+	if got := c.MeanSquaredResidue(); got != 0 {
 		t.Errorf("squared residue = %v, want 0", got)
 	}
 	// The paper's spot check: d(VPS8, CH1I) = 273 − 347·(sign conv) …
@@ -159,7 +155,7 @@ func TestFigure6Residues(t *testing.T) {
 	c1 := FromSpec(m, paperdata.Figure6Cluster1Rows, paperdata.Figure6Cluster1Cols)
 	c2 := FromSpec(m, paperdata.Figure6Cluster2Rows, paperdata.Figure6Cluster2Cols)
 	for name, c := range map[string]*Cluster{"cluster1": c1, "cluster2": c2} {
-		want := bruteResidue(m, c.Rows(), c.Cols(), ArithmeticMean)
+		want := bruteResidue(m, c.Rows(), c.Cols())
 		if got := c.Residue(); math.Abs(got-want) > 1e-12 {
 			t.Errorf("%s residue = %v, oracle %v", name, got, want)
 		}
@@ -169,7 +165,7 @@ func TestFigure6Residues(t *testing.T) {
 	before := c1.Residue()
 	c1.AddCol(2)
 	after := c1.Residue()
-	want := bruteResidue(m, []int{0, 1}, []int{0, 1, 2}, ArithmeticMean)
+	want := bruteResidue(m, []int{0, 1}, []int{0, 1, 2})
 	if math.Abs(after-want) > 1e-12 {
 		t.Errorf("after insert residue = %v, oracle %v", after, want)
 	}
@@ -358,10 +354,10 @@ func TestIncrementalMatchesRebuildProperty(t *testing.T) {
 		if math.Abs(c.Residue()-rebuilt.Residue()) > tol {
 			return false
 		}
-		if math.Abs(c.ResidueWith(SquaredMean)-rebuilt.ResidueWith(SquaredMean)) > tol {
+		if math.Abs(c.MeanSquaredResidue()-rebuilt.MeanSquaredResidue()) > tol {
 			return false
 		}
-		oracle := bruteResidue(m, c.Rows(), c.Cols(), ArithmeticMean)
+		oracle := bruteResidue(m, c.Rows(), c.Cols())
 		return math.Abs(c.Residue()-oracle) < tol
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
@@ -373,10 +369,10 @@ func TestIncrementalMatchesRebuildProperty(t *testing.T) {
 // column of the matrix — the defining property of the δ-cluster model
 // (the base absorbs per-object/per-attribute bias). It holds for every
 // kernel that computes a residue: ResidueOf over the whole matrix, and
-// on a sub-cluster the packed ResidueWith, the batched row insertion,
-// row removal and column insertion probes, and the one-lane column
-// removal probe, whether the shifted row or column is a member or a
-// candidate.
+// on a sub-cluster the packed Residue, the batched row insertion, row
+// removal and column insertion probes, the one-lane column removal
+// probe and MeanSquaredResidue, whether the shifted row or column is a
+// member or a candidate.
 //
 // The invariance is exact only where every entry is specified: the
 // bases average over the specified entries alone, so with a missing
@@ -440,54 +436,222 @@ func TestResidueShiftInvarianceProperty(t *testing.T) {
 	}
 }
 
-// shiftProbeResidues lists, under both means, the residue of the
-// packed cluster subR×subC and the toggled residue of every candidate
-// action on it: each non-member row inserted, each member row removed
-// and each non-member column inserted, Lanes at a time through
-// Batch.Residues, and each member column removed through a one-lane
-// probe.
+// shiftProbeResidues lists probeResidues of the packed cluster
+// subR×subC on the kernels the build serves, then its mean squared
+// residue.
 func shiftProbeResidues(m *matrix.Matrix, subR, subC []int) []float64 {
 	cl := FromSpec(m, subR, subC)
 	cl.EnablePack()
+	return append(probeResidues(cl, useAVX2), cl.MeanSquaredResidue())
+}
+
+// probeResidues lists the residue of the packed cluster cl and the
+// toggled residue of every candidate action on it, each kind's
+// candidates in matrix index order: each non-member row inserted, each
+// member row removed and each non-member column inserted, Lanes at a
+// time, and each member column removed in a one-lane batch, as the
+// decide phase loads them. The batches are scored on the AVX2 kernels
+// when avx2 is set and on the portable ones otherwise.
+func probeResidues(cl *Cluster, avx2 bool) []float64 {
 	var b Batch
-	var out []float64
+	out := []float64{cl.Residue()}
 	res := make([]float64, Lanes)
-	for _, mean := range []ResidueMean{ArithmeticMean, SquaredMean} {
-		out = append(out, cl.ResidueWith(mean))
-		for _, isRow := range []bool{true, false} {
-			n, has := m.Cols(), cl.HasCol
-			if isRow {
-				n, has = m.Rows(), cl.HasRow
+	m := cl.Matrix()
+	kinds := []struct {
+		isRow, ins bool
+		width      int
+	}{{true, true, Lanes}, {true, false, Lanes}, {false, true, Lanes}, {false, false, 1}}
+	for _, kind := range kinds {
+		n, has := m.Cols(), cl.HasCol
+		if kind.isRow {
+			n, has = m.Rows(), cl.HasRow
+		}
+		var q []int
+		for x := 0; x < n; x++ {
+			if has(x) != kind.ins {
+				q = append(q, x)
 			}
-			var ins, rem []int
-			for x := 0; x < n; x++ {
-				if has(x) {
-					rem = append(rem, x)
-				} else {
-					ins = append(ins, x)
-				}
-			}
-			batched := [][]int{ins}
-			if isRow {
-				batched = append(batched, rem)
-			} else {
-				for _, j := range rem {
-					b.Load(cl, false, j)
-					out = append(out, b.Probe(0).Residue(mean))
-				}
-			}
-			for _, q := range batched {
-				for len(q) > 0 {
-					k := min(len(q), Lanes)
-					b.Load(cl, isRow, q[:k]...)
-					b.Residues(mean, res[:k])
-					out = append(out, res[:k]...)
-					q = q[k:]
-				}
-			}
+		}
+		for len(q) > 0 {
+			k := min(len(q), kind.width)
+			b.Load(cl, kind.isRow, q[:k]...)
+			b.residues(res[:k], avx2)
+			out = append(out, res[:k]...)
+			q = q[k:]
 		}
 	}
 	return out
+}
+
+// Property: the residue is invariant, up to rounding, under
+// permutations of the member rows and columns — Definition 3.5
+// averages over a set. The same member set is built in two seeded
+// insertion orders, rows and columns interleaved, so the two clusters
+// differ in member order, pack layout and the order every aggregate
+// and residue term accumulates in. Residue, gathered and packed, and
+// every probe kind (probeResidues) must then agree within a relative
+// tolerance, on the portable kernels and on the AVX2 ones where the
+// build has them. Unlike shift invariance, this holds with missing
+// entries too, so most matrices here have some.
+func TestResiduePermutationInvarianceProperty(t *testing.T) {
+	const minCompared = 1500
+	compared := 0
+	near := func(x, y float64) bool {
+		return math.Abs(x-y) <= 1e-9*(1+math.Max(math.Abs(x), math.Abs(y)))
+	}
+	f := func(seed int64) bool {
+		g := stats.NewRNG(seed)
+		rows, cols := g.UniformInt(2, 24), g.UniformInt(2, 24)
+		missing := []float64{0, 0.1, 0.4}[g.Intn(3)]
+		m := matrix.New(rows, cols)
+		for i := 0; i < rows; i++ {
+			for j := 0; j < cols; j++ {
+				if !g.Bool(missing) {
+					m.Set(i, j, g.Uniform(-20, 20))
+				}
+			}
+		}
+		var items [][2]int // (0, row) or (1, column)
+		for i := 0; i < rows; i++ {
+			if g.Bool(0.6) {
+				items = append(items, [2]int{0, i})
+			}
+		}
+		for j := 0; j < cols; j++ {
+			if g.Bool(0.6) {
+				items = append(items, [2]int{1, j})
+			}
+		}
+		a, b := permutedCluster(m, items, g), permutedCluster(m, items, g)
+		if !near(a.Residue(), b.Residue()) {
+			return false
+		}
+		compared++
+		a.EnablePack()
+		b.EnablePack()
+		for _, avx2 := range []bool{false, useAVX2} {
+			ra, rb := probeResidues(a, avx2), probeResidues(b, avx2)
+			if len(ra) != len(rb) {
+				return false
+			}
+			for k := range ra {
+				if !near(ra[k], rb[k]) {
+					return false
+				}
+			}
+			compared += len(ra)
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
+		t.Fatal(err)
+	}
+	if compared < minCompared {
+		t.Fatalf("compared %d residues, want at least %d", compared, minCompared)
+	}
+	t.Logf("AVX2 kernels checked: %v; %d residues compared", useAVX2, compared)
+}
+
+// permutedCluster builds the cluster of items over m, adding them in a
+// shuffled order.
+func permutedCluster(m *matrix.Matrix, items [][2]int, g *stats.RNG) *Cluster {
+	c := New(m)
+	for _, k := range g.Perm(len(items)) {
+		if it := items[k]; it[0] == 0 {
+			c.AddRow(it[1])
+		} else {
+			c.AddCol(it[1])
+		}
+	}
+	return c
+}
+
+// Property: SatisfiesOccupancy(α) is monotone in the missing mask and
+// in α. Definition 3.1 bounds each member's count of specified entries
+// from below, so blanking more entries of the member submatrix can
+// turn true into false, never false into true, and for a fixed mask
+// raising α can only do the same. Each case blanks member entries one
+// at a time, cumulatively, and checks a sorted set of thresholds at
+// every step: 0, 1, a few drawn uniformly, and every ratio k/|J| and
+// k/|I|, where a count meets α·n exactly. Both kinds of true-to-false
+// flip must be seen often enough for the property not to be vacuous.
+func TestOccupancyMonotoneProperty(t *testing.T) {
+	const minFlips = 100
+	maskFlips, alphaFlips := 0, 0
+	f := func(seed int64) bool {
+		g := stats.NewRNG(seed)
+		rows, cols := g.UniformInt(1, 10), g.UniformInt(1, 10)
+		m := matrix.New(rows, cols)
+		for i := 0; i < rows; i++ {
+			for j := 0; j < cols; j++ {
+				if !g.Bool(0.1) {
+					m.Set(i, j, g.Uniform(-5, 5))
+				}
+			}
+		}
+		subR := g.SampleWithoutReplacement(rows, g.UniformInt(1, rows))
+		subC := g.SampleWithoutReplacement(cols, g.UniformInt(1, cols))
+		alphas := []float64{0, 1}
+		for k := 0; k < 4; k++ {
+			alphas = append(alphas, g.Float64())
+		}
+		for k := 1; k < len(subC); k++ {
+			alphas = append(alphas, float64(k)/float64(len(subC)))
+		}
+		for k := 1; k < len(subR); k++ {
+			alphas = append(alphas, float64(k)/float64(len(subR)))
+		}
+		sort.Float64s(alphas)
+		verdicts := func() []bool {
+			c := FromSpec(m, subR, subC)
+			out := make([]bool, len(alphas))
+			for k, alpha := range alphas {
+				out[k] = c.SatisfiesOccupancy(alpha)
+			}
+			return out
+		}
+		prev := verdicts()
+		for step := 0; ; step++ {
+			for k := 1; k < len(prev); k++ {
+				if prev[k] && !prev[k-1] {
+					return false // α rose and the verdict went false → true
+				}
+				if prev[k-1] && !prev[k] {
+					alphaFlips++
+				}
+			}
+			var specified [][2]int
+			for _, i := range subR {
+				for _, j := range subC {
+					if m.IsSpecified(i, j) {
+						specified = append(specified, [2]int{i, j})
+					}
+				}
+			}
+			if len(specified) == 0 {
+				return true
+			}
+			e := specified[g.Intn(len(specified))]
+			m.SetMissing(e[0], e[1])
+			next := verdicts()
+			for k := range next {
+				if next[k] && !prev[k] {
+					return false // a blanked entry turned false → true
+				}
+				if prev[k] && !next[k] {
+					maskFlips++
+				}
+			}
+			prev = next
+		}
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
+		t.Fatal(err)
+	}
+	if maskFlips < minFlips || alphaFlips < minFlips {
+		t.Fatalf("saw %d mask and %d threshold flips, want at least %d of each", maskFlips, alphaFlips, minFlips)
+	}
+	t.Logf("%d mask and %d threshold flips", maskFlips, alphaFlips)
 }
 
 // Property: residue is non-negative and a perfect shifted cluster has

@@ -10,10 +10,11 @@ import (
 
 // referenceResidue is the pre-hoist residue kernel kept verbatim: the
 // attribute base is recomputed for every specified entry and the mean
-// switch sits inside the inner loop. ResidueWith must reproduce its
-// output bit-for-bit — the hoist changes where divisions happen, never
-// which operands meet.
-func referenceResidue(c *Cluster, mean ResidueMean) float64 {
+// switch sits inside the inner loop. Residue (squared false) and
+// MeanSquaredResidue (squared true) must reproduce its output
+// bit-for-bit — the hoist changes where divisions happen, never which
+// operands meet.
+func referenceResidue(c *Cluster, squared bool) float64 {
 	if c.volume == 0 {
 		return 0
 	}
@@ -31,7 +32,7 @@ func referenceResidue(c *Cluster, mean ResidueMean) float64 {
 				continue
 			}
 			r := v - rowBase - c.colSum[j]/float64(c.colCnt[j]) + base
-			if mean == SquaredMean {
+			if squared {
 				sum += r * r
 			} else {
 				sum += math.Abs(r)
@@ -58,10 +59,10 @@ func identityMatrix(seed int64, rows, cols int, missing float64) *matrix.Matrix 
 	return m
 }
 
-// TestResidueWithBitIdentity compares the hoisted kernel against the
-// reference across matrices, densities, means and a mutation walk that
-// leaves rows/columns with zero specified entries in the cluster.
-func TestResidueWithBitIdentity(t *testing.T) {
+// TestResidueBitIdentity compares the hoisted scans against the
+// reference across matrices, densities, both means and a mutation walk
+// that leaves rows/columns with zero specified entries in the cluster.
+func TestResidueBitIdentity(t *testing.T) {
 	for _, missing := range []float64{0, 0.05, 0.3, 0.9} {
 		for seed := int64(1); seed <= 4; seed++ {
 			m := identityMatrix(seed, 40, 17, missing)
@@ -73,12 +74,15 @@ func TestResidueWithBitIdentity(t *testing.T) {
 				} else {
 					c.ToggleCol(rng.Intn(m.Cols()))
 				}
-				for _, mean := range []ResidueMean{ArithmeticMean, SquaredMean} {
-					got := c.ResidueWith(mean)
-					want := referenceResidue(c, mean)
+				for _, squared := range []bool{false, true} {
+					got := c.Residue()
+					if squared {
+						got = c.MeanSquaredResidue()
+					}
+					want := referenceResidue(c, squared)
 					if math.Float64bits(got) != math.Float64bits(want) {
-						t.Fatalf("missing=%g seed=%d step=%d mean=%v: ResidueWith=%x want %x",
-							missing, seed, step, mean, math.Float64bits(got), math.Float64bits(want))
+						t.Fatalf("missing=%g seed=%d step=%d squared=%v: residue %x want %x",
+							missing, seed, step, squared, math.Float64bits(got), math.Float64bits(want))
 					}
 				}
 			}

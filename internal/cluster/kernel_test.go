@@ -74,7 +74,7 @@ func kernelCluster(rng *stats.RNG, m *matrix.Matrix, nRows, width, nc int) *Clus
 // c, one lane each, and fails unless both kernels return the same lane
 // sums and Residues returns each really toggled cluster's residue. It
 // returns how many lane sums were infinite or NaN.
-func checkKernels(t *testing.T, c *Cluster, isRow bool, idxs []int, mean ResidueMean) (nonFinite int) {
+func checkKernels(t *testing.T, c *Cluster, isRow bool, idxs []int) (nonFinite int) {
 	t.Helper()
 	var b Batch
 	b.Load(c, isRow, idxs...)
@@ -91,28 +91,28 @@ func checkKernels(t *testing.T, c *Cluster, isRow bool, idxs []int, mean Residue
 			}
 		}
 	}
-	portable := b.sums(mean, false)
+	portable := b.sums(false)
 	for _, x := range portable[:len(idxs)] {
 		if math.IsInf(x, 0) || math.IsNaN(x) {
 			nonFinite++
 		}
 	}
 	if useAVX2 {
-		avx := b.sums(mean, true)
+		avx := b.sums(true)
 		for q := range idxs {
 			if math.Float64bits(avx[q]) != math.Float64bits(portable[q]) {
-				t.Fatalf("rows %v cols %v mean %v isRow %v lanes %v: lane %d AVX2 sum %x (%v), portable %x (%v)",
-					c.memberRows, c.memberCols, mean, isRow, idxs, q,
+				t.Fatalf("rows %v cols %v isRow %v lanes %v: lane %d AVX2 sum %x (%v), portable %x (%v)",
+					c.memberRows, c.memberCols, isRow, idxs, q,
 					math.Float64bits(avx[q]), avx[q], math.Float64bits(portable[q]), portable[q])
 			}
 		}
 	}
 	out := make([]float64, len(idxs))
-	b.Residues(mean, out)
+	b.Residues(out)
 	for q, x := range idxs {
-		if want := toggled(c, isRow, x).ResidueWith(mean); math.Float64bits(out[q]) != math.Float64bits(want) {
-			t.Fatalf("rows %v cols %v mean %v isRow %v lanes %v: lane %d residue %x (%v), toggled %x (%v)",
-				c.memberRows, c.memberCols, mean, isRow, idxs, q,
+		if want := toggled(c, isRow, x).Residue(); math.Float64bits(out[q]) != math.Float64bits(want) {
+			t.Fatalf("rows %v cols %v isRow %v lanes %v: lane %d residue %x (%v), toggled %x (%v)",
+				c.memberRows, c.memberCols, isRow, idxs, q,
 				math.Float64bits(out[q]), out[q], math.Float64bits(want), want)
 		}
 	}
@@ -136,8 +136,8 @@ func candidates(c *Cluster, isRow, members bool) []int {
 }
 
 // checkKernelWidths runs checkKernels on c at every batch width 1…16,
-// under both means, drawing the lanes from cands, a duplicate lane in
-// about a third of the batches.
+// drawing the lanes from cands, a duplicate lane in about a third of
+// the batches.
 func checkKernelWidths(t *testing.T, rng *stats.RNG, c *Cluster, isRow bool, cands []int) (nonFinite int) {
 	t.Helper()
 	if len(cands) == 0 {
@@ -151,9 +151,7 @@ func checkKernelWidths(t *testing.T, rng *stats.RNG, c *Cluster, isRow bool, can
 		if n > 1 && rng.Bool(0.3) {
 			idxs[n-1] = idxs[0] // a duplicate lane
 		}
-		for _, mean := range []ResidueMean{ArithmeticMean, SquaredMean} {
-			nonFinite += checkKernels(t, c, isRow, idxs, mean)
-		}
+		nonFinite += checkKernels(t, c, isRow, idxs)
 	}
 	return nonFinite
 }
@@ -200,10 +198,8 @@ func TestRowInsertionKernelsAgree(t *testing.T) {
 	nanCols.EnablePack()
 	nanRows := FromSpec(m, []int{22}, []int{0, 1, 2, 3})
 	nanRows.EnablePack()
-	for _, mean := range []ResidueMean{ArithmeticMean, SquaredMean} {
-		checkKernels(t, nanCols, true, []int{3, 5, 23, 7, 8}, mean)
-		checkKernels(t, nanRows, true, []int{23, 0, 23, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 23}, mean)
-	}
+	checkKernels(t, nanCols, true, []int{3, 5, 23, 7, 8})
+	checkKernels(t, nanRows, true, []int{23, 0, 23, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 23})
 }
 
 // TestRowRemovalKernelsAgree checks the row kernel run from given sums
@@ -217,10 +213,8 @@ func TestRowRemovalKernelsAgree(t *testing.T) {
 	nanCols.EnablePack()
 	lastOnly := FromSpec(m, []int{5, 22}, []int{0, 1, 2, 3})
 	lastOnly.EnablePack()
-	for _, mean := range []ResidueMean{ArithmeticMean, SquaredMean} {
-		checkKernels(t, nanCols, true, []int{0, 2, 1, 2, 0}, mean)
-		checkKernels(t, lastOnly, true, []int{22, 5, 22, 5, 5}, mean)
-	}
+	checkKernels(t, nanCols, true, []int{0, 2, 1, 2, 0})
+	checkKernels(t, lastOnly, true, []int{22, 5, 22, 5, 5})
 }
 
 // TestColInsertionKernelsAgree checks the column kernel, whose lanes
@@ -235,10 +229,8 @@ func TestColInsertionKernelsAgree(t *testing.T) {
 	nanRows.EnablePack()
 	mixed := FromSpec(m, []int{0, 22, 3}, []int{4, 9})
 	mixed.EnablePack()
-	for _, mean := range []ResidueMean{ArithmeticMean, SquaredMean} {
-		checkKernels(t, nanRows, false, []int{2, 3, 4, 14, 2}, mean)
-		checkKernels(t, mixed, false, []int{14, 19, 0, 1, 2, 3, 5, 6, 7, 8, 10, 11, 12, 13, 15, 16}, mean)
-	}
+	checkKernels(t, nanRows, false, []int{2, 3, 4, 14, 2})
+	checkKernels(t, mixed, false, []int{14, 19, 0, 1, 2, 3, 5, 6, 7, 8, 10, 11, 12, 13, 15, 16})
 }
 
 // fuzzKernel checks one batched kind's contract on fuzzed clusters:
@@ -247,13 +239,13 @@ func TestColInsertionKernelsAgree(t *testing.T) {
 // missing, infinities clamp to ±MaxFloat64, as matrix.Read rejects
 // them).
 func fuzzKernel(f *testing.F, isRow, ins bool) {
-	f.Add(int64(1), false, []byte{})
-	f.Add(int64(2), true, []byte{0x80, 0, 0, 0, 0, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0})
+	f.Add(int64(1), []byte{})
+	f.Add(int64(2), []byte{0x80, 0, 0, 0, 0, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0})
 	huge := binary.LittleEndian.AppendUint64(nil, math.Float64bits(1.7e308))
 	huge = binary.LittleEndian.AppendUint64(huge, math.Float64bits(-1e308))
-	f.Add(int64(3), false, huge)
-	f.Add(int64(4), true, binary.LittleEndian.AppendUint64(huge, math.Float64bits(5e-324)))
-	f.Fuzz(func(t *testing.T, seed int64, squared bool, raw []byte) {
+	f.Add(int64(3), huge)
+	f.Add(int64(4), binary.LittleEndian.AppendUint64(huge, math.Float64bits(5e-324)))
+	f.Fuzz(func(t *testing.T, seed int64, raw []byte) {
 		rng := stats.NewRNG(seed)
 		rows, cols := 2+rng.Intn(30), 1+rng.Intn(24)
 		var m *matrix.Matrix
@@ -280,11 +272,7 @@ func fuzzKernel(f *testing.F, isRow, ins bool) {
 		for q := range idxs {
 			idxs[q] = cands[rng.Intn(len(cands))]
 		}
-		mean := ArithmeticMean
-		if squared {
-			mean = SquaredMean
-		}
-		checkKernels(t, c, isRow, idxs, mean)
+		checkKernels(t, c, isRow, idxs)
 	})
 }
 

@@ -89,7 +89,7 @@ func (c *Cluster) rebuildPack() {
 
 // packRefreshBase recaches the row base of member position r, matrix
 // row i (deltavet:writer, deltavet:hotpath). The cached value is rowSum[i]/rowCnt[i] —
-// the exact division ResidueWith used to perform per scan — computed
+// the exact division Residue used to perform per scan — computed
 // from the same operand bits, so caching it at mutation time instead
 // of scan time changes no output bit (IEEE 754 division is
 // deterministic). A row with rowCnt 0 caches 0/0 = NaN; the residue

@@ -28,7 +28,7 @@ import (
 // batch is scored.
 //
 // Exactness: each probe kind replays its mutator's floating-point
-// operands in their order, then scans in the order ResidueWith would
+// operands in their order, then scans in the order Residue would
 // scan the toggled pack:
 //
 //   - Row insertion (AddRow): the total folds the row's entries in
@@ -48,8 +48,8 @@ import (
 //     the removed column, the last slot (moved into its place), and the
 //     slots after it.
 //
-// Every residue term keeps ResidueWith's expression shape, so the
-// probe returns the bits ResidueWith returns after the real toggle
+// Every residue term keeps Residue's expression shape, so the
+// probe returns the bits Residue returns after the real toggle
 // (probe_test.go and kernel_test.go pin this against really toggled
 // clones). The counts behind the volume ceiling, occupancy α and the
 // overlap budget are integers adjusted by ±1, compared exactly as
@@ -297,7 +297,7 @@ func (b *Batch) loadBases(avx2 bool) {
 // unchanged base old (cross[3k:3k+3]), lane q's base is (s + v)/n —
 // (s − v)/n when sub is set — where its entry v = vals[k·Lanes+q] is
 // specified, and old where it is missing: the division the mutator
-// leaves ResidueWith to hoist. With avx2 set the AVX2 kernel serves
+// leaves Residue to hoist. With avx2 set the AVX2 kernel serves
 // batches of more than four lanes; it writes every lane, the ones
 // outside from..to−1 from whatever their values hold.
 func toggledBases(vals, bases, cross []float64, from, to int, sub, avx2 bool) {
@@ -457,34 +457,34 @@ func (p *Probe) Overlap(o *Cluster) int {
 	return rows * cols
 }
 
-// Residue returns the toggled cluster's residue under mean: the bits
-// ResidueWith(mean) would return after the toggle. It scores the whole
+// Residue returns the toggled cluster's residue: the bits the
+// cluster's Residue would return after the toggle. It scores the whole
 // batch; Residues serves every lane from the same pass.
-func (p *Probe) Residue(mean ResidueMean) float64 {
+func (p *Probe) Residue() float64 {
 	var out [Lanes]float64
-	p.b.Residues(mean, out[:])
+	p.b.Residues(out[:])
 	return out[p.lane]
 }
 
-// Residues sets out[q] to Probe(q).Residue(mean) for every lane of b,
+// Residues sets out[q] to Probe(q).Residue() for every lane of b,
 // in one pass over the cluster's pack for insertions and row removals
 // (one per group of four lanes on the portable kernels). Duplicate
 // probes are allowed.
 //
 // deltavet:hotpath — the batched exact gain kernel of the decide phase.
-func (b *Batch) Residues(mean ResidueMean, out []float64) {
-	b.residues(mean, out, useAVX2)
+func (b *Batch) Residues(out []float64) {
+	b.residues(out, useAVX2)
 }
 
 // residues is Residues on the AVX2 kernels when avx2 is set and on the
 // portable ones otherwise; both return the same bits. A lane whose
-// toggled volume is 0 reports 0, as ResidueWith does: its cluster has
+// toggled volume is 0 reports 0, as Residue does: its cluster has
 // no specified entry, so its NaN bases are never read.
-func (b *Batch) residues(mean ResidueMean, out []float64, avx2 bool) {
+func (b *Batch) residues(out []float64, avx2 bool) {
 	if len(out) < b.n {
 		panic(fmt.Sprintf("cluster: Batch.Residues: %d lanes, %d results", b.n, len(out)))
 	}
-	sums := b.sums(mean, avx2)
+	sums := b.sums(avx2)
 	for q := 0; q < b.n; q++ {
 		if v := b.ps[q].volume; v == 0 {
 			out[q] = 0
@@ -496,7 +496,7 @@ func (b *Batch) residues(mean ResidueMean, out []float64, avx2 bool) {
 
 // sums returns every lane's sum of residue terms over the toggled
 // cluster. Lanes past n repeat lane n−1; their sums are discarded.
-func (b *Batch) sums(mean ResidueMean, avx2 bool) (sums [Lanes]float64) {
+func (b *Batch) sums(avx2 bool) (sums [Lanes]float64) {
 	n := b.n
 	if n == 0 {
 		panic("cluster: Batch.Residues: no lanes")
@@ -515,7 +515,7 @@ func (b *Batch) sums(mean ResidueMean, avx2 bool) (sums [Lanes]float64) {
 	b.loadBases(avx2)
 	if !b.isRow && !b.ins {
 		for q := 0; q < n; q++ {
-			sums[q] = b.removeCol(&b.ps[q], bs[q], mean)
+			sums[q] = b.removeCol(&b.ps[q], bs[q])
 		}
 		return sums
 	}
@@ -523,7 +523,7 @@ func (b *Batch) sums(mean ResidueMean, avx2 bool) (sums [Lanes]float64) {
 		copyLane(b.vals, q, n-1)
 		copyLane(b.bases, q, n-1)
 	}
-	k := kernel{c: b.c, n: n, bases: b.bases, bs: &bs, mean: mean, avx2: avx2}
+	k := kernel{c: b.c, n: n, bases: b.bases, bs: &bs, avx2: avx2}
 	switch {
 	case b.isRow && b.ins:
 		// The inserted row is the toggled pack's last block.
@@ -588,7 +588,7 @@ func sortInts(xs []int) {
 // removeCol returns one column-removal lane's sum of residue terms:
 // each row scans its block in RemoveCol's three segments under the
 // lane's toggled row base, with its toggled overall base base.
-func (b *Batch) removeCol(p *Probe, base float64, mean ResidueMean) float64 {
+func (b *Batch) removeCol(p *Probe, base float64) float64 {
 	c := b.c
 	s := c.packStride
 	nc := len(c.memberCols)
@@ -598,30 +598,20 @@ func (b *Batch) removeCol(p *Probe, base float64, mean ResidueMean) float64 {
 	for r := range c.memberRows {
 		rowBase := b.bases[r*Lanes+p.lane]
 		blk := c.pack[r*s : r*s+nc]
-		sum = scanRow(sum, blk[:pos], rowBase, cb[:pos], base, mean)
+		sum = scanRow(sum, blk[:pos], rowBase, cb[:pos], base)
 		if pos < last {
-			sum = scanRow(sum, blk[last:], rowBase, cb[last:], base, mean)
-			sum = scanRow(sum, blk[pos+1:last], rowBase, cb[pos+1:last], base, mean)
+			sum = scanRow(sum, blk[last:], rowBase, cb[last:], base)
+			sum = scanRow(sum, blk[pos+1:last], rowBase, cb[pos+1:last], base)
 		}
 	}
 	return sum
 }
 
-// scanRow adds one row's residue terms to sum: φ(v − rowBase − cb[k] +
-// base) for every specified v = vals[k], in k order, with ResidueWith's
-// term shapes.
-func scanRow(sum float64, vals []float64, rowBase float64, cb []float64, base float64, mean ResidueMean) float64 {
+// scanRow adds one row's residue terms to sum: |v − rowBase − cb[k] +
+// base| for every specified v = vals[k], in k order, with Residue's
+// term shape.
+func scanRow(sum float64, vals []float64, rowBase float64, cb []float64, base float64) float64 {
 	cb = cb[:len(vals)]
-	if mean == SquaredMean {
-		for k, v := range vals {
-			if math.IsNaN(v) {
-				continue
-			}
-			rr := v - rowBase - cb[k] + base
-			sum += rr * rr
-		}
-		return sum
-	}
 	for k, v := range vals {
 		if math.IsNaN(v) {
 			continue

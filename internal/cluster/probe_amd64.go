@@ -17,12 +17,11 @@ var useAVX2 = cpu.AVX2
 // own row bases own[q]: the sums rowSums4 and ownSums compute, bit for
 // bit — probe_amd64.s gives the argument. cbT holds the lanes' toggled
 // column bases interleaved per column, cbT[k·16+q]; b holds the lanes'
-// toggled overall bases. squared selects SquaredMean's r·r over
-// ArithmeticMean's |r|; narrow serves only lanes 0–3, for batches of
-// at most four. pack and bases are not read when rows is 0.
+// toggled overall bases. narrow serves only lanes 0–3, for batches
+// of at most four. pack and bases are not read when rows is 0.
 //
 //go:noescape
-func rowLanesAVX2(pack *float64, stride, rows, nc int, bases, cbT, vals *float64, own, b, sums *[Lanes]float64, squared, narrow bool)
+func rowLanesAVX2(pack *float64, stride, rows, nc int, bases, cbT, vals *float64, own, b, sums *[Lanes]float64, narrow bool)
 
 // colLanesAVX2 adds to sums[q], for all sixteen lanes, lane q's
 // column-insertion terms over the rows pack blocks: each block's first
@@ -32,7 +31,7 @@ func rowLanesAVX2(pack *float64, stride, rows, nc int, bases, cbT, vals *float64
 // for bit. narrow serves only lanes 0–3; cb is not read when nc is 0.
 //
 //go:noescape
-func colLanesAVX2(pack *float64, stride, rows, nc int, cb, rbT, vals *float64, own, b, sums *[Lanes]float64, squared, narrow bool)
+func colLanesAVX2(pack *float64, stride, rows, nc int, cb, rbT, vals *float64, own, b, sums *[Lanes]float64, narrow bool)
 
 // toggledBasesAVX2 sets all sixteen lanes of bases for each of the
 // members cross-axis members from the lanes' entries vals and the

@@ -21,12 +21,11 @@
 //     ((v_q − rb_q) − ib_q) + b_q.
 //
 // Every term then takes |·| as a sign-mask AND (the bit operation
-// math.Abs is) or the product r·r, and is added to the lane's own sum,
-// sum + term. Where the lanes' own entries differ, a lane whose entry
+// math.Abs is) and is added to the lane's own sum, sum + term. Where the lanes' own entries differ, a lane whose entry
 // is NaN must skip it: its term is computed and then discarded by a
 // blend that keeps the old sum, so the sum is exactly what the skip
-// leaves. Packed VSUBPD/VADDPD/VMULPD/VANDPD are lane-wise IEEE
-// operations with the scalar ones' rounding; a+b and b+a are the same
+// leaves. Packed VSUBPD/VADDPD are lane-wise IEEE operations with
+// the scalar ones' rounding; a+b and b+a are the same
 // bits (every NaN that can reach a kept sum is the default NaN, or its
 // absolute value, so payload selection cannot differ); nothing is
 // fused (no FMA) and no lane's additions are reordered; Go runs with
@@ -36,49 +35,48 @@
 
 #include "textflag.h"
 
-// ABS and SQ apply φ to a group's four terms in T.
+// ABS takes |·| of a group's four terms in T.
 #define ABS(T) VANDPD Y8, T, T
-#define SQ(T) VMULPD T, T, T
 
 // ROWLANE adds one group of four lanes' term of the broadcast offset d
-// in Y10 to the group's sums S: T = (d − cb) + b, with cb the group's
-// four interleaved column bases at off(DI) and b the group's toggled
-// overall bases in B.
-#define ROWLANE(off, B, S, PHI) VSUBPD off(DI), Y10, Y11; VADDPD B, Y11, Y11; PHI(Y11); VADDPD Y11, S, S
+// in Y10 to the group's sums S: T = |(d − cb) + b|, with cb the
+// group's four interleaved column bases at off(DI) and b the group's
+// toggled overall bases in B.
+#define ROWLANE(off, B, S) VSUBPD off(DI), Y10, Y11; VADDPD B, Y11, Y11; ABS(Y11); VADDPD Y11, S, S
 
-// COLLANE is ROWLANE for the column kernel: T = ((v − rb) − cb) + b,
+// COLLANE is ROWLANE for the column kernel: T = |((v − rb) − cb) + b|,
 // with v broadcast in Y10, rb the group's toggled row bases at off(R12)
 // and cb the column base broadcast in Y9.
-#define COLLANE(off, B, S, PHI) VSUBPD off(R12), Y10, Y11; VSUBPD Y9, Y11, Y11; VADDPD B, Y11, Y11; PHI(Y11); VADDPD Y11, S, S
+#define COLLANE(off, B, S) VSUBPD off(R12), Y10, Y11; VSUBPD Y9, Y11, Y11; VADDPD B, Y11, Y11; ABS(Y11); VADDPD Y11, S, S
 
 // MASKED adds one group's terms of the lanes' own entries at off(BX):
-// T = ((v − x) − y) + b with x at off(X) and y at off(Y), blended into
-// S only where v is not NaN (Y12 marks the NaN lanes).
-#define MASKED(off, X, Y, B, S, PHI) VMOVUPD off(BX), Y11; VCMPPD $3, Y11, Y11, Y12; VSUBPD off(X), Y11, Y11; VSUBPD off(Y), Y11, Y11; VADDPD B, Y11, Y11; PHI(Y11); VADDPD Y11, S, Y13; VBLENDVPD Y12, S, Y13, S
+// T = |((v − x) − y) + b| with x at off(X) and y at off(Y), blended
+// into S only where v is not NaN (Y12 marks the NaN lanes).
+#define MASKED(off, X, Y, B, S) VMOVUPD off(BX), Y11; VCMPPD $3, Y11, Y11, Y12; VSUBPD off(X), Y11, Y11; VSUBPD off(Y), Y11, Y11; VADDPD B, Y11, Y11; ABS(Y11); VADDPD Y11, S, Y13; VBLENDVPD Y12, S, Y13, S
 
 // ROWENTRY scores pack entry CX of the row at SI for all sixteen lanes,
 // or skips it if NaN; X9 holds the row base.
-#define ROWENTRY(skip, PHI) VMOVSD (SI)(CX*8), X10; VUCOMISD X10, X10; JP skip; VSUBSD X9, X10, X10; VBROADCASTSD X10, Y10; ROWLANE(0, Y4, Y0, PHI); ROWLANE(32, Y5, Y1, PHI); ROWLANE(64, Y6, Y2, PHI); ROWLANE(96, Y7, Y3, PHI)
+#define ROWENTRY(skip) VMOVSD (SI)(CX*8), X10; VUCOMISD X10, X10; JP skip; VSUBSD X9, X10, X10; VBROADCASTSD X10, Y10; ROWLANE(0, Y4, Y0); ROWLANE(32, Y5, Y1); ROWLANE(64, Y6, Y2); ROWLANE(96, Y7, Y3)
 
 // COLENTRY scores pack entry CX of the row at SI for all sixteen
 // lanes, or skips it if NaN.
-#define COLENTRY(skip, PHI) VMOVSD (SI)(CX*8), X10; VUCOMISD X10, X10; JP skip; VBROADCASTSD X10, Y10; VBROADCASTSD (R11)(CX*8), Y9; COLLANE(0, Y4, Y0, PHI); COLLANE(32, Y5, Y1, PHI); COLLANE(64, Y6, Y2, PHI); COLLANE(96, Y7, Y3, PHI)
+#define COLENTRY(skip) VMOVSD (SI)(CX*8), X10; VUCOMISD X10, X10; JP skip; VBROADCASTSD X10, Y10; VBROADCASTSD (R11)(CX*8), Y9; COLLANE(0, Y4, Y0); COLLANE(32, Y5, Y1); COLLANE(64, Y6, Y2); COLLANE(96, Y7, Y3)
 
 // OWNENTRY adds the sixteen lanes' own entries at BX, under their own
 // row bases at DX and column bases at DI.
-#define OWNENTRY(PHI) MASKED(0, DX, DI, Y4, Y0, PHI); MASKED(32, DX, DI, Y5, Y1, PHI); MASKED(64, DX, DI, Y6, Y2, PHI); MASKED(96, DX, DI, Y7, Y3, PHI)
+#define OWNENTRY MASKED(0, DX, DI, Y4, Y0); MASKED(32, DX, DI, Y5, Y1); MASKED(64, DX, DI, Y6, Y2); MASKED(96, DX, DI, Y7, Y3)
 
 // ITEMENTRY adds the sixteen lanes' inserted entries at BX, under their
 // row bases at R12 and the inserted columns' bases at DX.
-#define ITEMENTRY(PHI) MASKED(0, R12, DX, Y4, Y0, PHI); MASKED(32, R12, DX, Y5, Y1, PHI); MASKED(64, R12, DX, Y6, Y2, PHI); MASKED(96, R12, DX, Y7, Y3, PHI)
+#define ITEMENTRY MASKED(0, R12, DX, Y4, Y0); MASKED(32, R12, DX, Y5, Y1); MASKED(64, R12, DX, Y6, Y2); MASKED(96, R12, DX, Y7, Y3)
 
 // ROWENTRY1, COLENTRY1, OWNENTRY1 and ITEMENTRY1 are the one-group
 // forms for batches of at most four lanes: the first group's terms
 // only, in the same order.
-#define ROWENTRY1(skip, PHI) VMOVSD (SI)(CX*8), X10; VUCOMISD X10, X10; JP skip; VSUBSD X9, X10, X10; VBROADCASTSD X10, Y10; ROWLANE(0, Y4, Y0, PHI)
-#define COLENTRY1(skip, PHI) VMOVSD (SI)(CX*8), X10; VUCOMISD X10, X10; JP skip; VBROADCASTSD X10, Y10; VBROADCASTSD (R11)(CX*8), Y9; COLLANE(0, Y4, Y0, PHI)
-#define OWNENTRY1(PHI) MASKED(0, DX, DI, Y4, Y0, PHI)
-#define ITEMENTRY1(PHI) MASKED(0, R12, DX, Y4, Y0, PHI)
+#define ROWENTRY1(skip) VMOVSD (SI)(CX*8), X10; VUCOMISD X10, X10; JP skip; VSUBSD X9, X10, X10; VBROADCASTSD X10, Y10; ROWLANE(0, Y4, Y0)
+#define COLENTRY1(skip) VMOVSD (SI)(CX*8), X10; VUCOMISD X10, X10; JP skip; VBROADCASTSD X10, Y10; VBROADCASTSD (R11)(CX*8), Y9; COLLANE(0, Y4, Y0)
+#define OWNENTRY1 MASKED(0, DX, DI, Y4, Y0)
+#define ITEMENTRY1 MASKED(0, R12, DX, Y4, Y0)
 
 // SETUP loads the lanes' overall bases from AX into Y4–Y7, their sums
 // from DX into Y0–Y3 and the sign mask into Y8.
@@ -87,7 +85,7 @@
 // STORE writes the sums back to AX.
 #define STORE VMOVUPD Y0, 0(AX); VMOVUPD Y1, 32(AX); VMOVUPD Y2, 64(AX); VMOVUPD Y3, 96(AX); VZEROUPPER
 
-// func rowLanesAVX2(pack *float64, stride, rows, nc int, bases, cbT, vals *float64, own, b, sums *[16]float64, squared, narrow bool)
+// func rowLanesAVX2(pack *float64, stride, rows, nc int, bases, cbT, vals *float64, own, b, sums *[16]float64, narrow bool)
 //
 // Register plan: Y0–Y3 the sixteen lane sums, Y4–Y7 the lanes' toggled
 // overall bases b, Y8 the sign mask, X9 the row base, Y10 the broadcast
@@ -96,14 +94,13 @@
 // entry within the row; in the epilogue BX walks the lanes' own
 // entries and DX holds their own row bases. R14 selects the one-group
 // loops.
-TEXT ·rowLanesAVX2(SB), NOSPLIT, $0-82
+TEXT ·rowLanesAVX2(SB), NOSPLIT, $0-81
 	MOVQ pack+0(FP), SI
 	MOVQ stride+8(FP), R8
 	SHLQ $3, R8
 	MOVQ rows+16(FP), R9
 	MOVQ nc+24(FP), R10
-	MOVBLZX squared+80(FP), R13
-	MOVBLZX narrow+81(FP), R14
+	MOVBLZX narrow+80(FP), R14
 	MOVQ b+64(FP), AX
 	MOVQ sums+72(FP), DX
 	SETUP
@@ -114,46 +111,44 @@ TEXT ·rowLanesAVX2(SB), NOSPLIT, $0-82
 	TESTQ R9, R9
 	JZ   rowown
 	TESTQ R14, R14
-	JNZ  narrowrow
-	TESTQ R13, R13
-	JNZ  sqrow
+	JNZ  row1
 
-absrow:
+row:
 	VMOVSD (R11), X9
 	MOVQ R12, DI
 	XORQ CX, CX
 
-absentry:
-	ROWENTRY(absskip, ABS)
+rowentry:
+	ROWENTRY(rowskip)
 
-absskip:
+rowskip:
 	ADDQ $128, DI
 	INCQ CX
 	CMPQ CX, R10
-	JLT  absentry
+	JLT  rowentry
 	ADDQ R8, SI
 	ADDQ $8, R11
 	DECQ R9
-	JNZ  absrow
+	JNZ  row
 	JMP  rowown
 
-sqrow:
+row1:
 	VMOVSD (R11), X9
 	MOVQ R12, DI
 	XORQ CX, CX
 
-sqentry:
-	ROWENTRY(sqskip, SQ)
+rowentry1:
+	ROWENTRY1(rowskip1)
 
-sqskip:
+rowskip1:
 	ADDQ $128, DI
 	INCQ CX
 	CMPQ CX, R10
-	JLT  sqentry
+	JLT  rowentry1
 	ADDQ R8, SI
 	ADDQ $8, R11
 	DECQ R9
-	JNZ  sqrow
+	JNZ  row1
 
 rowown:
 	MOVQ vals+48(FP), BX
@@ -162,94 +157,29 @@ rowown:
 	MOVQ own+56(FP), DX
 	MOVQ R12, DI
 	TESTQ R14, R14
-	JNZ  narrowown
-	TESTQ R13, R13
-	JNZ  sqown
+	JNZ  rowown1
 
-absown:
-	OWNENTRY(ABS)
+rowownentry:
+	OWNENTRY
 	ADDQ $128, BX
 	ADDQ $128, DI
 	DECQ R10
-	JNZ  absown
+	JNZ  rowownentry
 	JMP  rowdone
 
-sqown:
-	OWNENTRY(SQ)
+rowown1:
+	OWNENTRY1
 	ADDQ $128, BX
 	ADDQ $128, DI
 	DECQ R10
-	JNZ  sqown
-
-	JMP  rowdone
-
-narrowrow:
-	TESTQ R13, R13
-	JNZ  sqrow1
-
-absrow1:
-	VMOVSD (R11), X9
-	MOVQ R12, DI
-	XORQ CX, CX
-
-absentry1:
-	ROWENTRY1(absskip1, ABS)
-
-absskip1:
-	ADDQ $128, DI
-	INCQ CX
-	CMPQ CX, R10
-	JLT  absentry1
-	ADDQ R8, SI
-	ADDQ $8, R11
-	DECQ R9
-	JNZ  absrow1
-	JMP  rowown
-
-sqrow1:
-	VMOVSD (R11), X9
-	MOVQ R12, DI
-	XORQ CX, CX
-
-sqentry1:
-	ROWENTRY1(sqskip1, SQ)
-
-sqskip1:
-	ADDQ $128, DI
-	INCQ CX
-	CMPQ CX, R10
-	JLT  sqentry1
-	ADDQ R8, SI
-	ADDQ $8, R11
-	DECQ R9
-	JNZ  sqrow1
-	JMP  rowown
-
-narrowown:
-	TESTQ R13, R13
-	JNZ  sqown1
-
-absown1:
-	OWNENTRY1(ABS)
-	ADDQ $128, BX
-	ADDQ $128, DI
-	DECQ R10
-	JNZ  absown1
-	JMP  rowdone
-
-sqown1:
-	OWNENTRY1(SQ)
-	ADDQ $128, BX
-	ADDQ $128, DI
-	DECQ R10
-	JNZ  sqown1
+	JNZ  rowown1
 
 rowdone:
 	MOVQ sums+72(FP), AX
 	STORE
 	RET
 
-// func colLanesAVX2(pack *float64, stride, rows, nc int, cb, rbT, vals *float64, own, b, sums *[16]float64, squared, narrow bool)
+// func colLanesAVX2(pack *float64, stride, rows, nc int, cb, rbT, vals *float64, own, b, sums *[16]float64, narrow bool)
 //
 // Register plan: Y0–Y8 as in rowLanesAVX2, Y9 the broadcast column
 // base, Y10 the broadcast entry, Y11–Y13 the lane terms. SI walks the
@@ -257,14 +187,13 @@ rowdone:
 // bases of the current row, BX the lanes' inserted entries of the
 // current row, DX the inserted columns' bases, CX the entry within
 // the row. R14 selects the one-group loops.
-TEXT ·colLanesAVX2(SB), NOSPLIT, $0-82
+TEXT ·colLanesAVX2(SB), NOSPLIT, $0-81
 	MOVQ pack+0(FP), SI
 	MOVQ stride+8(FP), R8
 	SHLQ $3, R8
 	MOVQ rows+16(FP), R9
 	MOVQ nc+24(FP), R10
-	MOVBLZX squared+80(FP), R13
-	MOVBLZX narrow+81(FP), R14
+	MOVBLZX narrow+80(FP), R14
 	MOVQ b+64(FP), AX
 	MOVQ sums+72(FP), DX
 	SETUP
@@ -275,101 +204,50 @@ TEXT ·colLanesAVX2(SB), NOSPLIT, $0-82
 	TESTQ R9, R9
 	JZ   coldone
 	TESTQ R14, R14
-	JNZ  narrowcol
-	TESTQ R13, R13
-	JNZ  sqcrow
+	JNZ  col1
 
-abscrow:
+col:
 	XORQ CX, CX
 	TESTQ R10, R10
-	JZ   absitem
+	JZ   colitem
 
-abscentry:
-	COLENTRY(abscskip, ABS)
+colentry:
+	COLENTRY(colskip)
 
-abscskip:
+colskip:
 	INCQ CX
 	CMPQ CX, R10
-	JLT  abscentry
+	JLT  colentry
 
-absitem:
-	ITEMENTRY(ABS)
+colitem:
+	ITEMENTRY
 	ADDQ R8, SI
 	ADDQ $128, R12
 	ADDQ $128, BX
 	DECQ R9
-	JNZ  abscrow
+	JNZ  col
 	JMP  coldone
 
-sqcrow:
+col1:
 	XORQ CX, CX
 	TESTQ R10, R10
-	JZ   sqitem
+	JZ   colitem1
 
-sqcentry:
-	COLENTRY(sqcskip, SQ)
+colentry1:
+	COLENTRY1(colskip1)
 
-sqcskip:
+colskip1:
 	INCQ CX
 	CMPQ CX, R10
-	JLT  sqcentry
+	JLT  colentry1
 
-sqitem:
-	ITEMENTRY(SQ)
+colitem1:
+	ITEMENTRY1
 	ADDQ R8, SI
 	ADDQ $128, R12
 	ADDQ $128, BX
 	DECQ R9
-	JNZ  sqcrow
-
-	JMP  coldone
-
-narrowcol:
-	TESTQ R13, R13
-	JNZ  sqcrow1
-
-abscrow1:
-	XORQ CX, CX
-	TESTQ R10, R10
-	JZ   absitem1
-
-abscentry1:
-	COLENTRY1(abscskip1, ABS)
-
-abscskip1:
-	INCQ CX
-	CMPQ CX, R10
-	JLT  abscentry1
-
-absitem1:
-	ITEMENTRY1(ABS)
-	ADDQ R8, SI
-	ADDQ $128, R12
-	ADDQ $128, BX
-	DECQ R9
-	JNZ  abscrow1
-	JMP  coldone
-
-sqcrow1:
-	XORQ CX, CX
-	TESTQ R10, R10
-	JZ   sqitem1
-
-sqcentry1:
-	COLENTRY1(sqcskip1, SQ)
-
-sqcskip1:
-	INCQ CX
-	CMPQ CX, R10
-	JLT  sqcentry1
-
-sqitem1:
-	ITEMENTRY1(SQ)
-	ADDQ R8, SI
-	ADDQ $128, R12
-	ADDQ $128, BX
-	DECQ R9
-	JNZ  sqcrow1
+	JNZ  col1
 
 coldone:
 	MOVQ sums+72(FP), AX

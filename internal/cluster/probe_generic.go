@@ -7,12 +7,12 @@ package cluster
 const useAVX2 = false
 
 // rowLanesAVX2 is never called when useAVX2 is false.
-func rowLanesAVX2(pack *float64, stride, rows, nc int, bases, cbT, vals *float64, own, b, sums *[Lanes]float64, squared, narrow bool) {
+func rowLanesAVX2(pack *float64, stride, rows, nc int, bases, cbT, vals *float64, own, b, sums *[Lanes]float64, narrow bool) {
 	panic("cluster: AVX2 kernel not built")
 }
 
 // colLanesAVX2 is never called when useAVX2 is false.
-func colLanesAVX2(pack *float64, stride, rows, nc int, cb, rbT, vals *float64, own, b, sums *[Lanes]float64, squared, narrow bool) {
+func colLanesAVX2(pack *float64, stride, rows, nc int, cb, rbT, vals *float64, own, b, sums *[Lanes]float64, narrow bool) {
 	panic("cluster: AVX2 kernel not built")
 }
 

@@ -20,7 +20,6 @@ type kernel struct {
 	n     int
 	bases []float64
 	bs    *[Lanes]float64
-	mean  ResidueMean
 	avx2  bool
 }
 
@@ -48,54 +47,36 @@ func (k *kernel) rows(lo, hi int, vals []float64, own, sums *[Lanes]float64) {
 			vp = &vals[0]
 		}
 		_ = k.bases[nc*Lanes-1]
-		rowLanesAVX2(pack, s, hi-lo, nc, rbases, &k.bases[0], vp, own, k.bs, sums, k.mean == SquaredMean, k.n <= 4)
+		rowLanesAVX2(pack, s, hi-lo, nc, rbases, &k.bases[0], vp, own, k.bs, sums, k.n <= 4)
 		return
 	}
 	for g := 0; g < k.n; g += 4 {
 		for r := lo; r < hi; r++ {
-			rowSums4(c.pack[r*s:][:nc], c.packBases[r], k.bases, g, k.bs, sums, k.mean)
+			rowSums4(c.pack[r*s:][:nc], c.packBases[r], k.bases, g, k.bs, sums)
 		}
 	}
 	if vals != nil {
-		ownSums(vals[:nc*Lanes], k.bases, k.n, own, k.bs, sums, k.mean)
+		ownSums(vals[:nc*Lanes], k.bases, k.n, own, k.bs, sums)
 	}
 }
 
 // rowSums4 adds lanes g..g+3's terms over one pack row to their sums:
 // each entry is loaded and offset by the row base once, and each lane
 // accumulates its own term in its own accumulator.
-func rowSums4(row []float64, rowBase float64, cbT []float64, g int, bs, sums *[Lanes]float64, mean ResidueMean) {
+func rowSums4(row []float64, rowBase float64, cbT []float64, g int, bs, sums *[Lanes]float64) {
 	b0, b1, b2, b3 := bs[g], bs[g+1], bs[g+2], bs[g+3]
 	s0, s1, s2, s3 := sums[g], sums[g+1], sums[g+2], sums[g+3]
 	cbT = cbT[:len(row)*Lanes]
-	if mean == SquaredMean {
-		for k, v := range row {
-			if math.IsNaN(v) {
-				continue
-			}
-			cb := cbT[k*Lanes+g:][:4]
-			d := v - rowBase
-			r0 := d - cb[0] + b0
-			s0 += r0 * r0
-			r1 := d - cb[1] + b1
-			s1 += r1 * r1
-			r2 := d - cb[2] + b2
-			s2 += r2 * r2
-			r3 := d - cb[3] + b3
-			s3 += r3 * r3
+	for k, v := range row {
+		if math.IsNaN(v) {
+			continue
 		}
-	} else {
-		for k, v := range row {
-			if math.IsNaN(v) {
-				continue
-			}
-			cb := cbT[k*Lanes+g:][:4]
-			d := v - rowBase
-			s0 += math.Abs(d - cb[0] + b0)
-			s1 += math.Abs(d - cb[1] + b1)
-			s2 += math.Abs(d - cb[2] + b2)
-			s3 += math.Abs(d - cb[3] + b3)
-		}
+		cb := cbT[k*Lanes+g:][:4]
+		d := v - rowBase
+		s0 += math.Abs(d - cb[0] + b0)
+		s1 += math.Abs(d - cb[1] + b1)
+		s2 += math.Abs(d - cb[2] + b2)
+		s3 += math.Abs(d - cb[3] + b3)
 	}
 	sums[g], sums[g+1], sums[g+2], sums[g+3] = s0, s1, s2, s3
 }
@@ -103,11 +84,11 @@ func rowSums4(row []float64, rowBase float64, cbT []float64, g int, bs, sums *[L
 // ownSums adds lanes 0..n−1's own-row terms to their sums: lane q's
 // specified entries vals[k·Lanes+q], in k order, under its own row
 // base own[q] and its toggled column bases.
-func ownSums(vals, cbT []float64, n int, own, bs, sums *[Lanes]float64, mean ResidueMean) {
+func ownSums(vals, cbT []float64, n int, own, bs, sums *[Lanes]float64) {
 	cbT = cbT[:len(vals)]
 	for q := 0; q < n; q++ {
 		for k := q; k < len(vals); k += Lanes {
-			sums[q] = scanRow(sums[q], vals[k:k+1], own[q], cbT[k:k+1], bs[q], mean)
+			sums[q] = scanRow(sums[q], vals[k:k+1], own[q], cbT[k:k+1], bs[q])
 		}
 	}
 }
@@ -132,13 +113,13 @@ func (k *kernel) cols(cb, vals []float64, own, sums *[Lanes]float64) {
 			_, _ = c.pack[(rows-1)*s+nc-1], cb[nc-1]
 			cbp = &cb[0]
 		}
-		colLanesAVX2(&c.pack[0], s, rows, nc, cbp, &rbT[0], &vals[0], own, k.bs, sums, k.mean == SquaredMean, k.n <= 4)
+		colLanesAVX2(&c.pack[0], s, rows, nc, cbp, &rbT[0], &vals[0], own, k.bs, sums, k.n <= 4)
 		return
 	}
 	cb = cb[:nc]
 	for g := 0; g < k.n; g += 4 {
 		for r := 0; r < rows; r++ {
-			colSums4(c.pack[r*s:][:nc], cb, rbT[r*Lanes+g:][:4], vals[r*Lanes+g:][:4], g, own, k.bs, sums, k.mean)
+			colSums4(c.pack[r*s:][:nc], cb, rbT[r*Lanes+g:][:4], vals[r*Lanes+g:][:4], g, own, k.bs, sums)
 		}
 	}
 }
@@ -146,38 +127,22 @@ func (k *kernel) cols(cb, vals []float64, own, sums *[Lanes]float64) {
 // colSums4 adds lanes g..g+3's terms over one pack row to their sums:
 // the row's specified entries under each lane's toggled row base rb[i]
 // and the column bases cb, then each lane's inserted entry iv[i].
-func colSums4(row, cb, rb, iv []float64, g int, own, bs, sums *[Lanes]float64, mean ResidueMean) {
+func colSums4(row, cb, rb, iv []float64, g int, own, bs, sums *[Lanes]float64) {
 	rb0, rb1, rb2, rb3 := rb[0], rb[1], rb[2], rb[3]
 	b0, b1, b2, b3 := bs[g], bs[g+1], bs[g+2], bs[g+3]
 	s0, s1, s2, s3 := sums[g], sums[g+1], sums[g+2], sums[g+3]
 	cb = cb[:len(row)]
-	if mean == SquaredMean {
-		for k, v := range row {
-			if math.IsNaN(v) {
-				continue
-			}
-			r0 := v - rb0 - cb[k] + b0
-			s0 += r0 * r0
-			r1 := v - rb1 - cb[k] + b1
-			s1 += r1 * r1
-			r2 := v - rb2 - cb[k] + b2
-			s2 += r2 * r2
-			r3 := v - rb3 - cb[k] + b3
-			s3 += r3 * r3
+	for k, v := range row {
+		if math.IsNaN(v) {
+			continue
 		}
-	} else {
-		for k, v := range row {
-			if math.IsNaN(v) {
-				continue
-			}
-			s0 += math.Abs(v - rb0 - cb[k] + b0)
-			s1 += math.Abs(v - rb1 - cb[k] + b1)
-			s2 += math.Abs(v - rb2 - cb[k] + b2)
-			s3 += math.Abs(v - rb3 - cb[k] + b3)
-		}
+		s0 += math.Abs(v - rb0 - cb[k] + b0)
+		s1 += math.Abs(v - rb1 - cb[k] + b1)
+		s2 += math.Abs(v - rb2 - cb[k] + b2)
+		s3 += math.Abs(v - rb3 - cb[k] + b3)
 	}
 	sums[g], sums[g+1], sums[g+2], sums[g+3] = s0, s1, s2, s3
 	for i := 0; i < 4; i++ {
-		sums[g+i] = scanRow(sums[g+i], iv[i:i+1], rb[i], own[g+i:g+i+1], bs[g+i], mean)
+		sums[g+i] = scanRow(sums[g+i], iv[i:i+1], rb[i], own[g+i:g+i+1], bs[g+i])
 	}
 }

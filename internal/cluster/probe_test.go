@@ -94,20 +94,17 @@ func toggled(c *Cluster, isRow bool, idx int) *Cluster {
 	return ref
 }
 
-// checkProbe compares every answer of a loaded probe, residue under
-// both means included, with the really toggled clone.
+// checkProbe compares every answer of a loaded probe, residue
+// included, with the really toggled clone.
 func checkProbe(t *testing.T, p *Probe, ref, other *Cluster, what string) {
 	t.Helper()
 	if p.Volume() != ref.Volume() || p.NumRows() != ref.NumRows() || p.NumCols() != ref.NumCols() {
 		t.Fatalf("%s: probe shape vol=%d %dx%d, toggled %d %dx%d", what,
 			p.Volume(), p.NumRows(), p.NumCols(), ref.Volume(), ref.NumRows(), ref.NumCols())
 	}
-	for _, mean := range []ResidueMean{ArithmeticMean, SquaredMean} {
-		got, want := p.Residue(mean), ref.ResidueWith(mean)
-		if math.Float64bits(got) != math.Float64bits(want) {
-			t.Fatalf("%s mean=%v: probe residue %x (%v), toggled %x (%v)", what, mean,
-				math.Float64bits(got), got, math.Float64bits(want), want)
-		}
+	if got, want := p.Residue(), ref.Residue(); math.Float64bits(got) != math.Float64bits(want) {
+		t.Fatalf("%s: probe residue %x (%v), toggled %x (%v)", what,
+			math.Float64bits(got), got, math.Float64bits(want), want)
 	}
 	// Occupancy at fixed thresholds and at the α·n equality boundaries
 	// of the toggled state's own counts.
@@ -135,8 +132,8 @@ func checkProbe(t *testing.T, p *Probe, ref, other *Cluster, what string) {
 // TestProbeMatchesToggledClone is the purity and exactness property the
 // FLOC decide phase stands on: for every cluster state and every row
 // and column, a probe leaves the cluster's bits untouched and answers
-// exactly what the really toggled cluster answers — residue bits under
-// both means, volume, shape, occupancy and overlap.
+// exactly what the really toggled cluster answers — residue bits,
+// volume, shape, occupancy and overlap.
 func TestProbeMatchesToggledClone(t *testing.T) {
 	for _, missing := range []float64{0, 0.3, 0.9} {
 		for seed := int64(1); seed <= 4; seed++ {
@@ -196,22 +193,20 @@ func checkBatchStates(t *testing.T, isRow, ins bool) {
 					if w > 1 && trial%4 == 3 {
 						idxs[1] = idxs[0] // a duplicate candidate
 					}
-					for _, mean := range []ResidueMean{ArithmeticMean, SquaredMean} {
-						if w > 2 && trial%4 == 1 {
-							// Load a stray lane, drop it and append the rest.
-							b.Load(c, isRow, idxs[0], cands[rng.Intn(len(cands))])
-							b.Drop(1)
-							b.Append(c, isRow, idxs[1:]...)
-						} else {
-							b.Load(c, isRow, idxs...)
-						}
-						b.Residues(mean, out[:w])
-						for q, x := range idxs {
-							want := toggled(c, isRow, x).ResidueWith(mean)
-							if math.Float64bits(out[q]) != math.Float64bits(want) {
-								t.Fatalf("missing=%v seed=%d isRow=%v ins=%v lanes=%v mean=%v lane %d: batched %v, toggled %v",
-									missing, seed, isRow, ins, idxs, mean, q, out[q], want)
-							}
+					if w > 2 && trial%4 == 1 {
+						// Load a stray lane, drop it and append the rest.
+						b.Load(c, isRow, idxs[0], cands[rng.Intn(len(cands))])
+						b.Drop(1)
+						b.Append(c, isRow, idxs[1:]...)
+					} else {
+						b.Load(c, isRow, idxs...)
+					}
+					b.Residues(out[:w])
+					for q, x := range idxs {
+						want := toggled(c, isRow, x).Residue()
+						if math.Float64bits(out[q]) != math.Float64bits(want) {
+							t.Fatalf("missing=%v seed=%d isRow=%v ins=%v lanes=%v lane %d: batched %v, toggled %v",
+								missing, seed, isRow, ins, idxs, q, out[q], want)
 						}
 					}
 				}

@@ -14,7 +14,7 @@ import (
 // evaluation pack — and checks that each Reset and
 // FromSpec-order repopulation carries exactly the bits a fresh
 // FromSpec cluster does: membership in internal order, aggregates,
-// and the residue under both means.
+// the residue and the mean squared residue.
 func TestResetMatchesFromSpec(t *testing.T) {
 	for _, missing := range []float64{0, 0.2} {
 		m := identityMatrix(17, 40, 12, missing)
@@ -51,7 +51,7 @@ func TestResetMatchesFromSpec(t *testing.T) {
 
 // resetBits renders everything a Reset must restore: member order,
 // every matrix-sized aggregate, the evaluation pack's state and the
-// residue bits under both means.
+// bits of the residue and the mean squared residue.
 func resetBits(c *Cluster) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "rows=%v cols=%v\n", c.memberRows, c.memberCols)
@@ -64,6 +64,6 @@ func resetBits(c *Cluster) string {
 	fmt.Fprintf(&b, "total=%016x volume=%d pack=%d\n",
 		math.Float64bits(c.total), c.volume, c.packStride)
 	fmt.Fprintf(&b, "arith=%016x sq=%016x\n",
-		math.Float64bits(c.ResidueWith(ArithmeticMean)), math.Float64bits(c.ResidueWith(SquaredMean)))
+		math.Float64bits(c.Residue()), math.Float64bits(c.MeanSquaredResidue()))
 	return b.String()
 }

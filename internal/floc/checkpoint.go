@@ -127,7 +127,7 @@ func resumeEngine(m *matrix.Matrix, cfg *Config, ck *Checkpoint, msum uint64) (*
 		}
 		cl.EnablePack()
 		e.clusters[c] = cl
-		e.residues[c] = cl.ResidueWith(cfg.ResidueMean)
+		e.residues[c] = cl.Residue()
 		e.resSum += e.residues[c]
 		e.costs[c] = e.cost(e.residues[c], cl.Volume(), cl.NumRows(), cl.NumCols())
 		e.costSum += e.costs[c]
@@ -153,13 +153,14 @@ func resumeEngine(m *matrix.Matrix, cfg *Config, ck *Checkpoint, msum uint64) (*
 // count never changes a bit of the trajectory (see Config.Workers),
 // so a checkpoint written at one worker count resumes at any other.
 //
-// Two slots hash a constant false: they held the retired switches
+// Three slots hash a constant 0: they held the retired residue mean
+// (0 the arithmetic mean, 1 the squared one) and the retired switches
 // for re-deciding each action at apply time and for approximate
-// gains. Keeping the bytes
-// keeps every checkpoint written with both off (the only settings
-// the engine still runs) resumable, and one written with either on
-// fails the config check instead of resuming under a scoring rule
-// it was not cut with.
+// gains. Keeping the bytes keeps every checkpoint written under the
+// arithmetic mean with both switches off (the only settings the
+// engine still runs) resumable, and one written under any other
+// setting fails the config check instead of resuming under a scoring
+// rule it was not cut with.
 func configSum(cfg *Config) uint64 {
 	h := fnv.New64a()
 	var b [8]byte
@@ -196,7 +197,7 @@ func configSum(cfg *Config) uint64 {
 	o(cfg.Constraints.RequireColCoverage)
 	f(cfg.Constraints.Occupancy)
 	u(uint64(cfg.Seed))
-	u(uint64(cfg.ResidueMean))
+	u(0)     // retired residue mean; see above
 	o(false) // retired re-decide-at-apply switch; see above
 	o(cfg.Polish)
 	f(cfg.PolishMaxResidue)

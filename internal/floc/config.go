@@ -32,7 +32,6 @@ import (
 	"math"
 	"runtime"
 
-	"deltacluster/internal/cluster"
 	"deltacluster/internal/stats"
 )
 
@@ -255,10 +254,6 @@ type Config struct {
 	// Seed drives all randomness (seeding and ordering); equal seeds
 	// give bit-identical runs.
 	Seed int64
-
-	// ResidueMean selects arithmetic (paper) or squared (bicluster)
-	// residue aggregation.
-	ResidueMean cluster.ResidueMean
 
 	// Polish runs a final per-cluster cleanup after phase 2
 	// terminates: greedy single-member removals until no removal

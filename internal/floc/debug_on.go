@@ -49,8 +49,8 @@ func (e *engine) assertInvariants(context string) {
 		if cl.Volume() != fresh.Volume() {
 			die("cluster %d cached volume %d, recomputed %d", c, cl.Volume(), fresh.Volume())
 		}
-		cachedRes := cl.ResidueWith(e.cfg.ResidueMean)
-		trueRes := fresh.ResidueWith(e.cfg.ResidueMean)
+		cachedRes := cl.Residue()
+		trueRes := fresh.Residue()
 		if !within(cachedRes, trueRes) {
 			die("cluster %d aggregate drift: residue from cached sums %v, from scratch %v",
 				c, cachedRes, trueRes)
@@ -129,7 +129,7 @@ func (e *engine) checkProbe(p *cluster.Probe, c int, res float64, scored bool) {
 		}
 	}
 	if scored {
-		if want := ref.ResidueWith(e.cfg.ResidueMean); math.Float64bits(res) != math.Float64bits(want) {
+		if want := ref.Residue(); math.Float64bits(res) != math.Float64bits(want) {
 			die("probe residue %v (%016x), toggled %v (%016x)", res, math.Float64bits(res), want, math.Float64bits(want))
 		}
 	}

@@ -64,7 +64,7 @@ func newAssertableEngine(t *testing.T) *engine {
 	}
 	e.w = float64(m.SpecifiedCount())
 	cl := e.clusters[0]
-	e.residues[0] = cl.ResidueWith(cfg.ResidueMean)
+	e.residues[0] = cl.Residue()
 	e.resSum = e.residues[0]
 	e.costs[0] = e.cost(e.residues[0], cl.Volume(), cl.NumRows(), cl.NumCols())
 	e.costSum = e.costs[0]

@@ -21,7 +21,7 @@ func fingerprint(res *Result) string {
 	}
 	for c, cl := range res.Clusters {
 		fmt.Fprintf(&b, "cluster %d rows=%v cols=%v residue=%.17g\n",
-			c, cl.Rows(), cl.Cols(), cl.ResidueWith(0))
+			c, cl.Rows(), cl.Cols(), cl.Residue())
 	}
 	return b.String()
 }

@@ -146,7 +146,7 @@ func (e *engine) cost(residue float64, volume, nRows, nCols int) float64 {
 // seedCost prices a candidate seed cluster with the run's cost
 // function, the ranking anchored seeding keeps its best K by.
 func (e *engine) seedCost(cl *cluster.Cluster) float64 {
-	return e.cost(cl.ResidueWith(e.cfg.ResidueMean), cl.Volume(), cl.NumRows(), cl.NumCols())
+	return e.cost(cl.Residue(), cl.Volume(), cl.NumRows(), cl.NumCols())
 }
 
 // appliedAction records one performed (or skipped) toggle so an
@@ -205,7 +205,7 @@ func newEngine(m *matrix.Matrix, cfg *Config) *engine {
 	e.residues = make([]float64, cfg.K)
 	e.costs = make([]float64, cfg.K)
 	for c, cl := range e.clusters {
-		e.residues[c] = cl.ResidueWith(cfg.ResidueMean)
+		e.residues[c] = cl.Residue()
 		e.resSum += e.residues[c]
 		e.costs[c] = e.cost(e.residues[c], cl.Volume(), cl.NumRows(), cl.NumCols())
 		e.costSum += e.costs[c]
@@ -316,7 +316,7 @@ func (e *engine) iterate(bestCost float64) (float64, bool) {
 	e.costSum = 0
 	for c, cl := range e.clusters {
 		cl.Recompute()
-		e.residues[c] = cl.ResidueWith(e.cfg.ResidueMean)
+		e.residues[c] = cl.Residue()
 		e.resSum += e.residues[c]
 		e.costs[c] = e.cost(e.residues[c], cl.Volume(), cl.NumRows(), cl.NumCols())
 		e.costSum += e.costs[c]
@@ -357,7 +357,7 @@ func (e *engine) blockedNow(d decision) bool {
 func (e *engine) apply(isRow bool, idx, c int) {
 	e.toggle(isRow, idx, c)
 	cl := e.clusters[c]
-	newRes := cl.ResidueWith(e.cfg.ResidueMean)
+	newRes := cl.Residue()
 	e.resSum += newRes - e.residues[c]
 	e.residues[c] = newRes
 	newCost := e.cost(newRes, cl.Volume(), cl.NumRows(), cl.NumCols())

@@ -89,7 +89,7 @@ func (e *engine) evalAction(isRow bool, idx, c int) float64 {
 	if !ok {
 		return negInf
 	}
-	res := p.Residue(e.cfg.ResidueMean)
+	res := p.Residue()
 	if debugInvariants {
 		e.checkProbe(p, c, res, true)
 	}
@@ -272,7 +272,7 @@ func (e *engine) flushQueue(c, kind int, last bool, out []decision) {
 		return
 	}
 	res := e.probes.res[:qu.n]
-	b.Residues(e.cfg.ResidueMean, res)
+	b.Residues(res)
 	for q, r := range res {
 		p := b.Probe(q)
 		if debugInvariants {

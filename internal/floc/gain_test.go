@@ -77,10 +77,10 @@ func bruteVolume(m *matrix.Matrix, rows, cols []int) int {
 	return n
 }
 
-// bruteResidue is Definition 3.5 (arithmetic) or the squared-mean
-// variant: the mean of |r_ij| (or r_ij²) over the specified entries,
-// with r_ij = d_ij − d_iJ − d_Ij + d_IJ.
-func bruteResidue(m *matrix.Matrix, rows, cols []int, mean cluster.ResidueMean) float64 {
+// bruteResidue is Definition 3.5 or, when squared is set, Cheng &
+// Church's mean squared residue: the mean of |r_ij| (or r_ij²) over
+// the specified entries, with r_ij = d_ij − d_iJ − d_Ij + d_IJ.
+func bruteResidue(m *matrix.Matrix, rows, cols []int, squared bool) float64 {
 	vol := bruteVolume(m, rows, cols)
 	if vol == 0 {
 		return 0
@@ -94,7 +94,7 @@ func bruteResidue(m *matrix.Matrix, rows, cols []int, mean cluster.ResidueMean) 
 				continue
 			}
 			r := m.Get(i, j) - rowBase - bruteColBase(m, j, rows) + base
-			if mean == cluster.SquaredMean {
+			if squared {
 				sum += r * r
 			} else {
 				sum += math.Abs(r)
@@ -151,7 +151,8 @@ func gainTestMatrix(t *testing.T) *matrix.Matrix {
 // the incremental cluster aggregates and the from-scratch Definition
 // 3.5 computation must agree on every membership case before either
 // is trusted as a gain oracle. Covers the α-occupancy edge shapes:
-// empty cluster, single row, single column, an all-missing row.
+// empty cluster, single row, single column, an all-missing row. Leg
+// mean=0 checks Residue, leg mean=1 MeanSquaredResidue.
 func TestBruteResidueAgreesWithCluster(t *testing.T) {
 	m := gainTestMatrix(t)
 	cases := []struct {
@@ -167,11 +168,14 @@ func TestBruteResidueAgreesWithCluster(t *testing.T) {
 		{"full", []int{0, 1, 2, 3, 4, 5}, []int{0, 1, 2, 3, 4}},
 	}
 	for _, tc := range cases {
-		for _, mean := range []cluster.ResidueMean{cluster.ArithmeticMean, cluster.SquaredMean} {
+		for mean, squared := range []bool{false, true} {
 			t.Run(fmt.Sprintf("%s/mean=%d", tc.name, mean), func(t *testing.T) {
 				cl := cluster.FromSpec(m, tc.rows, tc.cols)
-				got := cl.ResidueWith(mean)
-				want := bruteResidue(m, tc.rows, tc.cols, mean)
+				got := cl.Residue()
+				if squared {
+					got = cl.MeanSquaredResidue()
+				}
+				want := bruteResidue(m, tc.rows, tc.cols, squared)
 				if !closeRel(got, want, 1e-12) {
 					t.Fatalf("cluster residue %v, brute force from Definition 3.5 gives %v", got, want)
 				}
@@ -204,49 +208,47 @@ func closeRel(a, b, tol float64) bool {
 func TestEvalActionExactGainBruteForce(t *testing.T) {
 	m := gainTestMatrix(t)
 	for _, policy := range []GainPolicy{VolumeGain, ResidueGain} {
-		for _, mean := range []cluster.ResidueMean{cluster.ArithmeticMean, cluster.SquaredMean} {
-			t.Run(fmt.Sprintf("policy=%v/mean=%d", policy, mean), func(t *testing.T) {
-				cfg := Config{
-					K: 2, GainPolicy: policy, MaxResidue: 5, ResidueMean: mean,
-					Constraints: Constraints{MaxOverlap: -1}, Workers: 1,
-				}
-				specs := []cluster.Spec{
-					{Rows: []int{0, 1, 2}, Cols: []int{0, 1, 2}},
-					{Rows: []int{1, 3, 5}, Cols: []int{1, 3, 4}},
-				}
-				e := newBareEngine(t, m, cfg, specs)
-				before := make([]string, len(e.clusters))
-				for c, cl := range e.clusters {
-					before[c] = clusterBits(cl)
-				}
-				for c, spec := range specs {
-					for t2 := 0; t2 < m.Rows()+m.Cols(); t2++ {
-						isRow, idx := e.itemOf(t2)
-						got := e.evalAction(isRow, idx, c)
+		t.Run(fmt.Sprintf("policy=%v", policy), func(t *testing.T) {
+			cfg := Config{
+				K: 2, GainPolicy: policy, MaxResidue: 5,
+				Constraints: Constraints{MaxOverlap: -1}, Workers: 1,
+			}
+			specs := []cluster.Spec{
+				{Rows: []int{0, 1, 2}, Cols: []int{0, 1, 2}},
+				{Rows: []int{1, 3, 5}, Cols: []int{1, 3, 4}},
+			}
+			e := newBareEngine(t, m, cfg, specs)
+			before := make([]string, len(e.clusters))
+			for c, cl := range e.clusters {
+				before[c] = clusterBits(cl)
+			}
+			for c, spec := range specs {
+				for t2 := 0; t2 < m.Rows()+m.Cols(); t2++ {
+					isRow, idx := e.itemOf(t2)
+					got := e.evalAction(isRow, idx, c)
 
-						nr, nc := toggled(spec.Rows, spec.Cols, isRow, idx)
-						res := bruteResidue(m, nr, nc, mean)
-						vol := bruteVolume(m, nr, nc)
-						afterCost := e.cost(res, vol, len(nr), len(nc))
-						beforeCost := e.cost(
-							bruteResidue(m, spec.Rows, spec.Cols, mean),
-							bruteVolume(m, spec.Rows, spec.Cols),
-							len(spec.Rows), len(spec.Cols))
-						want := beforeCost - afterCost
-						if !closeRel(got, want, 1e-9) {
-							t.Errorf("evalAction(isRow=%v, idx=%d, c=%d) = %v, brute force %v",
-								isRow, idx, c, got, want)
-						}
-						for cc, cl := range e.clusters {
-							if gotBits := clusterBits(cl); gotBits != before[cc] {
-								t.Fatalf("evalAction(isRow=%v, idx=%d, c=%d) disturbed cluster %d\nbefore %s\nafter  %s",
-									isRow, idx, c, cc, before[cc], gotBits)
-							}
+					nr, nc := toggled(spec.Rows, spec.Cols, isRow, idx)
+					res := bruteResidue(m, nr, nc, false)
+					vol := bruteVolume(m, nr, nc)
+					afterCost := e.cost(res, vol, len(nr), len(nc))
+					beforeCost := e.cost(
+						bruteResidue(m, spec.Rows, spec.Cols, false),
+						bruteVolume(m, spec.Rows, spec.Cols),
+						len(spec.Rows), len(spec.Cols))
+					want := beforeCost - afterCost
+					if !closeRel(got, want, 1e-9) {
+						t.Errorf("evalAction(isRow=%v, idx=%d, c=%d) = %v, brute force %v",
+							isRow, idx, c, got, want)
+					}
+					for cc, cl := range e.clusters {
+						if gotBits := clusterBits(cl); gotBits != before[cc] {
+							t.Fatalf("evalAction(isRow=%v, idx=%d, c=%d) disturbed cluster %d\nbefore %s\nafter  %s",
+								isRow, idx, c, cc, before[cc], gotBits)
 						}
 					}
 				}
-			})
-		}
+			}
+		})
 	}
 }
 
@@ -491,7 +493,7 @@ func TestDecideAllocations(t *testing.T) {
 						b.Load(cl, kind.isRow, idxs[:len(idxs)-1]...)
 						b.Drop(0)
 						b.Append(cl, kind.isRow, idxs[len(idxs)-1])
-						b.Residues(e.cfg.ResidueMean, out[:b.Len()])
+						b.Residues(out[:b.Len()])
 					})
 					if a != 0 {
 						t.Errorf("cluster %d, %s: %v allocations per batch, want 0", c, kind.name, a)

@@ -172,8 +172,8 @@ type anchoredGoldenCase struct {
 }
 
 // anchoredSeedBits hashes the phase-1 clustering of a run: every
-// cluster's membership in internal order and its residue bits under
-// both means.
+// cluster's membership in internal order and the bits of its residue
+// and its mean squared residue (clusterBits).
 func anchoredSeedBits(t *testing.T, m *matrix.Matrix, cfg Config) string {
 	t.Helper()
 	if err := cfg.validate(m.Rows(), m.Cols()); err != nil {

@@ -374,10 +374,10 @@ func TestWorkersValidation(t *testing.T) {
 // against the item-major loop it replaced: for every item, evalAction
 // over the clusters in ascending order, keeping strictly greater
 // gains. Clusters 0 and 1 are identical, so each item's gains tie
-// across them and the lower index must win. Both residue means and
-// every toggled-state constraint run through the same comparison; the
-// row insertions, row removals and column insertions take the batched
-// path, and the constrained leg drops blocked lanes from its batches.
+// across them and the lower index must win. Every toggled-state
+// constraint runs through the same comparison; the row insertions,
+// row removals and column insertions take the batched path, and the
+// constrained leg drops blocked lanes from its batches.
 func TestDecideRangeMatchesItemMajorLoop(t *testing.T) {
 	m := plantedMissingMatrix(t, 5, 40, 12, 2, 40, 0.1)
 	specs := []cluster.Spec{
@@ -387,16 +387,13 @@ func TestDecideRangeMatchesItemMajorLoop(t *testing.T) {
 	}
 	for _, tc := range []struct {
 		name string
-		mean cluster.ResidueMean
 		cons Constraints
 	}{
 		{name: "exact", cons: Constraints{MinRows: 2, MinCols: 2, MaxOverlap: -1}},
-		{name: "exact-squared", mean: cluster.SquaredMean, cons: Constraints{MinRows: 2, MinCols: 2, MaxOverlap: -1}},
 		{name: "exact-constrained", cons: Constraints{MinRows: 2, MinCols: 2, MaxOverlap: 1, Occupancy: 0.5, MaxVolume: 40}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			cfg := DefaultConfig(3, 8)
-			cfg.ResidueMean = tc.mean
 			cfg.Constraints = tc.cons
 			cfg.Workers = 1
 			e := newBareEngine(t, m, cfg, specs)

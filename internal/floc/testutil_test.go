@@ -123,7 +123,7 @@ func newBareEngine(t *testing.T, m *matrix.Matrix, cfg Config, specs []cluster.S
 		cl := cluster.FromSpec(m, spec.Rows, spec.Cols)
 		cl.EnablePack()
 		e.clusters[c] = cl
-		e.residues[c] = cl.ResidueWith(cfg.ResidueMean)
+		e.residues[c] = cl.Residue()
 		e.resSum += e.residues[c]
 		e.costs[c] = e.cost(e.residues[c], cl.Volume(), cl.NumRows(), cl.NumCols())
 		e.costSum += e.costs[c]
@@ -138,13 +138,14 @@ func newBareEngine(t *testing.T, m *matrix.Matrix, cfg Config, specs []cluster.S
 }
 
 // clusterBits fingerprints a cluster's exact state: membership in
-// internal order plus the bits of its residue under both means. Two
+// internal order plus the bits of its residue and of its mean squared
+// residue, which tells apart states that tie on the residue. Two
 // clusters with equal clusterBits are operationally indistinguishable.
 func clusterBits(cl *cluster.Cluster) string {
 	return fmt.Sprintf("rows=%v cols=%v vol=%d arith=%016x sq=%016x",
 		cl.OrderedRows(), cl.OrderedCols(), cl.Volume(),
-		math.Float64bits(cl.ResidueWith(cluster.ArithmeticMean)),
-		math.Float64bits(cl.ResidueWith(cluster.SquaredMean)))
+		math.Float64bits(cl.Residue()),
+		math.Float64bits(cl.MeanSquaredResidue()))
 }
 
 // vectorPaths lists the seeding kernels' paths a test can run here:

@@ -135,7 +135,7 @@ func warmStartEngine(m *matrix.Matrix, cfg *Config, ws *WarmStart, msum uint64) 
 			if e.violatesToggled(p, c) {
 				continue
 			}
-			res := p.Residue(cfg.ResidueMean)
+			res := p.Residue()
 			e.gainEvals++
 			if debugInvariants {
 				e.checkProbe(p, c, res, true)
@@ -158,7 +158,7 @@ func warmStartEngine(m *matrix.Matrix, cfg *Config, ws *WarmStart, msum uint64) 
 	e.costs = make([]float64, cfg.K)
 	for c, cl := range e.clusters {
 		cl.Recompute()
-		e.residues[c] = cl.ResidueWith(cfg.ResidueMean)
+		e.residues[c] = cl.Residue()
 		e.resSum += e.residues[c]
 		e.costs[c] = e.cost(e.residues[c], cl.Volume(), cl.NumRows(), cl.NumCols())
 		e.costSum += e.costs[c]

@@ -70,7 +70,7 @@ func flocTestSubmit(t *testing.T) *SubmitRequest {
 // compare equal.
 func fetchResult(t *testing.T, e *testEnv, id string) ResultView {
 	t.Helper()
-	v := e.poll(t, id, 60*time.Second)
+	v := e.poll(t, id, pollBudget(t))
 	if v.State != StateDone {
 		t.Fatalf("job %s finished %s (error %q), want done", id, v.State, v.Error)
 	}
@@ -176,7 +176,7 @@ func TestAdminDrainStopsRunningJobAtCheckpoint(t *testing.T) {
 // iterations (failing if it goes terminal first).
 func waitForIteration(t *testing.T, e *testEnv, id string, n int) {
 	t.Helper()
-	deadline := time.Now().Add(60 * time.Second)
+	deadline := time.Now().Add(pollBudget(t))
 	for {
 		resp, data := e.do(t, http.MethodGet, "/v1/jobs/"+id, nil)
 		if resp.StatusCode != http.StatusOK {
@@ -219,7 +219,7 @@ func TestDispatchResumeBitIdentical(t *testing.T) {
 	if resp, data := a.do(t, http.MethodDelete, "/v1/jobs/"+aID, nil); resp.StatusCode >= 300 {
 		t.Fatalf("cancel: status %d, body %s", resp.StatusCode, data)
 	}
-	a.poll(t, aID, 60*time.Second)
+	a.poll(t, aID, pollBudget(t))
 	resp, ckBytes := a.do(t, http.MethodGet, "/v1/internal/jobs/"+aID+"/checkpoint", nil)
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("checkpoint download: status %d, body %s", resp.StatusCode, ckBytes)

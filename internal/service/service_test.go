@@ -117,6 +117,20 @@ func (e *testEnv) submit(t *testing.T, req any) string {
 	return sr.Job.ID
 }
 
+// pollBudget returns how long a test may wait on a job: the time left
+// before the test binary's deadline (go test -timeout), less a margin
+// for the test's own failure report and cleanup, or 60 s when there is
+// no deadline. A fixed budget cannot serve every build: under the
+// deltadebug tag's from-scratch checks a job on the 3000×100 fixture
+// runs for about a minute.
+func pollBudget(t *testing.T) time.Duration {
+	deadline, ok := t.Deadline()
+	if !ok {
+		return 60 * time.Second
+	}
+	return time.Until(deadline) - 30*time.Second
+}
+
 // poll waits until the job reaches a terminal state.
 func (e *testEnv) poll(t *testing.T, id string, timeout time.Duration) JobView {
 	t.Helper()
@@ -571,7 +585,7 @@ func TestInterruptedFLOCJobFlushesCheckpoint(t *testing.T) {
 	id := e.submit(t, req)
 
 	// Wait for the first completed iteration, then cancel.
-	waitUntil := time.Now().Add(60 * time.Second)
+	waitUntil := time.Now().Add(pollBudget(t))
 	for {
 		resp, data := e.do(t, http.MethodGet, "/v1/jobs/"+id, nil)
 		if resp.StatusCode != http.StatusOK {
