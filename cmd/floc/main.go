@@ -22,7 +22,9 @@
 // prints the best-so-far clustering, flushes a final checkpoint to
 // the -checkpoint path (when given), and exits with status 3. With
 // -checkpoint the run also snapshots every -checkpoint-every
-// improving iterations; -resume continues from such a snapshot and —
+// improving iterations and, when it completes, writes its final
+// boundary (boundary 0, the seed checkpoint, for a run that never
+// improves); -resume continues from such a snapshot and —
 // same seed, same data — reproduces the uninterrupted run bit for
 // bit. -fingerprint prints a deterministic run fingerprint instead of
 // the human-readable report, so CI can diff a resumed run against a
@@ -177,6 +179,7 @@ func main() {
 		fmt.Fprintf(os.Stderr, "floc: warm-starting from %s at iteration %d\n", *warmStart, ck.Iterations)
 	}
 	if *checkpoint != "" {
+		runOpts.KeepFinalCheckpoint = true
 		runOpts.CheckpointEvery = *ckEvery
 		runOpts.OnCheckpoint = func(ck *deltacluster.FLOCCheckpoint) error {
 			return deltacluster.WriteCheckpointFile(*checkpoint, ck)
@@ -207,7 +210,7 @@ func main() {
 		stop()
 		fmt.Fprintf(os.Stderr, "floc: run stopped (%s) after %d iterations\n",
 			pr.Reason, pr.Result.Iterations)
-		if *checkpoint != "" && pr.Checkpoint != nil {
+		if *checkpoint != "" {
 			if werr := deltacluster.WriteCheckpointFile(*checkpoint, pr.Checkpoint); werr != nil {
 				fmt.Fprintf(os.Stderr, "floc: writing final checkpoint: %v\n", werr)
 			} else {
@@ -217,6 +220,11 @@ func main() {
 		}
 		report(m, pr.Result, cfg, *all, *fingerprint)
 		os.Exit(3)
+	}
+	if *checkpoint != "" {
+		if err := deltacluster.WriteCheckpointFile(*checkpoint, res.FinalCheckpoint); err != nil {
+			fatal(err)
+		}
 	}
 	report(m, res, cfg, *all, *fingerprint)
 }

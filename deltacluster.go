@@ -208,9 +208,10 @@ func Significant(clusters []*Cluster, maxResidue float64) []*Cluster {
 }
 
 // FLOCPartialResult is the typed error a cancelled or deadlined FLOC
-// run returns: the best-so-far clustering, the stop reason, and (when
-// the run was interrupted at an iteration boundary) a resumable
-// checkpoint. Recover it with errors.As.
+// run returns: the best-so-far clustering, the stop reason, and a
+// resumable checkpoint of the last iteration boundary (the seed
+// checkpoint before the first improving iteration). Recover it with
+// errors.As.
 type FLOCPartialResult = floc.PartialResult
 
 // StopReason says why an interrupted run stopped.

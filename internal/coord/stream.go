@@ -223,7 +223,7 @@ func (c *Coordinator) reclusterViaOwner(ctx context.Context, w http.ResponseWrit
 		return false
 	}
 	if resp.status != http.StatusAccepted && resp.status != http.StatusOK {
-		relay(w, resp) // job_not_done / lineage_busy / no_checkpoint are final
+		relay(w, resp) // job_not_done / lineage_busy are final
 		return true
 	}
 	var rr service.ReclusterResponse

@@ -1,8 +1,13 @@
 package coord
 
 import (
+	"context"
 	"encoding/json"
+	"fmt"
 	"net/http"
+	"reflect"
+	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -241,5 +246,115 @@ func TestCoordinatorReclusterFallsBackToReplica(t *testing.T) {
 	mv := coordMetrics(t, cl.ts.URL)
 	if mv.Streaming.ReclusterFallbacks != 1 {
 		t.Fatalf("recluster_fallbacks %d, want 1", mv.Streaming.ReclusterFallbacks)
+	}
+}
+
+// TestCoordinatorReclusterChildMigratesWarmFromSeedCheckpoint: the
+// root converges in seeding, so its replicated handle is the seed
+// checkpoint. Its recluster child is queued on the root's owner behind
+// a slow job when that owner dies; the migrated child must warm-start
+// from the replicated seed checkpoint, not restart cold, and on the
+// unpatched matrix reproduce the root's clustering.
+func TestCoordinatorReclusterChildMigratesWarmFromSeedCheckpoint(t *testing.T) {
+	var (
+		logMu sync.Mutex
+		logs  []string
+	)
+	cl := startCluster(t, 2, func(o *Options) {
+		o.Logf = func(format string, args ...any) {
+			logMu.Lock()
+			logs = append(logs, fmt.Sprintf(format, args...))
+			logMu.Unlock()
+		}
+	}, service.Options{Workers: 1, QueueCap: 8, CheckpointEvery: 1})
+
+	req := fastSubmit(t)
+	req.FLOC.Seeding = "anchored"
+	root, _, _ := submitVia(t, cl.ts.URL, req)
+	if v := pollDone(t, cl.ts.URL, root, 30*time.Second); v.State != service.StateDone {
+		t.Fatalf("root finished %s", v.State)
+	}
+	rootRes := fetchResult(t, cl.ts.URL, root)
+	if rootRes.Iterations != 0 {
+		t.Fatalf("root took %d iterations; the test needs one that converges in seeding", rootRes.Iterations)
+	}
+	owner := ownerOf(t, cl, root)
+	var peer *node
+	for _, nd := range cl.nodes {
+		if nd != owner {
+			peer = nd
+		}
+	}
+	deadline := time.Now().Add(10 * time.Second)
+	for {
+		if st, _ := do(t, http.MethodGet, peer.ts.URL+"/v1/internal/replicas/"+root+"/checkpoint", nil); st == http.StatusOK {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("the root's seed checkpoint never reached the replica peer")
+		}
+		time.Sleep(20 * time.Millisecond)
+	}
+
+	// Occupy the owner's one worker, so the child waits in its queue.
+	var slow string
+	for try := 0; slow == ""; try++ {
+		if try == 16 {
+			t.Fatal("no slow job landed on the root's owner")
+		}
+		id, _, _ := submitVia(t, cl.ts.URL, slowSubmit(t))
+		if ownerOf(t, cl, id) == owner {
+			slow = id
+			continue
+		}
+		if st, body := do(t, http.MethodDelete, cl.ts.URL+"/v1/jobs/"+id, nil); st != http.StatusOK && st != http.StatusAccepted {
+			t.Fatalf("cancel: status %d, body %s", st, body)
+		}
+		pollDone(t, cl.ts.URL, id, 30*time.Second)
+	}
+
+	st, body := do(t, http.MethodPost, cl.ts.URL+"/v1/jobs/"+root+":recluster", nil)
+	if st != http.StatusAccepted {
+		t.Fatalf("recluster: status %d, body %s", st, body)
+	}
+	var rr service.ReclusterResponse
+	if err := json.Unmarshal(body, &rr); err != nil {
+		t.Fatal(err)
+	}
+	if rr.WarmFromIteration != 0 {
+		t.Fatalf("warm_from_iteration %d, want 0", rr.WarmFromIteration)
+	}
+
+	// Lose the owner with the child still queued. The slow job's cancel
+	// is recorded at the coordinator and settled instead of migrated.
+	owner.ts.Close()
+	expired, cancel := context.WithCancel(context.Background())
+	cancel()
+	_ = owner.svc.Shutdown(expired)
+	do(t, http.MethodDelete, cl.ts.URL+"/v1/jobs/"+slow, nil)
+
+	v := pollDone(t, cl.ts.URL, rr.Job.ID, 60*time.Second)
+	if v.State != service.StateDone {
+		t.Fatalf("migrated child finished %s (error %q)", v.State, v.Error)
+	}
+	childRes := fetchResult(t, cl.ts.URL, rr.Job.ID)
+	if !childRes.WarmStart {
+		t.Fatalf("migrated child result %+v, want a warm start", childRes)
+	}
+	childRes.WarmStart = false
+	if !reflect.DeepEqual(childRes, rootRes) {
+		t.Fatalf("migrated child differs from the root on the unpatched matrix:\n child %+v\n  root %+v", childRes, rootRes)
+	}
+	logMu.Lock()
+	defer logMu.Unlock()
+	migrated := false
+	for _, line := range logs {
+		if strings.Contains(line, "migrates cold") {
+			t.Fatalf("coordinator log: %s", line)
+		}
+		migrated = migrated || strings.Contains(line, "job "+rr.Job.ID+" migrated")
+	}
+	if !migrated {
+		t.Fatalf("the child was never migrated; logs:\n%s", strings.Join(logs, "\n"))
 	}
 }

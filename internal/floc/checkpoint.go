@@ -9,18 +9,24 @@ import (
 	"math"
 	"os"
 
-	"deltacluster/internal/cluster"
 	"deltacluster/internal/matrix"
-	"deltacluster/internal/stats"
 )
 
-// Checkpoint is a resumable snapshot of a FLOC run, cut at a phase-2
-// iteration boundary. Boundaries are the only states a checkpoint may
-// capture: iterate() normalizes every cluster there with a wholesale
-// Recompute, so the state is reconstructible bit-for-bit from
-// membership alone. (Seeding state is built incrementally and is not
-// boundary-normalized, which is why no checkpoint exists before the
-// first improving iteration completes.)
+// Checkpoint is a resumable snapshot of a FLOC run, cut at an
+// iteration boundary. A run has one at every improving boundary:
+// iterate() normalizes every cluster there with a wholesale Recompute,
+// so the state is reconstructible bit-for-bit from membership alone.
+//
+// Boundary 0 of a cold run is the seed checkpoint. Phase 1's seed
+// clustering is built incrementally and is not boundary-normalized,
+// but it is a pure function of (matrix, config, seed), so the seed
+// checkpoint holds no cluster states and no matrix sum: starting from
+// it re-runs seeding on the given matrix, which is the cold run
+// itself — bit-identical on the same matrix, and a cold run under the
+// parent's seed on a mutated one. Every other checkpoint holds exactly
+// K cluster states. Boundary 0 of a warm start is one of those: its
+// clusters are the re-anchored parent memberships, normalized before
+// phase 2 like any boundary.
 //
 // A checkpoint pins the run's randomness by (Seed, Draws): every value
 // the engine's RNG produces is derived from counted Int63 draws, so
@@ -42,16 +48,18 @@ type Checkpoint struct {
 	Trace []float64
 
 	// Clusters holds each cluster's membership in internal insertion
-	// order — NOT sorted order. Floating-point aggregates accumulate
-	// in insertion order, so this ordering is what makes a resumed run
-	// bit-identical to the uninterrupted one (see cluster.FromOrdered).
+	// order — NOT sorted order — and is empty in a seed checkpoint.
+	// Floating-point aggregates accumulate in insertion order, so this
+	// ordering is what makes a resumed run bit-identical to the
+	// uninterrupted one (see cluster.FromOrdered).
 	Clusters []ClusterState
 
 	// ConfigSum fingerprints the normalized Config the run used, with
 	// MaxIterations deliberately excluded so a capped run's checkpoint
 	// can resume under a larger budget. MatrixSum fingerprints the
-	// data matrix (shape, missingness pattern and exact entry bits).
-	// Resume refuses a checkpoint whose sums do not match.
+	// data matrix (shape, missingness pattern and exact entry bits); it
+	// is 0 in a seed checkpoint. Resume refuses a checkpoint whose sums
+	// do not match.
 	ConfigSum uint64
 	MatrixSum uint64
 }
@@ -62,7 +70,8 @@ type ClusterState struct {
 	Cols []int
 }
 
-// exportCheckpoint snapshots the engine at an iteration boundary.
+// exportCheckpoint snapshots the engine at an iteration boundary: the
+// seed checkpoint while the clusters are still phase 1's.
 func (e *engine) exportCheckpoint(iterations int, trace []float64) *Checkpoint {
 	ck := &Checkpoint{
 		Seed:       e.cfg.Seed,
@@ -71,77 +80,42 @@ func (e *engine) exportCheckpoint(iterations int, trace []float64) *Checkpoint {
 		Actions:    e.actions,
 		GainEvals:  e.gainEvals,
 		Trace:      append([]float64(nil), trace...),
-		Clusters:   make([]ClusterState, len(e.clusters)),
 		ConfigSum:  configSum(e.cfg),
-		MatrixSum:  e.matrixSum(),
 	}
+	if e.seeded {
+		return ck
+	}
+	ck.MatrixSum = e.matrixSum()
+	ck.Clusters = make([]ClusterState, len(e.clusters))
 	for c, cl := range e.clusters {
 		ck.Clusters[c] = ClusterState{Rows: cl.OrderedRows(), Cols: cl.OrderedCols()}
 	}
 	return ck
 }
 
-// resumeEngine rebuilds an engine from a checkpoint, initializing the
-// guarded residue/cost caches with the same per-cluster rebuild loop
-// iterate() runs at a boundary, so every cached float is bit-equal to
-// the interrupted run's (deltavet:writer). msum is matrixSum(m), which
-// the caller has already computed and the engine keeps for the
-// checkpoints it cuts.
-func resumeEngine(m *matrix.Matrix, cfg *Config, ck *Checkpoint, msum uint64) (*engine, error) {
+// validate checks that a checkpoint can start a run under cfg: the
+// configuration sums match, and it holds K cluster states or none.
+func (ck *Checkpoint) validate(cfg *Config) error {
 	if got := configSum(cfg); ck.ConfigSum != got {
-		return nil, fmt.Errorf("floc: checkpoint was written under a different configuration (sum %016x, want %016x)", ck.ConfigSum, got)
+		return fmt.Errorf("floc: checkpoint was written under a different configuration (sum %016x, want %016x)", ck.ConfigSum, got)
 	}
-	if ck.MatrixSum != msum {
-		return nil, fmt.Errorf("floc: checkpoint was written for a different matrix (sum %016x, want %016x)", ck.MatrixSum, msum)
+	if n := len(ck.Clusters); n != 0 && n != cfg.K {
+		return fmt.Errorf("floc: checkpoint has %d clusters, configuration wants %d", n, cfg.K)
 	}
-	if len(ck.Clusters) != cfg.K {
-		return nil, fmt.Errorf("floc: checkpoint has %d clusters, configuration wants %d", len(ck.Clusters), cfg.K)
-	}
+	return ck.wellFormed()
+}
+
+// wellFormed checks the checkpoint's own shape: a trace entry per
+// boundary, and no cluster states only at boundary 0 (the seed
+// checkpoint).
+func (ck *Checkpoint) wellFormed() error {
 	if ck.Iterations < 0 || len(ck.Trace) != ck.Iterations+1 {
-		return nil, fmt.Errorf("floc: checkpoint trace has %d entries for %d iterations, want %d", len(ck.Trace), ck.Iterations, ck.Iterations+1)
+		return fmt.Errorf("floc: checkpoint trace has %d entries for %d iterations, want %d", len(ck.Trace), ck.Iterations, ck.Iterations+1)
 	}
-	e := &engine{
-		m:         m,
-		cfg:       cfg,
-		rng:       stats.NewRNGAt(ck.Seed, ck.Draws),
-		coverRow:  make([]int, m.Rows()),
-		coverCol:  make([]int, m.Cols()),
-		gainEvals: ck.GainEvals,
-		actions:   ck.Actions,
-		mSum:      msum,
-		mSumSet:   true,
+	if len(ck.Clusters) == 0 && ck.Iterations != 0 {
+		return fmt.Errorf("floc: checkpoint at iteration %d holds no cluster states; only a seed checkpoint (iteration 0) may", ck.Iterations)
 	}
-	e.w = float64(m.SpecifiedCount())
-	// Same discipline as newEngine: freeze the derived matrix caches
-	// from this goroutine before decide workers can share the matrix,
-	// and enable the dense evaluation pack (bit copies — the resumed
-	// trajectory stays byte-identical to the uninterrupted one).
-	m.EnsureDerived()
-	e.clusters = make([]*cluster.Cluster, cfg.K)
-	e.residues = make([]float64, cfg.K)
-	e.costs = make([]float64, cfg.K)
-	for c := range ck.Clusters {
-		cl, err := cluster.FromOrdered(m, ck.Clusters[c].Rows, ck.Clusters[c].Cols)
-		if err != nil {
-			return nil, fmt.Errorf("floc: checkpoint cluster %d: %w", c, err)
-		}
-		cl.EnablePack()
-		e.clusters[c] = cl
-		e.residues[c] = cl.Residue()
-		e.resSum += e.residues[c]
-		e.costs[c] = e.cost(e.residues[c], cl.Volume(), cl.NumRows(), cl.NumCols())
-		e.costSum += e.costs[c]
-		for _, i := range cl.Rows() {
-			e.coverRow[i]++
-		}
-		for _, j := range cl.Cols() {
-			e.coverCol[j]++
-		}
-	}
-	if debugInvariants {
-		e.assertInvariants("resume")
-	}
-	return e, nil
+	return nil
 }
 
 // configSum fingerprints a normalized Config with FNV-64a over the
@@ -341,7 +315,7 @@ func (ck *Checkpoint) UnmarshalBinary(data []byte) error {
 	if len(dec.p) != 0 {
 		return fmt.Errorf("floc: malformed checkpoint payload: %d trailing bytes", len(dec.p))
 	}
-	return nil
+	return ck.wellFormed()
 }
 
 // ckDecoder consumes a checksummed payload front to back, latching the

@@ -2,6 +2,7 @@ package floc
 
 import (
 	"context"
+	"errors"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -147,17 +148,88 @@ func TestCheckpointRejectsCorruption(t *testing.T) {
 	}
 }
 
+// TestCheckpointDecodeShapeRules pins what a decoded checkpoint may
+// hold: a trace entry per boundary, and no cluster states only at
+// boundary 0 — the seed checkpoint, which round-trips like any other.
+func TestCheckpointDecodeShapeRules(t *testing.T) {
+	m := resilienceTestMatrix(t)
+	cfg := resilienceTestConfig(t)
+	seed := seedCheckpoint(t, m, cfg)
+	_, cks := captureCheckpoints(t, m, cfg)
+	mid := cks[0]
+
+	data, err := EncodeCheckpoint(seed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := DecodeCheckpoint(data)
+	if err != nil {
+		t.Fatalf("seed checkpoint rejected: %v", err)
+	}
+	if !reflect.DeepEqual(got, &Checkpoint{
+		Seed: seed.Seed, Draws: seed.Draws, Actions: seed.Actions, GainEvals: seed.GainEvals,
+		Trace: seed.Trace, Clusters: []ClusterState{}, ConfigSum: seed.ConfigSum,
+	}) {
+		t.Fatalf("seed checkpoint round trip: wrote %+v, read %+v", seed, got)
+	}
+
+	bad := map[string]*Checkpoint{}
+	noStates := *mid
+	noStates.Clusters = nil
+	bad["no cluster states past boundary 0"] = &noStates
+	shortTrace := *mid
+	shortTrace.Trace = shortTrace.Trace[:len(shortTrace.Trace)-1]
+	bad["trace one short"] = &shortTrace
+	longSeed := *seed
+	longSeed.Trace = append([]float64{1}, seed.Trace...)
+	bad["seed checkpoint with two trace entries"] = &longSeed
+	for name, ck := range bad {
+		data, err := EncodeCheckpoint(ck)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := DecodeCheckpoint(data); err == nil {
+			t.Errorf("%s: decoded without error", name)
+		}
+	}
+
+	// A checkpoint holding states must hold exactly K of them.
+	fewer := *mid
+	fewer.Clusters = mid.Clusters[:len(mid.Clusters)-1]
+	if _, err := RunWithOptions(context.Background(), m, cfg, RunOptions{Resume: &fewer}); err == nil || !strings.Contains(err.Error(), "clusters") {
+		t.Fatalf("resume from %d of %d cluster states: err %v", len(fewer.Clusters), cfg.K, err)
+	}
+}
+
+// seedCheckpoint cancels a run right after seeding and returns the
+// partial result's checkpoint: boundary 0, the seed checkpoint.
+func seedCheckpoint(t testing.TB, m *matrix.Matrix, cfg Config) *Checkpoint {
+	t.Helper()
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	_, err := RunWithOptions(ctx, m, cfg, RunOptions{OnProgress: func(Progress) { cancel() }})
+	var pr *PartialResult
+	if !errors.As(err, &pr) {
+		t.Fatalf("run cancelled after seeding returned %v, want a *PartialResult", err)
+	}
+	ck := pr.Checkpoint
+	if ck.Iterations != 0 || len(ck.Trace) != 1 || len(ck.Clusters) != 0 || ck.MatrixSum != 0 {
+		t.Fatalf("boundary-0 checkpoint %+v, want a seed checkpoint", ck)
+	}
+	return ck
+}
+
 // TestResumeFromEveryBoundaryBitIdentical is the core durability
-// guarantee: resuming from ANY iteration boundary's checkpoint must
-// finish with a determinism fingerprint bit-identical to the
-// uninterrupted run's.
+// guarantee: resuming from ANY iteration boundary's checkpoint, the
+// seed checkpoint at boundary 0 included, must finish with a
+// determinism fingerprint bit-identical to the uninterrupted run's.
 func TestResumeFromEveryBoundaryBitIdentical(t *testing.T) {
 	m := resilienceTestMatrix(t)
 	cfg := resilienceTestConfig(t)
 	full, cks := captureCheckpoints(t, m, cfg)
 	want := fingerprint(full)
 
-	for _, ck := range cks {
+	for _, ck := range append([]*Checkpoint{seedCheckpoint(t, m, cfg)}, cks...) {
 		resumed, err := RunWithOptions(context.Background(), m, cfg, RunOptions{Resume: ck})
 		if err != nil {
 			t.Fatalf("resume from iteration %d: %v", ck.Iterations, err)
@@ -240,9 +312,6 @@ func TestCheckpointsCarryMatrixSum(t *testing.T) {
 		res, err := RunWithOptions(context.Background(), m, cfg, opts)
 		if err != nil {
 			t.Fatalf("%s: %v", what, err)
-		}
-		if res.FinalCheckpoint == nil {
-			t.Fatalf("%s: no final checkpoint", what)
 		}
 		for _, ck := range append(cks, res.FinalCheckpoint) {
 			if ck.MatrixSum != want {

@@ -49,14 +49,13 @@ type PartialResult struct {
 	// boundary (the seed clustering when no iteration completed). The
 	// polish phase has NOT run on it: the state matches Checkpoint
 	// exactly, so resuming and finishing produces the same final
-	// clustering an uninterrupted run would.
+	// clustering an uninterrupted run would. Its FinalCheckpoint is
+	// Checkpoint.
 	Result *Result
 
 	// Checkpoint resumes the run from the last completed iteration
-	// boundary. It is nil when the run was stopped before the first
-	// improving iteration completed: seeding state is built
-	// incrementally and is not boundary-normalized, so checkpointing
-	// it could not guarantee a bit-identical resume.
+	// boundary. It is never nil: before the first improving iteration
+	// it is the run's boundary 0 (the seed checkpoint of a cold run).
 	Checkpoint *Checkpoint
 
 	// Reason says whether cancellation or a deadline stopped the run.
@@ -88,27 +87,29 @@ type Progress struct {
 
 // RunOptions extends RunContext with checkpointing and observation.
 type RunOptions struct {
-	// Resume, when non-nil, restarts the run from a checkpoint instead
-	// of seeding. The matrix, seed and configuration (MaxIterations
-	// excepted) must match the checkpointed run's; the resumed run is
-	// then bit-identical to the uninterrupted one.
+	// Resume, when non-nil, restarts the run from a checkpoint. The
+	// matrix, seed and configuration (MaxIterations excepted) must
+	// match the checkpointed run's; the resumed run is then
+	// bit-identical to the uninterrupted one. A seed checkpoint holds
+	// no matrix sum, so resuming it is the cold run on the given
+	// matrix.
 	Resume *Checkpoint
 
-	// WarmStart, when non-nil, seeds the run from a parent run's final
-	// checkpoint instead of phase-1 seeding — the deltastream
-	// re-convergence path. Unlike Resume, the matrix MAY have mutated
-	// since the checkpoint was cut (that is the point); when it has
-	// not, the warm start degenerates to the resume path and is
-	// bit-identical to the cold run. Mutually exclusive with Resume.
+	// WarmStart, when non-nil, starts the run from a parent run's
+	// checkpoint — the deltastream re-convergence path. Unlike Resume,
+	// the matrix MAY have mutated since the checkpoint was cut (that is
+	// the point); when it has not, the warm start degenerates to the
+	// resume path and is bit-identical to the parent's run. Mutually
+	// exclusive with Resume.
 	WarmStart *WarmStart
 
-	// KeepFinalCheckpoint preserves the last improving iteration
-	// boundary in Result.FinalCheckpoint, so the caller holds the
-	// parent handle a later warm-started recluster needs. The capture
-	// happens at each boundary (overwriting the previous), never after
-	// the final non-improving iteration — the checkpoint's RNG
-	// position must be the boundary position for a warm resume to
-	// replay the run's tail bit-identically.
+	// KeepFinalCheckpoint preserves the last iteration boundary in
+	// Result.FinalCheckpoint, so the caller holds the parent handle a
+	// later warm-started recluster needs; every run has one, boundary
+	// 0 included. The capture happens at each boundary (overwriting
+	// the previous), never after the final non-improving iteration —
+	// the checkpoint's RNG position must be the boundary position for
+	// a warm resume to replay the run's tail bit-identically.
 	KeepFinalCheckpoint bool
 
 	// CheckpointEvery cuts a checkpoint after every n-th improving
@@ -168,55 +169,57 @@ func RunWithOptions(ctx context.Context, m *matrix.Matrix, cfg Config, opts RunO
 		return nil, fmt.Errorf("floc: Resume and WarmStart are mutually exclusive")
 	}
 
+	ck, parentRows := opts.Resume, 0
+	if ws := opts.WarmStart; ws != nil {
+		if ws.Checkpoint == nil {
+			return nil, fmt.Errorf("floc: WarmStart without a checkpoint")
+		}
+		if ws.ParentRows < 0 || ws.ParentRows > m.Rows() {
+			return nil, fmt.Errorf("floc: warm start claims %d parent rows, matrix has %d", ws.ParentRows, m.Rows())
+		}
+		ck, parentRows = ws.Checkpoint, ws.ParentRows
+	}
 	var (
 		e          *engine
 		iterations int
 		trace      []float64
-		atBoundary bool        // a completed iteration boundary exists to checkpoint
-		finalCk    *Checkpoint // last boundary, kept under KeepFinalCheckpoint
 	)
-	switch {
-	case opts.Resume != nil:
-		var err error
-		e, err = resumeEngine(m, &cfg, opts.Resume, matrixSum(m))
-		if err != nil {
+	if ck != nil {
+		if err := ck.validate(&cfg); err != nil {
 			return nil, err
 		}
-		iterations = opts.Resume.Iterations
-		trace = append([]float64(nil), opts.Resume.Trace...)
-		atBoundary = true
-		finalCk = opts.Resume
-	case opts.WarmStart != nil:
-		ws := opts.WarmStart
-		if ws.Checkpoint == nil {
-			return nil, fmt.Errorf("floc: WarmStart without a checkpoint")
-		}
-		msum := matrixSum(m)
-		if msum == ws.Checkpoint.MatrixSum {
-			// Empty delta: the warm start is exactly a resume, which
-			// makes the whole run bit-identical to the uninterrupted
-			// cold run — the deltastream equivalence guarantee.
-			var err error
-			e, err = resumeEngine(m, &cfg, ws.Checkpoint, msum)
-			if err != nil {
-				return nil, err
-			}
-			iterations = ws.Checkpoint.Iterations
-			trace = append([]float64(nil), ws.Checkpoint.Trace...)
-			atBoundary = true
-			finalCk = ws.Checkpoint
-		} else {
-			var err error
-			e, err = warmStartEngine(m, &cfg, ws, msum)
-			if err != nil {
-				return nil, err
-			}
-			trace = []float64{e.avgResidue()}
-		}
-	default:
+	}
+	if ck == nil || len(ck.Clusters) == 0 {
+		// A cold run, or a start from a seed checkpoint, which is the
+		// cold run under the checkpoint's seed (the config sums match).
 		e = newEngine(m, &cfg)
+	} else {
+		// An empty delta carries the counters and the trace over, which
+		// makes the whole run bit-identical to the uninterrupted one —
+		// the deltastream equivalence guarantee.
+		msum := matrixSum(m)
+		carry := msum == ck.MatrixSum
+		if opts.Resume != nil && !carry {
+			return nil, fmt.Errorf("floc: checkpoint was written for a different matrix (sum %016x, want %016x)", ck.MatrixSum, msum)
+		}
+		var err error
+		if e, err = startEngine(m, &cfg, ck, parentRows, msum, carry); err != nil {
+			return nil, err
+		}
+		if carry {
+			iterations = ck.Iterations
+			trace = append([]float64(nil), ck.Trace...)
+		}
+	}
+	if trace == nil {
 		trace = []float64{e.avgResidue()}
 	}
+	// finalCk is the last boundary, kept under KeepFinalCheckpoint. The
+	// starting boundary is cut only if the run ends there, at the RNG
+	// position and counters saved here, so a run that improves pays
+	// nothing for it.
+	var finalCk *Checkpoint
+	draws0, actions0, evals0 := e.rng.Draws(), e.actions, e.gainEvals
 
 	progress := func() {
 		if opts.OnProgress != nil {
@@ -229,7 +232,7 @@ func RunWithOptions(ctx context.Context, m *matrix.Matrix, cfg Config, opts RunO
 	bestCost := e.costSum
 	for iterations < cfg.MaxIterations {
 		if err := ctx.Err(); err != nil {
-			return nil, e.interrupted(err, iterations, trace, atBoundary, start)
+			return nil, e.interrupted(err, iterations, trace, start)
 		}
 		improvedCost, improved := e.iterate(bestCost)
 		if !improved {
@@ -238,7 +241,6 @@ func RunWithOptions(ctx context.Context, m *matrix.Matrix, cfg Config, opts RunO
 		bestCost = improvedCost
 		trace = append(trace, e.avgResidue())
 		iterations++
-		atBoundary = true
 		if opts.KeepFinalCheckpoint {
 			finalCk = e.exportCheckpoint(iterations, trace)
 		}
@@ -255,6 +257,10 @@ func RunWithOptions(ctx context.Context, m *matrix.Matrix, cfg Config, opts RunO
 		}
 	}
 
+	if opts.KeepFinalCheckpoint && finalCk == nil {
+		finalCk = e.exportCheckpoint(iterations, trace)
+		finalCk.Draws, finalCk.Actions, finalCk.GainEvals = draws0, actions0, evals0
+	}
 	e.finish()
 	res := e.result(iterations, trace, start)
 	if opts.KeepFinalCheckpoint {
@@ -265,19 +271,13 @@ func RunWithOptions(ctx context.Context, m *matrix.Matrix, cfg Config, opts RunO
 
 // interrupted packages the engine's boundary state as the typed
 // *PartialResult cancellation error.
-func (e *engine) interrupted(cause error, iterations int, trace []float64, atBoundary bool, start time.Time) *PartialResult {
+func (e *engine) interrupted(cause error, iterations int, trace []float64, start time.Time) *PartialResult {
 	reason := StopCancelled
 	if errors.Is(cause, context.DeadlineExceeded) {
 		reason = StopDeadline
 	}
-	var ck *Checkpoint
-	if atBoundary {
-		ck = e.exportCheckpoint(iterations, trace)
-	}
-	return &PartialResult{
-		Result:     e.result(iterations, append([]float64(nil), trace...), start),
-		Checkpoint: ck,
-		Reason:     reason,
-		cause:      cause,
-	}
+	ck := e.exportCheckpoint(iterations, trace)
+	res := e.result(iterations, append([]float64(nil), trace...), start)
+	res.FinalCheckpoint = ck
+	return &PartialResult{Result: res, Checkpoint: ck, Reason: reason, cause: cause}
 }

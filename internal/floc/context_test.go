@@ -33,10 +33,24 @@ func TestRunContextCancelledBeforeStart(t *testing.T) {
 	if len(pr.Result.Clusters) == 0 {
 		t.Fatal("partial result carries no clusters")
 	}
-	// Seeding state is not an iteration boundary: nothing safe to
-	// checkpoint exists yet.
-	if pr.Checkpoint != nil {
-		t.Fatal("pre-first-boundary cancellation produced a checkpoint")
+	// Boundary 0 of a cold run is the seed checkpoint: no cluster
+	// states, and resuming it is the uninterrupted run.
+	if ck := pr.Checkpoint; ck == nil || ck.Iterations != 0 || len(ck.Clusters) != 0 || ck.MatrixSum != 0 {
+		t.Fatalf("pre-first-boundary checkpoint %+v, want the seed checkpoint", pr.Checkpoint)
+	}
+	if pr.Result.FinalCheckpoint != pr.Checkpoint {
+		t.Fatal("the partial result does not carry its checkpoint as FinalCheckpoint")
+	}
+	full, err := Run(m, resilienceTestConfig(t))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resumed, err := RunWithOptions(context.Background(), m, resilienceTestConfig(t), RunOptions{Resume: pr.Checkpoint})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := fingerprint(resumed), fingerprint(full); got != want {
+		t.Fatalf("resume from the seed checkpoint diverged:\n--- uninterrupted\n%s--- resumed\n%s", want, got)
 	}
 	if !strings.Contains(pr.Error(), "cancelled") {
 		t.Fatalf("Error() = %q, want the stop reason mentioned", pr.Error())

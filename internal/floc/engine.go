@@ -41,14 +41,16 @@ type Result struct {
 	// "response time".
 	Duration time.Duration
 
-	// FinalCheckpoint is the run's last improving iteration boundary,
-	// preserved only when RunOptions.KeepFinalCheckpoint is set. It is
-	// the parent handle a warm-started recluster seeds from after the
-	// matrix mutates (see WarmStart). Nil when no boundary exists (the
-	// run never improved) even under KeepFinalCheckpoint. Note the
-	// polish phase runs after this boundary, so the checkpoint does
-	// not describe Clusters verbatim; resuming it replays the final
-	// non-improving iteration and the polish bit-identically.
+	// FinalCheckpoint is the run's last iteration boundary, preserved
+	// when RunOptions.KeepFinalCheckpoint is set and never nil then. It
+	// is the parent handle a warm-started recluster seeds from after
+	// the matrix mutates (see WarmStart). A cold run that never
+	// improved keeps its boundary 0, the seed checkpoint (see
+	// Checkpoint). Note the polish phase runs after this boundary, so
+	// the checkpoint does not describe Clusters verbatim; resuming it
+	// replays the final non-improving iteration and the polish
+	// bit-identically. A PartialResult's Result carries the
+	// PartialResult's Checkpoint here whatever the options.
 	FinalCheckpoint *Checkpoint
 }
 
@@ -85,6 +87,11 @@ type engine struct {
 	// shares one hash of it.
 	mSum    uint64
 	mSumSet bool
+
+	// seeded reports that the clusters are phase 1's, not yet
+	// normalized by an improving boundary; exportCheckpoint then cuts
+	// the seed checkpoint, which holds no cluster states.
+	seeded bool
 
 	// probeRef is the scratch cluster the deltadebug build toggles for
 	// real to cross-check every probe (debug_on.go); nil otherwise.
@@ -159,8 +166,8 @@ type appliedAction struct {
 }
 
 // newEngine builds an engine over m with a validated cfg and performs
-// phase 1 (seeding), initializing the guarded residue/cost caches from
-// the seed clustering (deltavet:writer).
+// phase 1 (seeding), initializing the guarded caches from the seed
+// clustering.
 func newEngine(m *matrix.Matrix, cfg *Config) *engine {
 	e := &engine{
 		m:        m,
@@ -202,8 +209,17 @@ func newEngine(m *matrix.Matrix, cfg *Config) *engine {
 	for _, cl := range e.clusters {
 		cl.EnablePack()
 	}
-	e.residues = make([]float64, cfg.K)
-	e.costs = make([]float64, cfg.K)
+	e.seeded = true
+	e.initCaches("seeding")
+	return e
+}
+
+// initCaches fills the guarded residue, cost and coverage caches from
+// the clusters as they stand (deltavet:writer). Every engine
+// constructor ends with it.
+func (e *engine) initCaches(where string) {
+	e.residues = make([]float64, e.cfg.K)
+	e.costs = make([]float64, e.cfg.K)
 	for c, cl := range e.clusters {
 		e.residues[c] = cl.Residue()
 		e.resSum += e.residues[c]
@@ -216,11 +232,9 @@ func newEngine(m *matrix.Matrix, cfg *Config) *engine {
 			e.coverCol[j]++
 		}
 	}
-
 	if debugInvariants {
-		e.assertInvariants("seeding")
+		e.assertInvariants(where)
 	}
-	return e
 }
 
 // finish runs the optional polish phase after phase 2 terminates,
@@ -321,6 +335,7 @@ func (e *engine) iterate(bestCost float64) (float64, bool) {
 		e.costs[c] = e.cost(e.residues[c], cl.Volume(), cl.NumRows(), cl.NumCols())
 		e.costSum += e.costs[c]
 	}
+	e.seeded = false
 	if debugInvariants {
 		e.assertInvariants("iteration boundary")
 	}

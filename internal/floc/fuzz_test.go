@@ -14,7 +14,8 @@ import (
 // never over-allocate from a forged length field, and never hand back
 // unverified payload bytes.
 //
-// The corpus is seeded from a real converged-run checkpoint plus the
+// The corpus is seeded from a real converged-run checkpoint and a seed
+// checkpoint (boundary 0, no cluster states) plus the
 // systematic corruptions the unit tests cover one by one: truncated
 // header, bad magic, unknown version, flipped checksum, oversized
 // section lengths.
@@ -27,6 +28,11 @@ func FuzzLoadCheckpoint(f *testing.F) {
 	}
 
 	f.Add(real)
+	seed, err := EncodeCheckpoint(seedCheckpoint(f, m, resilienceTestConfig(f)))
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(seed)
 	f.Add([]byte{})
 	f.Add([]byte("DCKP"))
 	f.Add(real[:15])                           // truncated header

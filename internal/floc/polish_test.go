@@ -15,13 +15,13 @@ func polishEngine(t *testing.T, m *matrix.Matrix, cfg Config, members []ClusterS
 	if err := cfg.validate(m.Rows(), m.Cols()); err != nil {
 		t.Fatal(err)
 	}
-	e, err := resumeEngine(m, &cfg, &Checkpoint{
+	e, err := startEngine(m, &cfg, &Checkpoint{
 		Seed:      cfg.Seed,
 		Trace:     []float64{0},
 		Clusters:  members,
 		ConfigSum: configSum(&cfg),
 		MatrixSum: matrixSum(m),
-	}, matrixSum(m))
+	}, 0, matrixSum(m), true)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -98,7 +98,7 @@ func noiseMatrix(t testing.TB, seed int64, rows, cols int, missingFrac float64) 
 
 // newBareEngine builds an engine over m with the given cluster
 // membership and a validated cfg, initializing the guarded caches the
-// same way resumeEngine does. It lets unit tests probe evalAction and
+// same way startEngine does. It lets unit tests probe evalAction and
 // violatesToggled against hand-picked states without running phase 1.
 func newBareEngine(t *testing.T, m *matrix.Matrix, cfg Config, specs []cluster.Spec) *engine {
 	t.Helper()

@@ -17,7 +17,8 @@ import (
 // the preserved checkpoint so it pays a few corrective iterations
 // instead of a full cold optimization.
 //
-// Two regimes, chosen automatically:
+// Every start from a checkpoint takes one path (see startEngine); the
+// regimes differ only in whether the counters and trace carry over:
 //
 //   - Empty delta (the matrix still fingerprints to the checkpoint's
 //     MatrixSum): the warm start IS the checkpoint-resume path, so the
@@ -30,10 +31,14 @@ import (
 //     counters restart at zero, so Result.Iterations counts only the
 //     corrective work — directly comparable against a cold run on the
 //     same mutated matrix.
+//   - A seed checkpoint (the parent converged in seeding) holds no
+//     memberships: the warm start re-runs seeding on the given matrix,
+//     which is the cold run under the parent's seed — the parent's own
+//     run when the delta is empty.
 type WarmStart struct {
 	// Checkpoint is the parent run's final iteration boundary
-	// (Result.FinalCheckpoint of a run with KeepFinalCheckpoint, or
-	// any periodic checkpoint). The configuration must match the
+	// (Result.FinalCheckpoint of a run with KeepFinalCheckpoint, which
+	// every run has, or any periodic or partial-run checkpoint). The configuration must match the
 	// parent's — Seed included — exactly as for Resume.
 	Checkpoint *Checkpoint
 
@@ -45,47 +50,37 @@ type WarmStart struct {
 	ParentRows int
 }
 
-// warmStartEngine builds an engine whose clusters are the parent
-// checkpoint's memberships re-anchored on the mutated matrix m, with
-// appended rows placed by best-residue probe. It initializes the
-// guarded residue/cost caches with the same wholesale per-cluster
-// rebuild iterate() runs at a boundary (deltavet:writer), so phase 2
-// starts from boundary-normalized state exactly as a cold run starts
-// from seeding.
-func warmStartEngine(m *matrix.Matrix, cfg *Config, ws *WarmStart, msum uint64) (*engine, error) {
-	ck := ws.Checkpoint
-	if got := configSum(cfg); ck.ConfigSum != got {
-		return nil, fmt.Errorf("floc: warm-start checkpoint was written under a different configuration (sum %016x, want %016x)", ck.ConfigSum, got)
-	}
-	if len(ck.Clusters) != cfg.K {
-		return nil, fmt.Errorf("floc: warm-start checkpoint has %d clusters, configuration wants %d", len(ck.Clusters), cfg.K)
-	}
-	parentRows := ws.ParentRows
-	if parentRows == 0 {
+// startEngine builds an engine from a checkpoint that holds cluster
+// states — the one constructor behind Resume and WarmStart. The
+// parent memberships are re-anchored on m, rows at index ≥ parentRows
+// are placed by best-residue probe, and every cluster gets the
+// wholesale Recompute iterate() runs at a boundary, which is
+// idempotent on a resume's bits. carry says that m is the matrix the
+// checkpoint was cut on: the counters continue from the checkpoint and
+// no row is new. msum is matrixSum(m), kept for the checkpoints the
+// run cuts.
+func startEngine(m *matrix.Matrix, cfg *Config, ck *Checkpoint, parentRows int, msum uint64, carry bool) (*engine, error) {
+	if carry || parentRows == 0 {
 		parentRows = m.Rows()
-	}
-	if parentRows < 0 || parentRows > m.Rows() {
-		return nil, fmt.Errorf("floc: warm start claims %d parent rows, matrix has %d", parentRows, m.Rows())
 	}
 	for c, cs := range ck.Clusters {
 		for _, i := range cs.Rows {
 			if i < 0 || i >= parentRows {
-				return nil, fmt.Errorf("floc: warm-start cluster %d references row %d beyond the %d parent rows", c, i, parentRows)
+				return nil, fmt.Errorf("floc: checkpoint cluster %d references row %d beyond the %d parent rows", c, i, parentRows)
 			}
 		}
 		for _, j := range cs.Cols {
 			if j < 0 || j >= m.Cols() {
-				return nil, fmt.Errorf("floc: warm-start cluster %d references column %d of a %d-column matrix", c, j, m.Cols())
+				return nil, fmt.Errorf("floc: checkpoint cluster %d references column %d of a %d-column matrix", c, j, m.Cols())
 			}
 		}
 	}
 
-	// The RNG continues the parent's counted stream at the boundary
-	// position, the same convention as resume: when the delta turns
-	// out to be empty the trajectory is the cold run's, and when it is
-	// not, the stream position is still a pure function of the
-	// checkpoint — never of the delta — so the warm trajectory is
-	// reproducible at any worker count.
+	// The RNG continues the checkpoint's counted stream at the boundary
+	// position. When the delta is empty the trajectory is the
+	// uninterrupted run's; when it is not, the stream position is
+	// still a pure function of the checkpoint — never of the delta — so
+	// the warm trajectory is reproducible at any worker count.
 	e := &engine{
 		m:        m,
 		cfg:      cfg,
@@ -95,21 +90,23 @@ func warmStartEngine(m *matrix.Matrix, cfg *Config, ws *WarmStart, msum uint64) 
 		mSum:     msum,
 		mSumSet:  true,
 	}
+	if carry {
+		e.gainEvals, e.actions = ck.GainEvals, ck.Actions
+	}
 	e.w = float64(m.SpecifiedCount())
 
-	// Same discipline as newEngine/resumeEngine: freeze the derived
-	// matrix caches from this goroutine before decide workers share
-	// the matrix. FromOrdered re-accumulates every aggregate from the
-	// mutated entries in the parent's insertion order, and EnablePack
-	// re-caches each touched cluster's evaluation pack against the new
-	// matrix — nothing from the parent's floats survives, only its
-	// memberships.
+	// Same discipline as newEngine: freeze the derived matrix caches
+	// from this goroutine before decide workers share the matrix.
+	// FromOrdered accumulates every aggregate from m's entries in the
+	// checkpoint's insertion order, and EnablePack caches each
+	// cluster's evaluation pack against m — nothing from the parent's
+	// floats survives, only its memberships.
 	m.EnsureDerived()
 	e.clusters = make([]*cluster.Cluster, cfg.K)
-	for c := range ck.Clusters {
-		cl, err := cluster.FromOrdered(m, ck.Clusters[c].Rows, ck.Clusters[c].Cols)
+	for c, cs := range ck.Clusters {
+		cl, err := cluster.FromOrdered(m, cs.Rows, cs.Cols)
 		if err != nil {
-			return nil, fmt.Errorf("floc: warm-start cluster %d: %w", c, err)
+			return nil, fmt.Errorf("floc: checkpoint cluster %d: %w", c, err)
 		}
 		cl.EnablePack()
 		e.clusters[c] = cl
@@ -121,7 +118,9 @@ func warmStartEngine(m *matrix.Matrix, cfg *Config, ws *WarmStart, msum uint64) 
 	// (volume ceiling, occupancy, overlap budget) and the resulting
 	// residue. The row joins the admissible cluster whose residue stays
 	// lowest (ties to the lowest cluster index); with no admissible
-	// cluster it stays unassigned and phase 2 may still adopt it.
+	// cluster it stays unassigned and phase 2 may still adopt it. The
+	// coverage counts are not built yet, and placement never reads
+	// them.
 	b := &e.probes.one
 	for i := parentRows; i < m.Rows(); i++ {
 		best := -1
@@ -151,26 +150,9 @@ func warmStartEngine(m *matrix.Matrix, cfg *Config, ws *WarmStart, msum uint64) 
 		}
 	}
 
-	// Boundary normalization: wholesale Recompute (which re-caches the
-	// evaluation-pack bases) and guarded-cache rebuild, the same loop
-	// iterate() runs at every boundary (deltavet:writer).
-	e.residues = make([]float64, cfg.K)
-	e.costs = make([]float64, cfg.K)
-	for c, cl := range e.clusters {
+	for _, cl := range e.clusters {
 		cl.Recompute()
-		e.residues[c] = cl.Residue()
-		e.resSum += e.residues[c]
-		e.costs[c] = e.cost(e.residues[c], cl.Volume(), cl.NumRows(), cl.NumCols())
-		e.costSum += e.costs[c]
-		for _, i := range cl.Rows() {
-			e.coverRow[i]++
-		}
-		for _, j := range cl.Cols() {
-			e.coverCol[j]++
-		}
 	}
-	if debugInvariants {
-		e.assertInvariants("warm start")
-	}
+	e.initCaches("start from checkpoint")
 	return e, nil
 }

@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"deltacluster/internal/matrix"
+	"deltacluster/internal/synth"
 )
 
 // warmWorkerSweep is the worker-count sweep the warm-start equivalence
@@ -69,41 +70,164 @@ func plantDelta(t testing.TB, m *matrix.Matrix) int {
 	return parentRows
 }
 
+// warmLeg is one workload of the equivalence suite: a matrix and its
+// configuration at a worker count.
+type warmLeg struct {
+	name string
+	m    *matrix.Matrix
+	cfg  func(workers int) Config
+}
+
+// seedConvergedLegs are the equivalence suite's workloads that converge
+// in seeding, so their final checkpoint is the seed checkpoint:
+// anchored seeding on a reduced yeast stand-in, and a 5%-missing
+// planted matrix under an occupancy threshold α > 0 — the shape of the
+// served ratings jobs, whose seeding state is not boundary-normalized.
+func seedConvergedLegs(t testing.TB) []warmLeg {
+	t.Helper()
+	ds, err := synth.Yeast(synth.YeastConfig{
+		Genes: 500, Conditions: 17, Modules: 6,
+		GenesPerModule: 40, ConditionsPerModule: 8,
+		NoiseResidue: 8,
+	}, 11)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return []warmLeg{
+		{"yeast-anchored", ds.Matrix, func(workers int) Config {
+			cfg := DefaultConfig(12, 20)
+			cfg.Seed = 3
+			cfg.SeedMode = SeedAnchored
+			cfg.Workers = workers
+			return cfg
+		}},
+		{"missing-occupancy", plantedMissingMatrix(t, 1, 200, 18, 4, 50, 0.05), func(workers int) Config {
+			cfg := warmTestConfig(workers)
+			cfg.SeedMode = SeedAnchored
+			cfg.Constraints.Occupancy = 0.6
+			return cfg
+		}},
+	}
+}
+
 // TestWarmStartEmptyDeltaBitIdentical is the deltastream equivalence
 // guarantee: a warm start whose matrix has not changed since the
 // parent's final checkpoint produces a bit-identical fingerprint to
 // the cold run — every residue ulp, counter, trace entry and
-// membership — at every worker count in the sweep.
+// membership — at every worker count in the sweep. The unnamed leg
+// iterates under random seeding; the seed-converged legs start from
+// the seed checkpoint.
 func TestWarmStartEmptyDeltaBitIdentical(t *testing.T) {
-	m := warmTestMatrix(t, 1)
-	wantFp := ""
-	for _, w := range warmWorkerSweep() {
-		w := w
-		t.Run(fmt.Sprintf("workers=%d", w), func(t *testing.T) {
-			cfg := warmTestConfig(w)
-			cold, err := RunWithOptions(context.Background(), m, cfg, RunOptions{KeepFinalCheckpoint: true})
+	legs := append(seedConvergedLegs(t), warmLeg{"", warmTestMatrix(t, 1), warmTestConfig})
+	for _, leg := range legs {
+		wantFp := ""
+		for _, w := range warmWorkerSweep() {
+			name := fmt.Sprintf("workers=%d", w)
+			if leg.name != "" {
+				name = leg.name + "/" + name
+			}
+			t.Run(name, func(t *testing.T) {
+				cfg := leg.cfg(w)
+				cold, err := RunWithOptions(context.Background(), leg.m, cfg, RunOptions{KeepFinalCheckpoint: true})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if seeded := len(cold.FinalCheckpoint.Clusters) == 0; seeded != (cold.Iterations == 0) {
+					t.Fatalf("cold run took %d iterations, final checkpoint holds %d cluster states",
+						cold.Iterations, len(cold.FinalCheckpoint.Clusters))
+				} else if seeded != (leg.name != "") {
+					t.Fatalf("cold run took %d iterations; the leg no longer exercises the checkpoint it is for", cold.Iterations)
+				}
+				coldFp := fingerprint(cold)
+				if wantFp == "" {
+					wantFp = coldFp
+				} else if coldFp != wantFp {
+					t.Fatalf("cold fingerprint diverged across worker counts")
+				}
+				warm, err := RunWithOptions(context.Background(), leg.m, cfg, RunOptions{
+					WarmStart: &WarmStart{Checkpoint: cold.FinalCheckpoint},
+				})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if got := fingerprint(warm); got != coldFp {
+					t.Fatalf("warm start with empty delta diverged from cold run:\n--- cold\n%s--- warm\n%s", coldFp, got)
+				}
+			})
+		}
+	}
+}
+
+// TestWarmStartSeedCheckpointDirtyDelta: a dirty-delta start from a
+// seed checkpoint is the cold run under the parent's seed on the
+// mutated head, bit for bit.
+func TestWarmStartSeedCheckpointDirtyDelta(t *testing.T) {
+	for _, leg := range seedConvergedLegs(t) {
+		t.Run(leg.name, func(t *testing.T) {
+			cfg := leg.cfg(1)
+			applyEnvWorkers(t, &cfg)
+			parent, err := RunWithOptions(context.Background(), leg.m, cfg, RunOptions{KeepFinalCheckpoint: true})
 			if err != nil {
 				t.Fatal(err)
 			}
-			if cold.FinalCheckpoint == nil {
-				t.Fatal("cold run kept no final checkpoint (no improving iteration?)")
+			ck := parent.FinalCheckpoint
+			if len(ck.Clusters) != 0 {
+				t.Fatalf("parent took %d iterations; want a seed checkpoint", parent.Iterations)
 			}
-			coldFp := fingerprint(cold)
-			if wantFp == "" {
-				wantFp = coldFp
-			} else if coldFp != wantFp {
-				t.Fatalf("cold fingerprint diverged across worker counts")
+			head := leg.m.Clone()
+			parentRows := plantDelta(t, head)
+			cold, err := Run(head, cfg)
+			if err != nil {
+				t.Fatal(err)
 			}
-			warm, err := RunWithOptions(context.Background(), m, cfg, RunOptions{
-				WarmStart: &WarmStart{Checkpoint: cold.FinalCheckpoint},
+			warm, err := RunWithOptions(context.Background(), head, cfg, RunOptions{
+				WarmStart: &WarmStart{Checkpoint: ck, ParentRows: parentRows},
 			})
 			if err != nil {
 				t.Fatal(err)
 			}
-			if got := fingerprint(warm); got != coldFp {
-				t.Fatalf("warm start with empty delta diverged from cold run:\n--- cold\n%s--- warm\n%s", coldFp, got)
+			if got, want := fingerprint(warm), fingerprint(cold); got != want {
+				t.Fatalf("warm start from a seed checkpoint differs from the cold run on the head:\n--- cold\n%s--- warm\n%s", want, got)
 			}
 		})
+	}
+}
+
+// TestWarmStartChainFromBoundaryZero: a warm child that converges at
+// its own boundary 0 keeps that boundary, with the re-anchored cluster
+// states, as its final checkpoint, and an empty-delta start from it
+// reproduces the child bit for bit — so a chain of reclusters never
+// loses its handle.
+func TestWarmStartChainFromBoundaryZero(t *testing.T) {
+	base := warmTestMatrix(t, 1)
+	cfg := warmTestConfig(1)
+	applyEnvWorkers(t, &cfg)
+	parent, err := RunWithOptions(context.Background(), base, cfg, RunOptions{KeepFinalCheckpoint: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	head := base.Clone()
+	if err := head.MarkMissing([]matrix.CellRef{{Row: 8, Col: 1}}); err != nil {
+		t.Fatal(err)
+	}
+	child, err := RunWithOptions(context.Background(), head, cfg, RunOptions{
+		WarmStart:           &WarmStart{Checkpoint: parent.FinalCheckpoint},
+		KeepFinalCheckpoint: true,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ck := child.FinalCheckpoint
+	if child.Iterations != 0 || ck.Iterations != 0 || len(ck.Clusters) != cfg.K || ck.MatrixSum != matrixSum(head) {
+		t.Fatalf("child took %d iterations, final checkpoint at %d with %d cluster states; want its own boundary 0 with %d",
+			child.Iterations, ck.Iterations, len(ck.Clusters), cfg.K)
+	}
+	again, err := RunWithOptions(context.Background(), head, cfg, RunOptions{WarmStart: &WarmStart{Checkpoint: ck}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := fingerprint(again), fingerprint(child); got != want {
+		t.Fatalf("chained empty-delta start diverged from the child:\n--- child\n%s--- chained\n%s", want, got)
 	}
 }
 
@@ -119,9 +243,6 @@ func TestWarmStartPlantedDeltaFewerIterations(t *testing.T) {
 		t.Fatal(err)
 	}
 	ck := parent.FinalCheckpoint
-	if ck == nil {
-		t.Fatal("parent kept no final checkpoint")
-	}
 
 	mutated := base.Clone()
 	parentRows := plantDelta(t, mutated)
@@ -173,9 +294,6 @@ func TestWarmStartBoundedIterationsProperty(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if parent.FinalCheckpoint == nil {
-				t.Skip("parent converged without an improving iteration")
-			}
 			mutated := base.Clone()
 			parentRows := plantDelta(t, mutated)
 			cold, err := Run(mutated, cfg)
@@ -200,8 +318,8 @@ func TestWarmStartBoundedIterationsProperty(t *testing.T) {
 
 // TestWarmStartValidation exercises the refusal paths: mismatched
 // configuration, memberships beyond the claimed parent rows, bogus
-// ParentRows, a missing checkpoint, and the Resume/WarmStart mutual
-// exclusion.
+// ParentRows (with a seed checkpoint too), a missing checkpoint, and
+// the Resume/WarmStart mutual exclusion.
 func TestWarmStartValidation(t *testing.T) {
 	m := warmTestMatrix(t, 2)
 	cfg := warmTestConfig(1)
@@ -210,9 +328,6 @@ func TestWarmStartValidation(t *testing.T) {
 		t.Fatal(err)
 	}
 	ck := parent.FinalCheckpoint
-	if ck == nil {
-		t.Fatal("parent kept no final checkpoint")
-	}
 	grown := m.Clone()
 	if err := grown.AppendRows([][]float64{make([]float64, m.Cols())}); err != nil {
 		t.Fatal(err)
@@ -240,6 +355,12 @@ func TestWarmStartValidation(t *testing.T) {
 		WarmStart: &WarmStart{Checkpoint: ck, ParentRows: grown.Rows() + 5},
 	}); err == nil {
 		t.Error("ParentRows beyond the matrix accepted")
+	}
+	seedCk := seedCheckpoint(t, grown, cfg)
+	if _, err := RunWithOptions(context.Background(), grown, cfg, RunOptions{
+		WarmStart: &WarmStart{Checkpoint: seedCk, ParentRows: grown.Rows() + 1},
+	}); err == nil {
+		t.Error("ParentRows beyond the matrix accepted with a seed checkpoint")
 	}
 	// Claiming fewer parent rows than the checkpoint's memberships
 	// reference must be rejected: the memberships would dangle.

@@ -273,18 +273,15 @@ type runSpec struct {
 	clq       clique.Config
 	deadline  time.Duration
 
-	// resume, when non-nil, restarts a FLOC job from this checkpoint
-	// boundary instead of seeding — the coordinator's zero-recompute
-	// migration path. Resumed jobs always run exactly one attempt with
-	// the checkpoint's seed.
-	resume *floc.Checkpoint
-
-	// warm, when non-nil, seeds a FLOC job from a parent run's final
-	// checkpoint — the deltastream recluster path. Warm jobs run
-	// exactly one attempt with the checkpoint's seed; when the matrix
-	// has not changed since the checkpoint, the run is bit-identical to
-	// the parent's cold run.
-	warm *floc.WarmStart
+	// start, when non-nil, starts a FLOC job from a checkpoint instead
+	// of seeding. Such jobs run exactly one attempt with the
+	// checkpoint's seed. resumed says whose checkpoint it is: the job's
+	// own (the coordinator's zero-recompute migration path, held to the
+	// same matrix) or its parent's final one (the deltastream recluster
+	// path; when the matrix has not changed since, the run is
+	// bit-identical to the parent's).
+	start   *floc.WarmStart
+	resumed bool
 }
 
 // buildSpec validates a SubmitRequest against the server's limits and

@@ -141,7 +141,7 @@ func (s *Server) dispatchCore(w http.ResponseWriter, req *DispatchRequest, m *ma
 		// supervisor's multi-attempt ladder cannot be rejoined mid-
 		// campaign, so the dispatcher only attaches checkpoints to
 		// single-attempt jobs.
-		spec.resume = ck
+		spec.start, spec.resumed = &floc.WarmStart{Checkpoint: ck}, true
 		spec.attempts = 1
 		spec.floc.Seed = ck.Seed
 		resumedFrom = ck.Iterations
@@ -188,7 +188,7 @@ func (s *Server) dispatchCore(w http.ResponseWriter, req *DispatchRequest, m *ma
 			writeError(w, http.StatusBadRequest, CodeBadCheckpoint, "warm_dckp: %v", err)
 			return
 		}
-		spec.warm = &floc.WarmStart{Checkpoint: ck, ParentRows: parentRows}
+		spec.start = &floc.WarmStart{Checkpoint: ck, ParentRows: parentRows}
 		spec.attempts = 1
 		spec.floc.Seed = ck.Seed
 		warmFrom = ck.Iterations

@@ -136,13 +136,14 @@ func parkedPatches() []*MatrixPatchRequest {
 // recluster runs off the child. Each child's result and final
 // checkpoint must equal an in-process warm start on the matrix patched
 // through stream directly, and between jobs no job of the lineage may
-// hold a dense matrix.
+// hold a dense matrix. The "seeded root" leg's root converges in
+// seeding, so its handle is the seed checkpoint.
 func TestParkedLineageEquivalence(t *testing.T) {
 	recorded := &MatrixPatchRequest{
 		AppendRows: [][]*float64{smallDelta().AppendRows[0]},
 		Retract:    []CellRef{{Row: 3, Col: 3}},
 	}
-	for _, kind := range []string{"binary root", "json root", "binary dispatch", "json dispatch"} {
+	for _, kind := range []string{"binary root", "json root", "binary dispatch", "json dispatch", "seeded root"} {
 		t.Run(kind, func(t *testing.T) {
 			e := newTestEnv(t, Options{Workers: 2, QueueCap: 8})
 			req := streamJobRequest(t, 1)
@@ -157,6 +158,10 @@ func TestParkedLineageEquivalence(t *testing.T) {
 				root = e.submitBinary(t, body)
 			case "json root":
 				root = e.submit(t, req)
+			case "seeded root":
+				req.FLOC.Seeding = "anchored"
+				ref = newLineageRef(t, e.s, req)
+				root = e.submit(t, req)
 			default:
 				root = "jdispatched000001"
 				e.dispatch(t, kind == "binary dispatch", &DispatchRequest{
@@ -166,8 +171,9 @@ func TestParkedLineageEquivalence(t *testing.T) {
 			}
 
 			rootRes, rootCk := e.settled(t, root)
-			if rootCk == nil {
-				t.Fatal("the root kept no final checkpoint; the suite needs a discovering run")
+			if seeded := len(rootCk.Clusters) == 0; seeded != (kind == "seeded root") {
+				t.Fatalf("the root took %d iterations; its final checkpoint holds %d cluster states",
+					rootRes.Iterations, len(rootCk.Clusters))
 			}
 			if want := ref.cold(t, rootRes.BestSeed); !reflect.DeepEqual(rootCk, want) {
 				t.Fatal("the root's final checkpoint differs from an in-process run on the same matrix")
@@ -188,13 +194,6 @@ func TestParkedLineageEquivalence(t *testing.T) {
 				t.Fatalf("recluster child differs from the in-process warm start:\n got %+v\nwant %+v", got, want)
 			}
 			e.assertParked(t, root)
-			if gotCk == nil {
-				// A warm start that converges without an improving
-				// iteration keeps no checkpoint, and its recluster is
-				// refused with no_checkpoint; the chain needs a child
-				// that iterates, as this seed's does.
-				t.Fatal("the recluster child kept no final checkpoint to chain from")
-			}
 
 			childRows := ref.m.Rows()
 			e.patch(t, child, patches[2])
@@ -220,9 +219,6 @@ func TestParkedLineageEquivalence(t *testing.T) {
 		base := newLineageRef(t, e.s, req)
 		root := e.submit(t, req)
 		_, rootCk := e.settled(t, root)
-		if rootCk == nil {
-			t.Fatal("the root kept no final checkpoint; the suite needs a discovering run")
-		}
 		parentRows := base.m.Rows()
 
 		patchesByVersion := map[int]*MatrixPatchRequest{}

@@ -160,11 +160,8 @@ func (s *Server) flushCheckpoint(id string) {
 // uses, now one-per-job. Live progress and interrupted-attempt
 // checkpoints are threaded into the store as they happen.
 func (s *Server) runFLOC(ctx context.Context, id string, spec *runSpec, m *matrix.Matrix) (*ResultView, error) {
-	if spec.resume != nil {
-		return s.resumeFLOC(ctx, id, spec, m)
-	}
-	if spec.warm != nil {
-		return s.warmFLOC(ctx, id, spec, m)
+	if spec.start != nil {
+		return s.startFLOC(ctx, id, spec, m)
 	}
 	var attemptN int64
 	run := func(ctx context.Context, seed int64) (*floc.Result, error) {
@@ -176,7 +173,7 @@ func (s *Server) runFLOC(ctx context.Context, id string, spec *runSpec, m *matri
 		res, err := floc.RunWithOptions(ctx, m, cfg, opts)
 		if err != nil {
 			var pr *floc.PartialResult
-			if errors.As(err, &pr) && pr.Checkpoint != nil {
+			if errors.As(err, &pr) {
 				s.store.setCheckpoint(id, pr.Checkpoint)
 			}
 		}
@@ -236,77 +233,50 @@ func (s *Server) flocRunOptions(id string, attempt int) floc.RunOptions {
 	return opts
 }
 
-// warmFLOC runs a recluster child: exactly one attempt, warm-started
-// from the parent's final checkpoint on the lineage's (possibly
-// patched) head m. The spec's seed was pinned to the checkpoint's at
-// child creation, so the engine continues the parent's counted RNG
-// stream; when the matrix turns out not to have changed, the run is
-// bit-identical to the parent's own trajectory. The child keeps its
-// own final checkpoint, so reclusters chain indefinitely.
-func (s *Server) warmFLOC(ctx context.Context, id string, spec *runSpec, m *matrix.Matrix) (*ResultView, error) {
-	cfg := spec.floc
+// startFLOC runs a FLOC job from a checkpoint: exactly one attempt,
+// under the checkpoint's seed, so the engine continues its counted RNG
+// stream. Two callers share it:
+//
+//   - a migrated job resumes from its own replicated checkpoint, which
+//     it publishes at once, so the trajectory past the boundary is
+//     bit-identical to the one the lost backend would have produced
+//     and repeated failovers never recompute a completed boundary;
+//   - a recluster child warm-starts from its parent's final checkpoint
+//     on the lineage's (possibly patched) head; when the matrix has not
+//     changed, the run is bit-identical to the parent's.
+//
+// Either way the job keeps its own final boundary (the partial run's
+// on a deadline), so reclusters chain indefinitely.
+func (s *Server) startFLOC(ctx context.Context, id string, spec *runSpec, m *matrix.Matrix) (*ResultView, error) {
 	opts := s.flocRunOptions(id, 1)
-	opts.WarmStart = spec.warm
 	opts.KeepFinalCheckpoint = true
-	res, err := floc.RunWithOptions(ctx, m, cfg, opts)
-	if err != nil {
-		var pr *floc.PartialResult
-		if !errors.As(err, &pr) {
-			return nil, err
-		}
-		if pr.Checkpoint != nil {
-			s.store.setCheckpoint(id, pr.Checkpoint)
-		}
-		view := flocView(pr.Result, cfg.Seed)
-		view.Partial = true
-		view.WarmStart = true
-		return view, err
+	if spec.resumed {
+		s.store.setCheckpoint(id, spec.start.Checkpoint)
+		opts.Resume = spec.start.Checkpoint
+	} else {
+		opts.WarmStart = spec.start
+	}
+	res, err := floc.RunWithOptions(ctx, m, spec.floc, opts)
+	var pr *floc.PartialResult
+	if errors.As(err, &pr) {
+		res = pr.Result
+	} else if err != nil {
+		return nil, err
 	}
 	s.keepFinal(id, res.FinalCheckpoint)
-	view := flocView(res, cfg.Seed)
-	view.WarmStart = true
-	return view, nil
+	view := flocView(res, spec.floc.Seed)
+	view.Partial = err != nil
+	view.WarmStart = !spec.resumed
+	return view, err
 }
 
-// keepFinal records a completed run's final boundary as the job's
-// recluster handle and feeds it to the replication checkpoint stream
-// (which ignores it if a later-iteration periodic checkpoint already
-// landed there).
+// keepFinal records a run's final boundary as the job's recluster
+// handle and feeds it to the replication checkpoint stream (which
+// ignores it if a later-iteration periodic checkpoint already landed
+// there).
 func (s *Server) keepFinal(id string, ck *floc.Checkpoint) {
-	if ck == nil {
-		return
-	}
 	s.store.setFinalCheckpoint(id, ck)
 	s.store.setCheckpoint(id, ck)
-}
-
-// resumeFLOC continues a migrated FLOC job from its replicated
-// checkpoint: exactly one attempt, seeded as the checkpoint records,
-// so the trajectory past the boundary is bit-identical to the one the
-// lost backend would have produced. A resumed run that is itself
-// interrupted flushes a fresh (strictly later) checkpoint, so repeated
-// failovers never recompute a completed boundary.
-func (s *Server) resumeFLOC(ctx context.Context, id string, spec *runSpec, m *matrix.Matrix) (*ResultView, error) {
-	s.store.setCheckpoint(id, spec.resume)
-	cfg := spec.floc
-	opts := s.flocRunOptions(id, 1)
-	opts.Resume = spec.resume
-	opts.KeepFinalCheckpoint = true
-	res, err := floc.RunWithOptions(ctx, m, cfg, opts)
-	if err != nil {
-		var pr *floc.PartialResult
-		if !errors.As(err, &pr) {
-			return nil, err
-		}
-		if pr.Checkpoint != nil {
-			s.store.setCheckpoint(id, pr.Checkpoint)
-		}
-		view := flocView(pr.Result, cfg.Seed)
-		view.Partial = true
-		return view, err
-	}
-	s.keepFinal(id, res.FinalCheckpoint)
-	return flocView(res, cfg.Seed), nil
 }
 
 // flocView renders a single-attempt FLOC result.

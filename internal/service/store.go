@@ -76,8 +76,9 @@ type job struct {
 	checkpoint *floc.Checkpoint
 
 	// finalCheckpoint is the winning attempt's final iteration
-	// boundary, kept for every completed FLOC job — the parent handle
-	// a recluster warm-starts from after the lineage matrix mutates.
+	// boundary, kept for every finished FLOC job (boundary 0 when the
+	// run never improved) — the parent handle a recluster warm-starts
+	// from after the lineage matrix mutates.
 	finalCheckpoint *floc.Checkpoint
 
 	// parent is the job this one was reclustered from ("" for a root
@@ -468,8 +469,8 @@ func (st *store) setCheckpoint(id string, ck *floc.Checkpoint) {
 }
 
 // latestCheckpoint returns the job's most recent resumable checkpoint,
-// nil when none exists (job gone, non-FLOC, or stopped before the
-// first improving iteration). Checkpoints are immutable once exported,
+// nil when none exists (job gone, non-FLOC, or not yet past a
+// periodic boundary while running). Checkpoints are immutable once exported,
 // so the caller may encode the result outside the store lock.
 func (st *store) latestCheckpoint(id string) *floc.Checkpoint {
 	st.mu.Lock()
@@ -732,7 +733,8 @@ func (st *store) patchMatrix(id string, mu stream.Mutation) (patchOutcome, *apiE
 
 // beginRecluster creates the queued warm-start child of a completed
 // job — the POST /v1/jobs/{id}:recluster core. The parent must be a
-// done FLOC job holding a final checkpoint, and the lineage must be
+// done FLOC job, which always holds a final checkpoint (the seed
+// checkpoint when it converged in seeding), and the lineage must be
 // idle; the child runs on the lineage's head (built from the base
 // section and log when it starts), a single attempt under the
 // checkpoint's seed, and warm-starts with ParentRows pinned to the row
@@ -769,13 +771,6 @@ func (st *store) beginRecluster(parentID, childID string) (view JobView, warmIte
 		}
 	}
 	ck := parent.finalCheckpoint
-	if ck == nil {
-		return JobView{}, 0, false, &apiError{
-			status:  409,
-			code:    CodeNoCheckpoint,
-			message: "job " + parentID + " kept no final checkpoint to warm-start from",
-		}
-	}
 	if st.lineageBusyLocked(parent.lineage) {
 		return JobView{}, 0, false, &apiError{
 			status:  409,
@@ -791,7 +786,7 @@ func (st *store) beginRecluster(parentID, childID string) (view JobView, warmIte
 		floc:      cfg,
 		attempts:  1,
 		deadline:  parent.spec.deadline,
-		warm:      &floc.WarmStart{Checkpoint: ck, ParentRows: parent.baseRows},
+		start:     &floc.WarmStart{Checkpoint: ck, ParentRows: parent.baseRows},
 	}
 	id := childID
 	if id == "" {

@@ -211,6 +211,40 @@ func TestStreamReclusterEmptyDeltaMatchesParent(t *testing.T) {
 	}
 }
 
+// TestStreamReclusterSeedConvergedRoot: a root that converges in
+// seeding keeps the seed checkpoint as its handle, so its recluster is
+// accepted (202, warm from iteration 0, never 409 no_checkpoint) and,
+// with an empty delta, reproduces the root bit for bit.
+func TestStreamReclusterSeedConvergedRoot(t *testing.T) {
+	e := newTestEnv(t, Options{Workers: 2, QueueCap: 8})
+	req := streamJobRequest(t, 2)
+	req.FLOC.Seeding = "anchored"
+	parent := e.submit(t, req)
+	if v := e.poll(t, parent, 60*time.Second); v.State != StateDone {
+		t.Fatalf("parent finished %s (%s)", v.State, v.Error)
+	}
+	parentRes := e.resultView(t, parent)
+	if parentRes.Iterations != 0 {
+		t.Fatalf("parent took %d iterations; the test needs a root that converges in seeding", parentRes.Iterations)
+	}
+
+	rr := e.recluster(t, parent)
+	if rr.WarmFromIteration != 0 {
+		t.Fatalf("warm_from_iteration %d, want 0", rr.WarmFromIteration)
+	}
+	if v := e.poll(t, rr.Job.ID, 60*time.Second); v.State != StateDone {
+		t.Fatalf("child finished %s (%s)", v.State, v.Error)
+	}
+	childRes := e.resultView(t, rr.Job.ID)
+	if !childRes.WarmStart {
+		t.Fatal("child result is not flagged warm_start")
+	}
+	childRes.WarmStart, childRes.DurationMillis, parentRes.DurationMillis = false, 0, 0
+	if !reflect.DeepEqual(childRes, parentRes) {
+		t.Fatalf("empty-delta recluster of a seed-converged root diverged:\n child %+v\nparent %+v", childRes, parentRes)
+	}
+}
+
 // TestStreamLineageBusyConflicts is the race guard: while a recluster
 // child of the lineage is running, both a matrix PATCH and a second
 // recluster are refused with 409 lineage_busy — never silently
