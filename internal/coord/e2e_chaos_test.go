@@ -43,7 +43,7 @@ func TestChaosKillBackendMidRunBitIdentical(t *testing.T) {
 
 	// Reference: the same submission, uninterrupted, on backend A
 	// directly. Fetched before any chaos so the fingerprint survives.
-	req := slowSubmit(t)
+	req := longSubmit(t)
 	st, body := do(t, http.MethodPost, urlA+"/v1/jobs", req)
 	if st != http.StatusAccepted {
 		t.Fatalf("reference submit: status %d, body %s", st, body)
@@ -83,6 +83,19 @@ func TestChaosKillBackendMidRunBitIdentical(t *testing.T) {
 	// then is a kill guaranteed recoverable with zero recompute.
 	replicaIters := waitForReplica(t, peerURL, id, 60*time.Second)
 
+	// The kill must land mid-run: a job that finished first would leave
+	// its result on the dead owner, which failover does not recover.
+	// The fixture runs many times longer than the wait above, and the
+	// owner must confirm it is still running.
+	st, body = do(t, http.MethodGet, ownerURL+"/v1/jobs/"+id, nil)
+	var ov service.JobView
+	if err := json.Unmarshal(body, &ov); st != http.StatusOK || err != nil {
+		t.Fatalf("owner view before the kill: status %d, body %s", st, body)
+	}
+	if ov.State != service.StateRunning {
+		t.Fatalf("owner reports job %s %s before the kill, want running: the fixture is too short for this machine", id, ov.State)
+	}
+
 	// SIGKILL — the owner gets no chance to flush, answer, or drain.
 	if err := ownerProc.Process.Kill(); err != nil {
 		t.Fatal(err)
@@ -114,6 +127,18 @@ func TestChaosKillBackendMidRunBitIdentical(t *testing.T) {
 	if state := mv.Backends.States[ownerURL]; state != "down" {
 		t.Fatalf("killed backend probes %q, want down", state)
 	}
+}
+
+// longSubmit is slowSubmit's matrix clustered with K = 200 on one
+// decide worker: about 50 improving iterations over several seconds on
+// a 2-vCPU VM, the first boundary after about a tenth of the run, so a
+// kill after the first replica lands mid-run even when the coordinator
+// is slowed by the race detector and a loaded machine.
+func longSubmit(t *testing.T) *service.SubmitRequest {
+	t.Helper()
+	req := slowSubmit(t)
+	req.FLOC = &service.FLOCParams{K: 200, Delta: 8, Seed: 7, Seeding: "random", MaxIterations: 10_000, Workers: 1}
+	return req
 }
 
 // buildDeltaserve compiles cmd/deltaserve into a temp dir once per
